@@ -2,11 +2,8 @@
 
 This is the simulator's hot kernel: it reruns on every flow arrival and
 departure, and large consolidated scenarios solve it tens of thousands of
-times.  The default implementation is numba-compiled; set
-RALP_DISABLE_NUMBA=1 (or run without numba installed) to use the pure
-numpy/Python fallback.  Both paths execute the identical progressive
-filling algorithm with the same operation order, so their results are
-bit-identical.
+times.  It is progressive filling (Bertsekas & Gallager, *Data Networks*,
+§6.5.2) over per-link flow lists, on plain Python lists and floats.
 
 Each flow occupies up to two directed links (source uplink, destination
 downlink); a link id of -1 means "no constraint on that side".
@@ -14,90 +11,9 @@ downlink); a link id of -1 means "no constraint on that side".
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-_DISABLE_ENV_VAR = "RALP_DISABLE_NUMBA"
-
-
-def _solve(link_a, link_b, capacity, remaining, n_active, share, rates, frozen):
-    n_flows = link_a.shape[0]
-    n_links = capacity.shape[0]
-    left = n_flows
-    while left > 0:
-        # Bottleneck share: the smallest per-flow allowance of any loaded
-        # link.  Shares are snapshotted per round so freezing one flow does
-        # not perturb the equality test for the rest of the round.
-        best = np.inf
-        for l in range(n_links):
-            if n_active[l] > 0:
-                share[l] = remaining[l] / n_active[l]
-                if share[l] < best:
-                    best = share[l]
-            else:
-                share[l] = np.inf
-        if best == np.inf:
-            # Only unconstrained flows remain.
-            for f in range(n_flows):
-                if not frozen[f]:
-                    rates[f] = np.inf
-                    frozen[f] = True
-                    left -= 1
-            break
-        for f in range(n_flows):
-            if frozen[f]:
-                continue
-            a = link_a[f]
-            b = link_b[f]
-            if (a >= 0 and share[a] == best) or (b >= 0 and share[b] == best):
-                rates[f] = best
-                frozen[f] = True
-                left -= 1
-                if a >= 0:
-                    remaining[a] -= best
-                    if remaining[a] < 0.0:
-                        remaining[a] = 0.0
-                    n_active[a] -= 1
-                if b >= 0:
-                    remaining[b] -= best
-                    if remaining[b] < 0.0:
-                        remaining[b] = 0.0
-                    n_active[b] -= 1
-    return rates
-
-
-def _run(kernel, link_a, link_b, capacity):
-    n_flows = link_a.shape[0]
-    n_links = capacity.shape[0]
-    remaining = capacity.copy()
-    n_active = np.zeros(n_links, dtype=np.int64)
-    for f in range(n_flows):
-        if link_a[f] >= 0:
-            n_active[link_a[f]] += 1
-        if link_b[f] >= 0:
-            n_active[link_b[f]] += 1
-    share = np.empty(n_links, dtype=np.float64)
-    rates = np.zeros(n_flows, dtype=np.float64)
-    frozen = np.zeros(n_flows, dtype=np.bool_)
-    return kernel(link_a, link_b, capacity, remaining, n_active, share, rates, frozen)
-
-
-def _backend() -> tuple[str, object]:
-    if os.environ.get(_DISABLE_ENV_VAR, "").strip() not in ("", "0"):
-        return "numpy", _solve
-    try:
-        import numba
-    except ImportError:
-        return "numpy", _solve
-    return "numba", numba.njit(cache=True)(_solve)
-
-
-_BACKEND_NAME, _KERNEL = _backend()
-
-
-def backend_name() -> str:
-    return _BACKEND_NAME
 
 
 def solve_rates(link_a: np.ndarray, link_b: np.ndarray, capacity: np.ndarray) -> np.ndarray:
@@ -105,14 +21,47 @@ def solve_rates(link_a: np.ndarray, link_b: np.ndarray, capacity: np.ndarray) ->
 
     link_a/link_b: int64 link ids per flow (-1 for unconstrained side);
     capacity: float64 bytes/sec per link.  Returns bytes/sec per flow.
+
+    Each round takes the smallest per-flow share of any loaded link and
+    freezes, at that share, every unfrozen flow of every link whose share
+    equals it.  A frozen flow subtracts the share once from each of its
+    links (twice from one link when both ends are that link), clamping at
+    zero.  All subtractions of a round use the same share, so the order of
+    freezing changes no value.  Flows left when only unbounded shares
+    remain get an infinite rate.
     """
     if link_a.shape != link_b.shape:
         raise ValueError("link_a and link_b must have the same shape")
-    if link_a.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    return _run(
-        _KERNEL,
-        np.ascontiguousarray(link_a, dtype=np.int64),
-        np.ascontiguousarray(link_b, dtype=np.int64),
-        np.ascontiguousarray(capacity, dtype=np.float64),
-    )
+    ends_a = np.asarray(link_a, dtype=np.int64).tolist()
+    ends_b = np.asarray(link_b, dtype=np.int64).tolist()
+    remaining = np.asarray(capacity, dtype=np.float64).tolist()
+    flows_on = [[] for _ in remaining]
+    for f, (a, b) in enumerate(zip(ends_a, ends_b)):
+        if a >= 0:
+            flows_on[a].append(f)
+        if b >= 0:
+            flows_on[b].append(f)
+    n_active = [len(flows) for flows in flows_on]
+    loaded = [l for l, n in enumerate(n_active) if n]
+    rates = [math.inf] * len(ends_a)
+    frozen = [False] * len(ends_a)
+    while loaded:
+        shares = [remaining[l] / n_active[l] for l in loaded]
+        best = min(shares)
+        if best == math.inf:
+            break
+        for l, share in zip(loaded, shares):
+            if share != best:
+                continue
+            for f in flows_on[l]:
+                if frozen[f]:
+                    continue
+                frozen[f] = True
+                rates[f] = best
+                for end in (ends_a[f], ends_b[f]):
+                    if end >= 0:
+                        left = remaining[end] - best
+                        remaining[end] = 0.0 if left < 0.0 else left
+                        n_active[end] -= 1
+        loaded = [l for l in loaded if n_active[l]]
+    return np.array(rates, dtype=np.float64)

@@ -824,6 +824,49 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
 # -- scenario files ----------------------------------------------------------
 
 
+_CLUSTER_KEYS = ("machines", "gpus", "flops", "memcopy", "link", "intra")
+_JOB_KEYS = ("model", "strategy", "workers", "ps", "batch", "split")
+
+
+def _job_spec(model: ModelGraph, kv: dict[str, str]) -> JobSpec:
+    """JobSpec for one job line's key=value pairs; bad values raise ValueError."""
+
+    def integer(key: str, default: Optional[int] = None) -> Optional[int]:
+        token = kv.get(key)
+        if token is None:
+            return default
+        try:
+            return int(token)
+        except ValueError:
+            raise ScenarioError(f"{key} must be an integer, got {token!r}") from None
+
+    if "batch" in kv:
+        model = model.with_batch_size(integer("batch"))
+    strategy_name = kv["strategy"]
+    if "split" in kv and strategy_name != "ralp":
+        raise ScenarioError("split= applies only to strategy=ralp")
+    if strategy_name == "baseline":
+        strategy, ps_count = Strategy.baseline(), 1
+    elif strategy_name == "ring":
+        strategy, ps_count = Strategy.ring(), 0
+    elif strategy_name == "ralp":
+        split_token = kv.get("split", "auto")
+        if split_token == "auto":
+            split = profile(model, ProfilerConfig()).split_index
+            if split is None:
+                raise ScenarioError(
+                    f"model {model.name} is not partitionable "
+                    "(skewness gate failed); use strategy=baseline"
+                )
+        else:
+            split = integer("split")
+        strategy, ps_count = Strategy.ralp(split), 1
+    else:
+        raise ScenarioError(f"unknown strategy {strategy_name!r}")
+    return JobSpec(model=model, strategy=strategy, worker_count=integer("workers"),
+                   ps_count=integer("ps", ps_count))
+
+
 def parse_scenario(
     text: str,
     resolve_model: Callable[[str], ModelGraph],
@@ -835,6 +878,8 @@ def parse_scenario(
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
     and ``steps <n>``.  Jobs without place lines get the spread policy.
+    A malformed line, an unknown key or a bad value raises ScenarioError
+    naming the line.
     """
     cluster: Optional[ClusterSpec] = None
     steps = default_steps
@@ -844,6 +889,19 @@ def parse_scenario(
     def fail(lineno, msg):
         raise ScenarioError(f"line {lineno}: {msg}")
 
+    def pairs(lineno, tokens, keys):
+        kv = {}
+        for token in tokens:
+            key, sep, value = token.partition("=")
+            if not sep:
+                fail(lineno, f"expected key=value, got {token!r}")
+            if key not in keys:
+                fail(lineno, f"unknown key {key!r}; expected one of {', '.join(keys)}")
+            if key in kv:
+                fail(lineno, f"duplicate key {key!r}")
+            kv[key] = value
+        return kv
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -851,7 +909,7 @@ def parse_scenario(
         tokens = stripped.split()
         head = tokens[0]
         if head == "cluster":
-            kv = dict(t.split("=", 1) for t in tokens[1:] if "=" in t)
+            kv = pairs(lineno, tokens[1:], _CLUSTER_KEYS)
             try:
                 cluster = ClusterSpec(
                     machines=int(kv.get("machines", DEFAULT_CLUSTER.machines)),
@@ -867,11 +925,11 @@ def parse_scenario(
             if len(tokens) < 3:
                 fail(lineno, "job line needs a name and key=value pairs")
             name = tokens[1]
-            kv = dict(t.split("=", 1) for t in tokens[2:] if "=" in t)
+            kv = pairs(lineno, tokens[2:], _JOB_KEYS)
             for required in ("model", "strategy", "workers"):
                 if required not in kv:
                     fail(lineno, f"job {name!r} needs {required}=")
-            job_lines.append((name, kv))
+            job_lines.append((lineno, name, kv))
         elif head == "place":
             if len(tokens) < 3:
                 fail(lineno, "place line needs a job name")
@@ -903,36 +961,12 @@ def parse_scenario(
         raise ScenarioError("scenario has no jobs")
 
     specs: list[tuple[str, JobSpec]] = []
-    for name, kv in job_lines:
+    for lineno, name, kv in job_lines:
         model = resolve_model(kv["model"])
-        if "batch" in kv:
-            model = model.with_batch_size(int(kv["batch"]))
-        strategy_name = kv["strategy"]
-        workers = int(kv["workers"])
-        if strategy_name == "baseline":
-            strategy = Strategy.baseline()
-            ps_count = int(kv.get("ps", 1))
-        elif strategy_name == "ring":
-            strategy = Strategy.ring()
-            ps_count = int(kv.get("ps", 0))
-        elif strategy_name == "ralp":
-            split_token = kv.get("split", "auto")
-            if split_token == "auto":
-                report = profile(model, ProfilerConfig())
-                if report.split_index is None:
-                    raise ScenarioError(
-                        f"job {name!r}: model {model.name} is not partitionable "
-                        "(skewness gate failed); use strategy=baseline"
-                    )
-                split = report.split_index
-            else:
-                split = int(split_token)
-            strategy = Strategy.ralp(split)
-            ps_count = int(kv.get("ps", 1))
-        else:
-            raise ScenarioError(f"job {name!r}: unknown strategy {strategy_name!r}")
-        specs.append((name, JobSpec(model=model, strategy=strategy,
-                                    worker_count=workers, ps_count=ps_count)))
+        try:
+            specs.append((name, _job_spec(model, kv)))
+        except ValueError as exc:
+            fail(lineno, f"job {name!r}: {exc}")
 
     taken = [
         slot

@@ -1,10 +1,10 @@
 """Scalar reference for the max-min fair-share kernel.
 
 Progressive filling (Bertsekas & Gallager, *Data Networks*, §6.5.2) on
-plain Python lists and floats, with no numpy.  It performs the same
-floating-point operations in the same order as ``ralp.fairshare._solve``,
-so every backend of ``ralp.fairshare.solve_rates`` must match it bit for
-bit.
+plain Python lists and floats, with no numpy.  It scans every flow in
+every round, where ``ralp.fairshare.solve_rates`` visits only the flows of
+the bottleneck links, but both do the same floating-point operations on
+each link, so ``solve_rates`` must match it bit for bit.
 """
 
 from __future__ import annotations

@@ -146,6 +146,25 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", str(scn))
         assert code == EXIT_CAPACITY
 
+    @pytest.mark.parametrize("line, message", [
+        ("job a model=lenet strategy=baseline workers=x ps=1", "workers must be an integer"),
+        ("job a model=lenet strategy=baseline workers=0 ps=1", "worker_count must be >= 1"),
+        ("job a model=vgg11 strategy=ralp workers=2 ps=1 split=99", "split_index 99 out of range"),
+        ("job a model=lenet strategy=baseline workers=2 ps=1 batch=0", "batch_size must be >= 1"),
+        ("job a model=lenet strategy=baseline workers=2 ps=1 gpu=4", "unknown key 'gpu'"),
+        ("cluster machines=2 gpus=2 bogus=3", "unknown key 'bogus'"),
+        ("job a model=lenet strategy=baseline workers=2 ps=1 gpu4", "expected key=value"),
+        ("job a model=lenet strategy=baseline workers=2 workers=3 ps=1", "duplicate key 'workers'"),
+        ("job a model=lenet strategy=baseline workers=2 ps=1 split=3", "split= applies only"),
+    ])
+    def test_bad_scenario_line_names_its_line(self, capsys, tmp_path, line, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(f"# line 1\n{line}\njob b model=lenet strategy=ring workers=2\n")
+        code, _, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert "line 2: " in err
+        assert message in err
+
     def test_scenario_with_local_descriptor(self, capsys, tmp_path):
         (tmp_path / "toy.model").write_text(
             "model toy batch=2 input=8x8x3\nc1 conv k=3 cout=4 pad=1\nf1 fc out=10\n"

@@ -1,12 +1,9 @@
-import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairshare_reference import progressive_filling
 from ralp import fairshare
@@ -86,73 +83,64 @@ class TestSolver:
             assert math.fsum(rates) == pytest.approx(100.0, abs=1e-9)
 
 
-def _default_backend() -> str:
-    """The backend ``fairshare._backend()`` picks when RALP_DISABLE_NUMBA is unset."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return "numpy"
-    return "numba"
+
+def hex_rates(link_a, link_b, capacity):
+    """solve_rates and the scalar reference, as float bit patterns."""
+    got = fairshare.solve_rates(
+        np.array(link_a, dtype=np.int64), np.array(link_b, dtype=np.int64),
+        np.array(capacity, dtype=np.float64),
+    )
+    want = progressive_filling(link_a, link_b, capacity)
+    return [x.hex() for x in got.tolist()], [x.hex() for x in want]
 
 
-@pytest.mark.slow
-class TestBackendEquivalence:
-    def test_numpy_fallback_is_bit_identical(self, tmp_path):
-        """Solve the same seeded cases in a default child process and in one
-        with RALP_DISABLE_NUMBA=1 (the backend is chosen at import time), and
-        compare their float bit patterns with each other and with the scalar
-        reference.  Without numba both children run the fallback, and the
-        reference is what the comparison checks them against."""
+@st.composite
+def flow_sets(draw):
+    """Flows over a few links, with both ends on one link, unconstrained
+    (-1, -1) flows and infinite capacities among the constrained ones.
+    Capacities in tenths make several links tie for the bottleneck, exactly
+    or, after rounding in earlier rounds, within an ulp."""
+    n_links = draw(st.integers(1, 8))
+    capacity = draw(st.lists(
+        st.one_of(st.floats(0.5, 500.0), st.integers(1, 30).map(lambda k: k / 10), st.just(math.inf)),
+        min_size=n_links, max_size=n_links,
+    ))
+    link = st.integers(-1, n_links - 1)
+    flows = draw(st.lists(
+        st.one_of(st.tuples(link, link), link.map(lambda l: (l, l)), st.just((-1, -1))),
+        max_size=40,
+    ))
+    return [a for a, _ in flows], [b for _, b in flows], capacity
+
+
+class TestReferenceEquivalence:
+    def test_seeded_cases_bit_identical(self):
         rng = np.random.default_rng(99)
-        cases = []
         for _ in range(25):
             n_links = int(rng.integers(2, 12))
             n_flows = int(rng.integers(1, 60))
             caps = rng.uniform(0.5, 500.0, size=n_links)
             a = rng.integers(0, n_links, size=n_flows)
             b = rng.integers(-1, n_links, size=n_flows)
-            cases.append((a.tolist(), b.tolist(), caps.tolist()))
-        cases_path = tmp_path / "cases.json"
-        cases_path.write_text(json.dumps(cases))
-        expected = [
-            [x.hex() for x in progressive_filling(a, b, caps)] for a, b, caps in cases
-        ]
+            got, want = hex_rates(a.tolist(), b.tolist(), caps.tolist())
+            assert got == want
 
-        script = r"""
-import json, sys
-import numpy as np
-from ralp import fairshare
-with open(sys.argv[1]) as f:
-    cases = json.load(f)
-out = []
-for a, b, caps in cases:
-    rates = fairshare.solve_rates(
-        np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), np.array(caps)
-    )
-    out.append([x.hex() for x in rates.tolist()])
-print(json.dumps({"backend": fairshare.backend_name(), "file": fairshare.__file__,
-                  "rates": out}))
-"""
-        # The children must import the ralp under test, not whatever copy
-        # the inherited PYTHONPATH or their working directory would find.
-        package_file = Path(fairshare.__file__).resolve()
-        pythonpath = [str(package_file.parents[1])]
-        if os.environ.get("PYTHONPATH"):
-            pythonpath.append(os.environ["PYTHONPATH"])
-        env_default = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
-        env_default.pop("RALP_DISABLE_NUMBA", None)
-        env_fallback = dict(env_default, RALP_DISABLE_NUMBA="1")
-        default = _default_backend()
-        for label, env in ((default, env_default), ("numpy", env_fallback)):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(cases_path)],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=tmp_path,
-            )
-            assert proc.returncode == 0, f"{label} child failed:\n{proc.stderr}"
-            result = json.loads(proc.stdout)
-            assert result["backend"] == label
-            assert Path(result["file"]).resolve() == package_file
-            assert result["rates"] == expected, f"{label} backend differs from the reference"
+    @given(case=flow_sets())
+    # 0.3 / 3 rounds to one ulp below 0.1: link 0 alone is the bottleneck.
+    @example(case=([0, 0, 0, 1], [-1, -1, -1, -1], [0.3, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_flow_sets_bit_identical(self, case):
+        got, want = hex_rates(*case)
+        assert got == want
+
+    def test_capacity_is_left_unchanged(self):
+        # The simulator passes the same capacity array on every call.
+        capacity = np.array([10.0, 3.0, math.inf, 7.5])
+        before = capacity.copy()
+        # A flow with both ends on one link counts twice on it: link 1 gives
+        # each of its three flow ends 1, and link 3 each of its three 2.5.
+        rates = fairshare.solve_rates(
+            np.array([0, 1, 0, 2, -1, 3]), np.array([1, 1, -1, 3, -1, 3]), capacity
+        )
+        assert rates.tolist() == [1.0, 1.0, 9.0, 2.5, math.inf, 2.5]
+        assert capacity.tobytes() == before.tobytes()
