@@ -7,12 +7,22 @@ full-duplex links under max-min fairness (see fairshare), intra-machine
 transfers ride a separate non-contended tier.  Training is synchronous:
 a job's next step starts when its slowest worker finishes the current one.
 
+Each step of each job is a small task graph, built by one function per
+strategy and run by one event loop for all jobs.  A task is either a
+delay (compute, memcopy or PS work) or a flow of bytes between two
+machines, and it starts once all its predecessors have finished.  The
+split strategy's back-segment batches are serial tasks: the PS runs them
+one at a time, in the order they became ready.  A worker's step ends
+with its last task.
+
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
-memcopy, and communication.  Communication is defined as the residual
-(step duration minus the other three), mirroring how such breakdowns are
-measured from traces, so the four buckets sum to the reported step
-duration identically.
+memcopy, and communication.  Worker computation and memcopy are the sums
+of the worker's delay tasks tagged with that bucket; PS computation is a
+per-strategy constant; communication is the residual (step duration
+minus the other three), mirroring how such breakdowns are measured from
+traces, so the four buckets sum to the reported step duration
+identically.  A step's wire bytes are the sum of its flows' bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import heapq
 import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -329,70 +340,35 @@ def _split_bytes(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-class _Flow:
-    __slots__ = ("key", "src", "dst", "remaining", "rate", "on_complete")
+class _Task:
+    """One node of a job's step graph: a delay of ``seconds`` (``src`` is
+    None) or a flow of ``nbytes`` from machine ``src`` to ``dst``.  It
+    starts once its ``waiting`` predecessors have finished; a ``serial``
+    task waits its turn in its job's FIFO queue; finishing a task with a
+    ``last`` worker index ends that worker's step."""
 
-    def __init__(self, key, src, dst, nbytes, on_complete):
-        self.key = key
+    __slots__ = ("job", "seconds", "src", "dst", "nbytes", "key", "serial", "last",
+                 "succ", "waiting", "remaining", "rate")
+
+    def __init__(self, job, after, seconds=0.0, src=None, dst=None, nbytes=0, key=None,
+                 serial=False, last=None):
+        self.job = job
+        self.seconds = seconds
         self.src = src
         self.dst = dst
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.on_complete = on_complete
-
-
-class _Gate:
-    """Counting barrier: fires its waiters once `need` arrivals happen."""
-
-    __slots__ = ("env", "need", "count", "waiters")
-
-    def __init__(self, env, need):
-        self.env = env
-        self.need = need
-        self.count = 0
-        self.waiters = []
-
-    def arrive(self):
-        self.count += 1
-        if self.count >= self.need:
-            waiters, self.waiters = self.waiters, []
-            for proc in waiters:
-                self.env._resume_now(proc, None)
-
-    def add_waiter(self, proc):
-        if self.count >= self.need:
-            self.env._resume_now(proc, None)
-        else:
-            self.waiters.append(proc)
-
-
-class _FifoQueue:
-    """Single-consumer FIFO used by the PS worker to serialize batches."""
-
-    __slots__ = ("env", "items", "getter")
-
-    def __init__(self, env):
-        self.env = env
-        self.items = []
-        self.getter = None
-
-    def put(self, item):
-        if self.getter is not None:
-            proc, self.getter = self.getter, None
-            self.env._resume_now(proc, item)
-        else:
-            self.items.append(item)
-
-    def request(self, proc):
-        if self.items:
-            self.env._resume_now(proc, self.items.pop(0))
-        else:
-            self.getter = proc
+        self.nbytes = nbytes
+        self.key = key
+        self.serial = serial
+        self.last = last
+        self.succ = []
+        self.waiting = len(after)
+        for pred in after:
+            pred.succ.append(self)
 
 
 class _Env:
-    """Event loop: a time-ordered heap of process resumptions plus the set
-    of in-flight inter-machine flows whose rates come from the fair-share
+    """Event loop: a time-ordered heap of finishing tasks plus the set of
+    in-flight inter-machine flows whose rates come from the fair-share
     kernel."""
 
     def __init__(self, cluster: ClusterSpec):
@@ -400,51 +376,43 @@ class _Env:
         self.now = 0.0
         self._heap = []
         self._seq = itertools.count()
-        self._flows: list[_Flow] = []
+        self._flows: list[_Task] = []
         self._rates_dirty = False
         self._capacity = np.full(2 * cluster.machines, cluster.link_bytes_per_sec, dtype=np.float64)
 
-    # -- process plumbing ------------------------------------------------
+    def _finish_at(self, time, task):
+        heapq.heappush(self._heap, (time, next(self._seq), task))
 
-    def spawn(self, generator):
-        self._resume_now(generator, None)
+    def start(self, task: _Task):
+        job = task.job
+        if task.serial:
+            if job.serial_busy:
+                job.serial_queue.append(task)
+                return
+            job.serial_busy = True
+        if task.src is None:
+            self._finish_at(self.now + task.seconds, task)
+        elif task.nbytes <= 0:
+            self._finish_at(self.now, task)
+        elif task.src == task.dst:
+            self._finish_at(self.now + task.nbytes / self.cluster.intra_machine_bytes_per_sec, task)
+        else:
+            task.remaining = float(task.nbytes)
+            self._flows.append(task)
+            self._rates_dirty = True
 
-    def _resume_now(self, generator, value):
-        heapq.heappush(self._heap, (self.now, next(self._seq), generator, value))
-
-    def _resume_at(self, time, generator, value):
-        heapq.heappush(self._heap, (time, next(self._seq), generator, value))
-
-    def _step_process(self, generator, value):
-        try:
-            request = generator.send(value)
-        except StopIteration:
-            return
-        kind = request[0]
-        if kind == "delay":
-            self._resume_at(self.now + request[1], generator, None)
-        elif kind == "flow":
-            _, src, dst, nbytes, key = request
-            self.start_flow(src, dst, nbytes, key, lambda g=generator: self._resume_now(g, None))
-        elif kind == "wait":
-            request[1].add_waiter(generator)
-        elif kind == "get":
-            request[1].request(generator)
-        else:  # pragma: no cover - internal protocol
-            raise RuntimeError(f"unknown request {kind!r}")
-
-    # -- flows -----------------------------------------------------------
-
-    def start_flow(self, src, dst, nbytes, key, on_complete: Callable[[], None]):
-        if nbytes <= 0:
-            self._resume_now(_fire(on_complete), None)
-            return
-        if src == dst:
-            duration = nbytes / self.cluster.intra_machine_bytes_per_sec
-            self._resume_at(self.now + duration, _fire(on_complete), None)
-            return
-        self._flows.append(_Flow(key, src, dst, nbytes, on_complete))
-        self._rates_dirty = True
+    def _finish(self, task: _Task):
+        job = task.job
+        for succ in task.succ:
+            succ.waiting -= 1
+            if not succ.waiting:
+                self.start(succ)
+        if task.serial:
+            job.serial_busy = False
+            if job.serial_queue:
+                self.start(job.serial_queue.popleft())
+        if task.last is not None:
+            job.worker_done(task.last)
 
     def _recompute_rates(self):
         machines = self.cluster.machines
@@ -456,8 +424,6 @@ class _Env:
         for flow, rate in zip(self._flows, rates):
             flow.rate = float(rate)
         self._rates_dirty = False
-
-    # -- main loop --------------------------------------------------------
 
     def run(self):
         while self._heap or self._flows:
@@ -493,22 +459,10 @@ class _Env:
                 self._flows = [f for f in self._flows if id(f) not in done_set]
                 self._rates_dirty = True
                 for flow in done:
-                    flow.remaining = 0.0
-                    self._resume_now(_fire(flow.on_complete), None)
+                    self._finish_at(self.now, flow)
 
             while self._heap and self._heap[0][0] == self.now:
-                _, _, generator, value = heapq.heappop(self._heap)
-                self._step_process(generator, value)
-
-
-def _fire(callback):
-    """Wrap a completion callback as a one-shot process."""
-    def proc():
-        callback()
-        return
-        yield  # pragma: no cover - makes this a generator
-
-    return proc()
+                self._finish(heapq.heappop(self._heap)[2])
 
 
 # -- per-job runtime -------------------------------------------------------
@@ -526,6 +480,8 @@ class _JobRun:
         self.model = spec.model
         self.records: list[StepBreakdown] = []
         self.wire_bytes: list[int] = []
+        self.serial_queue: deque[_Task] = deque()
+        self.serial_busy = False
 
         cluster = env.cluster
         model = self.model
@@ -543,6 +499,7 @@ class _JobRun:
             self.cut_bytes = model.output_bytes(split)
             self.front_param_bytes = model.cumulative_param_bytes(split)
             self.agg_s = model.total_param_count * w / cluster.gpu_flops_per_sec
+            self.ps_computation_s = self.back_batch_s + self.agg_s
         else:
             total_flops = 3 * model.forward_flops_per_sample() * model.batch_size
             self.compute_s = total_flops / cluster.gpu_flops_per_sec
@@ -560,53 +517,98 @@ class _JobRun:
                     (b // model.bytes_per_element) * w / cluster.gpu_flops_per_sec
                     for b in self.shard_bytes
                 ]
-                self.agg_span = max(self.shard_agg_s)
+                self.ps_computation_s = max(self.shard_agg_s)
             else:
                 self.ring_shares = _split_bytes(2 * self.model_bytes * (w - 1), w) if w > 0 else []
+                self.ps_computation_s = 0.0
 
         self.memcopy_rate = cluster.memcopy_bytes_per_sec
 
-    # accounting helpers -----------------------------------------------
+    # step graphs ----------------------------------------------------------
 
-    def _new_step_state(self):
+    def start_step(self):
         w = self.spec.worker_count
         self.step_start = self.env.now
         self.compute_acc = [0.0] * w
         self.memcopy_acc = [0.0] * w
-        self.ps_acc = [0.0] * w
         self.worker_end = [0.0] * w
         self.step_wire = 0
         self.done_count = 0
-
-    def count_wire(self, nbytes: int):
-        self.step_wire += nbytes
-
-    def start_step(self):
-        self._new_step_state()
-        env = self.env
         kind = self.spec.strategy.kind
-        w = self.spec.worker_count
         if kind is StrategyKind.BASELINE_PS:
-            self.push_gates = [_Gate(env, w) for _ in range(self.spec.ps_count)]
-            self.pull_gates = [_Gate(env, self.spec.ps_count) for _ in range(w)]
-            for s in range(self.spec.ps_count):
-                env.spawn(self._baseline_ps(s))
-            for i in range(w):
-                env.spawn(self._baseline_worker(i))
+            self._baseline_step()
         elif kind is StrategyKind.RALP:
-            self.act_queue = _FifoQueue(env)
-            self.actgrad_gates = [_Gate(env, 1) for _ in range(w)]
-            self.grad_gate = _Gate(env, w)
-            self.pull_gates = [_Gate(env, 1) for _ in range(w)]
-            env.spawn(self._ralp_ps())
-            for i in range(w):
-                env.spawn(self._ralp_worker(i))
+            self._ralp_step()
         else:
-            self.ring_gate = _Gate(env, w)
-            for i in range(w):
-                env.spawn(self._ring_worker(i))
+            self._ring_step()
 
-    def _worker_done(self, i: int):
+    def _delay(self, after, seconds, bucket=None, worker=None, serial=False, last=None):
+        """A delay task; ``bucket`` (compute_acc or memcopy_acc) charges its
+        seconds to ``worker``, in the order the worker's tasks are built.
+        A task with nothing to wait for starts at once: tasks finish only
+        inside the event loop, so the rest of the graph is built by then."""
+        if bucket is not None:
+            bucket[worker] += seconds
+        task = _Task(self, after, seconds, serial=serial, last=last)
+        if not after:
+            self.env.start(task)
+        return task
+
+    def _flow(self, after, src, dst, nbytes, key):
+        self.step_wire += nbytes
+        return _Task(self, after, src=src, dst=dst, nbytes=nbytes, key=(self.job_id, *key))
+
+    def _baseline_step(self):
+        rate = self.memcopy_rate
+        pushes = [[] for _ in self.ps_machines]
+        for i, me in enumerate(self.worker_machines):
+            compute = self._delay((), self.compute_s, self.compute_acc, i)
+            d2h = self._delay([compute], self.model_bytes / rate, self.memcopy_acc, i)
+            for s, ps_machine in enumerate(self.ps_machines):
+                pushes[s].append(self._flow([d2h], me, ps_machine, self.shard_bytes[s],
+                                            (i, "push", s)))
+        pulls = [[] for _ in self.worker_machines]
+        for s, ps_machine in enumerate(self.ps_machines):
+            agg = self._delay(pushes[s], self.shard_agg_s[s])
+            for i, worker_machine in enumerate(self.worker_machines):
+                pulls[i].append(self._flow([agg], ps_machine, worker_machine, self.shard_bytes[s],
+                                           (i, "pull", s)))
+        for i, after in enumerate(pulls):
+            self._delay(after, self.model_bytes / rate, self.memcopy_acc, i, last=i)
+
+    def _ralp_step(self):
+        rate, ps_machine = self.memcopy_rate, self.ps_machines[0]
+        cut, params = self.cut_bytes, self.front_param_bytes
+        grads = []
+        for i, me in enumerate(self.worker_machines):
+            fwd = self._delay((), self.front_fwd_s, self.compute_acc, i)
+            d2h = self._delay([fwd], cut / rate, self.memcopy_acc, i)
+            act = self._flow([d2h], me, ps_machine, cut, (i, "act", 0))
+            # The PS runs the back segment for one batch at a time, in the
+            # order the activations arrive.
+            back = self._delay([act], self.back_batch_s, serial=True)
+            actgrad = self._flow([back], ps_machine, me, cut, (i, "actgrad", 0))
+            h2d = self._delay([actgrad], cut / rate, self.memcopy_acc, i)
+            bwd = self._delay([h2d], self.front_bwd_s, self.compute_acc, i)
+            d2h = self._delay([bwd], params / rate, self.memcopy_acc, i)
+            grads.append(self._flow([d2h], me, ps_machine, params, (i, "grad", 0)))
+        agg = self._delay(grads, self.agg_s)
+        for i, me in enumerate(self.worker_machines):
+            pull = self._flow([agg], ps_machine, me, params, (i, "pull", 0))
+            self._delay([pull], params / rate, self.memcopy_acc, i, last=i)
+
+    def _ring_step(self):
+        rate, w = self.memcopy_rate, self.spec.worker_count
+        sends = []
+        for i, me in enumerate(self.worker_machines):
+            compute = self._delay((), self.compute_s, self.compute_acc, i)
+            d2h = self._delay([compute], self.model_bytes / rate, self.memcopy_acc, i)
+            peer = self.worker_machines[(i + 1) % w]
+            sends.append(self._flow([d2h], me, peer, self.ring_shares[i], (i, "ring", 0)))
+        for i in range(w):
+            self._delay(sends, self.model_bytes / rate, self.memcopy_acc, i, last=i)
+
+    def worker_done(self, i: int):
         self.worker_end[i] = self.env.now
         self.done_count += 1
         if self.done_count == self.spec.worker_count:
@@ -617,13 +619,13 @@ class _JobRun:
         comm = []
         for i in range(w):
             span = self.worker_end[i] - self.step_start
-            residual = span - (self.compute_acc[i] + self.memcopy_acc[i] + self.ps_acc[i])
+            residual = span - (self.compute_acc[i] + self.memcopy_acc[i] + self.ps_computation_s)
             comm.append(max(0.0, residual))
         record = StepBreakdown(
             job=self.name,
             step=len(self.records) + 1,
             worker_computation=tuple(self.compute_acc),
-            ps_computation=tuple(self.ps_acc),
+            ps_computation=(self.ps_computation_s,) * w,
             memcopy=tuple(self.memcopy_acc),
             communication=tuple(comm),
         )
@@ -631,110 +633,6 @@ class _JobRun:
         self.wire_bytes.append(self.step_wire)
         if len(self.records) < self.total_steps:
             self.start_step()
-
-    # baseline PS --------------------------------------------------------
-
-    def _baseline_worker(self, i: int):
-        env = self.env
-        me = self.worker_machines[i]
-        self.compute_acc[i] += self.compute_s
-        yield ("delay", self.compute_s)
-        d2h = self.model_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += d2h
-        yield ("delay", d2h)
-        for s, ps_machine in enumerate(self.ps_machines):
-            nbytes = self.shard_bytes[s]
-            self.count_wire(nbytes)
-            env.start_flow(me, ps_machine, nbytes,
-                           (self.job_id, i, "push", s), self.push_gates[s].arrive)
-        yield ("wait", self.pull_gates[i])
-        h2d = self.model_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += h2d
-        yield ("delay", h2d)
-        self.ps_acc[i] += self.agg_span
-        self._worker_done(i)
-
-    def _baseline_ps(self, s: int):
-        yield ("wait", self.push_gates[s])
-        yield ("delay", self.shard_agg_s[s])
-        ps_machine = self.ps_machines[s]
-        for i, worker_machine in enumerate(self.worker_machines):
-            nbytes = self.shard_bytes[s]
-            self.count_wire(nbytes)
-            self.env.start_flow(ps_machine, worker_machine, nbytes,
-                                (self.job_id, i, "pull", s), self.pull_gates[i].arrive)
-
-    # split placement ------------------------------------------------------
-
-    def _ralp_worker(self, i: int):
-        me = self.worker_machines[i]
-        ps_machine = self.ps_machines[0]
-        self.compute_acc[i] += self.front_fwd_s
-        yield ("delay", self.front_fwd_s)
-        d2h = self.cut_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += d2h
-        yield ("delay", d2h)
-        self.count_wire(self.cut_bytes)
-        yield ("flow", me, ps_machine, self.cut_bytes, (self.job_id, i, "act", 0))
-        self.act_queue.put(i)
-        yield ("wait", self.actgrad_gates[i])
-        h2d = self.cut_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += h2d
-        yield ("delay", h2d)
-        self.compute_acc[i] += self.front_bwd_s
-        yield ("delay", self.front_bwd_s)
-        d2h = self.front_param_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += d2h
-        yield ("delay", d2h)
-        self.count_wire(self.front_param_bytes)
-        yield ("flow", me, ps_machine, self.front_param_bytes, (self.job_id, i, "grad", 0))
-        self.grad_gate.arrive()
-        yield ("wait", self.pull_gates[i])
-        h2d = self.front_param_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += h2d
-        yield ("delay", h2d)
-        self.ps_acc[i] += self.back_batch_s + self.agg_s
-        self._worker_done(i)
-
-    def _ralp_ps(self):
-        env = self.env
-        ps_machine = self.ps_machines[0]
-        # Incoming activation batches are processed strictly one at a time,
-        # in arrival order.
-        for _ in range(self.spec.worker_count):
-            i = yield ("get", self.act_queue)
-            yield ("delay", self.back_batch_s)
-            self.count_wire(self.cut_bytes)
-            env.start_flow(ps_machine, self.worker_machines[i], self.cut_bytes,
-                           (self.job_id, i, "actgrad", 0), self.actgrad_gates[i].arrive)
-        yield ("wait", self.grad_gate)
-        yield ("delay", self.agg_s)
-        for i, worker_machine in enumerate(self.worker_machines):
-            self.count_wire(self.front_param_bytes)
-            env.start_flow(ps_machine, worker_machine, self.front_param_bytes,
-                           (self.job_id, i, "pull", 0), self.pull_gates[i].arrive)
-
-    # ring allreduce -------------------------------------------------------
-
-    def _ring_worker(self, i: int):
-        w = self.spec.worker_count
-        me = self.worker_machines[i]
-        peer = self.worker_machines[(i + 1) % w]
-        self.compute_acc[i] += self.compute_s
-        yield ("delay", self.compute_s)
-        d2h = self.model_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += d2h
-        yield ("delay", d2h)
-        nbytes = self.ring_shares[i]
-        if nbytes > 0:
-            self.count_wire(nbytes)
-            yield ("flow", me, peer, nbytes, (self.job_id, i, "ring", 0))
-        self.ring_gate.arrive()
-        yield ("wait", self.ring_gate)
-        h2d = self.model_bytes / self.memcopy_rate
-        self.memcopy_acc[i] += h2d
-        yield ("delay", h2d)
-        self._worker_done(i)
 
 
 # -- public entry points ----------------------------------------------------
@@ -877,14 +775,18 @@ def parse_scenario(
     Lines: ``cluster machines= gpus= flops= memcopy= link= intra=``,
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
-    and ``steps <n>``.  Jobs without place lines get the spread policy.
-    A malformed line, an unknown key or a bad value raises ScenarioError
-    naming the line.
+    and ``steps <n>``.  Jobs without explicit slots get the spread policy.
+    A malformed line, an unknown key, a bad value, a duplicate job name or
+    a place line for an undeclared job raises ScenarioError naming the
+    line; an explicit slot outside the cluster or already taken raises
+    CapacityError naming the line.
     """
     cluster: Optional[ClusterSpec] = None
     steps = default_steps
-    job_lines: list[tuple[str, dict]] = []
+    job_lines: list[tuple[int, str, dict]] = []
+    place_lines: dict[str, int] = {}  # job name -> its first place line
     explicit: dict[str, dict[str, dict[int, tuple[int, int]]]] = {}
+    slot_lines: list[tuple[int, tuple[int, int]]] = []
 
     def fail(lineno, msg):
         raise ScenarioError(f"line {lineno}: {msg}")
@@ -934,15 +836,20 @@ def parse_scenario(
             if len(tokens) < 3:
                 fail(lineno, "place line needs a job name")
             name = tokens[1]
-            slot = explicit.setdefault(name, {"worker": {}, "ps": {}})
+            place_lines.setdefault(name, lineno)
             if tokens[2] == "spread":
                 continue
             if len(tokens) != 6 or tokens[2] not in ("worker", "ps"):
                 fail(lineno, "expected: place <job> worker|ps <idx> <machine> <gpu>")
             try:
-                slot[tokens[2]][int(tokens[3])] = (int(tokens[4]), int(tokens[5]))
+                index, machine, gpu = (int(t) for t in tokens[3:])
             except ValueError:
                 fail(lineno, "place indices must be integers")
+            group = explicit.setdefault(name, {"worker": {}, "ps": {}})[tokens[2]]
+            if index in group:
+                fail(lineno, f"job {name!r}: {tokens[2]} {index} is already placed")
+            group[index] = (machine, gpu)
+            slot_lines.append((lineno, (machine, gpu)))
         elif head == "steps":
             if len(tokens) != 2:
                 fail(lineno, "expected: steps <n>")
@@ -960,44 +867,52 @@ def parse_scenario(
     if not job_lines:
         raise ScenarioError("scenario has no jobs")
 
-    specs: list[tuple[str, JobSpec]] = []
+    declared: dict[str, int] = {}
+    for lineno, name, _ in job_lines:
+        if name in declared:
+            fail(lineno, f"duplicate job name {name!r} (first declared on line {declared[name]})")
+        declared[name] = lineno
+    for name, lineno in place_lines.items():
+        if name not in declared:
+            fail(lineno, f"place line for undeclared job {name!r}")
+    booked: dict[tuple[int, int], int] = {}
+    for lineno, (machine, gpu) in slot_lines:
+        if not 0 <= machine < cluster.machines:
+            raise CapacityError(f"line {lineno}: machine {machine} outside the "
+                                f"{cluster.machines}-machine cluster")
+        if not 0 <= gpu < cluster.gpus_per_machine:
+            raise CapacityError(f"line {lineno}: gpu {gpu} outside a "
+                                f"{cluster.gpus_per_machine}-GPU machine")
+        if (machine, gpu) in booked:
+            raise CapacityError(f"line {lineno}: slot ({machine}, {gpu}) already taken "
+                                f"on line {booked[machine, gpu]}")
+        booked[machine, gpu] = lineno
+
+    specs: list[tuple[str, JobSpec, Optional[Placement]]] = []
     for lineno, name, kv in job_lines:
         model = resolve_model(kv["model"])
         try:
-            specs.append((name, _job_spec(model, kv)))
+            spec = _job_spec(model, kv)
         except ValueError as exc:
             fail(lineno, f"job {name!r}: {exc}")
-
-    taken = [
-        slot
-        for name, _ in specs
-        if name in explicit
-        for group in explicit[name].values()
-        for slot in group.values()
-    ]
-
-    auto_specs = [(n, s) for n, s in specs if n not in explicit]
-    auto_placements = spread_placement(
-        cluster, [(s.worker_count, s.ps_count) for _, s in auto_specs], taken=taken
-    )
-    auto_map = {name: p for (name, _), p in zip(auto_specs, auto_placements)}
-
-    jobs = []
-    for name, spec in specs:
+        placement = None
         if name in explicit:
             groups = explicit[name]
-            workers = groups["worker"]
-            ps = groups["ps"]
-            if sorted(workers) != list(range(spec.worker_count)):
-                raise ScenarioError(f"job {name!r}: worker placements must cover 0..{spec.worker_count - 1}")
-            if sorted(ps) != list(range(spec.ps_count)):
-                raise ScenarioError(f"job {name!r}: ps placements must cover 0..{spec.ps_count - 1}")
+            for kind, count in (("worker", spec.worker_count), ("ps", spec.ps_count)):
+                if sorted(groups[kind]) != list(range(count)):
+                    fail(lineno, f"job {name!r}: {kind} placements must cover 0..{count - 1}")
             placement = Placement(
-                workers=tuple(workers[i] for i in range(spec.worker_count)),
-                ps=tuple(ps[i] for i in range(spec.ps_count)),
+                workers=tuple(groups["worker"][i] for i in range(spec.worker_count)),
+                ps=tuple(groups["ps"][i] for i in range(spec.ps_count)),
             )
-        else:
-            placement = auto_map[name]
-        jobs.append((name, spec, placement))
+        specs.append((name, spec, placement))
 
-    return Scenario(cluster=cluster, jobs=tuple(jobs), steps=steps)
+    auto = [spec for _, spec, placement in specs if placement is None]
+    spread = iter(spread_placement(
+        cluster, [(s.worker_count, s.ps_count) for s in auto], taken=booked
+    ))
+    jobs = tuple(
+        (name, spec, next(spread) if placement is None else placement)
+        for name, spec, placement in specs
+    )
+    return Scenario(cluster=cluster, jobs=jobs, steps=steps)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from ralp.cli import (
 )
 
 GIB = 1 << 30
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +166,54 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert "line 2: " in err
         assert message in err
+
+    @pytest.mark.parametrize("text, code, line, message", [
+        ("job a model=lenet strategy=baseline workers=2 ps=1\nplace ghost worker 0 3 1\n",
+         EXIT_PARSE, 2, "place line for undeclared job 'ghost'"),
+        ("cluster machines=4 gpus=2\njob a model=lenet strategy=baseline workers=1 ps=1\n"
+         "place a worker 0 9 0\nplace a ps 0 1 0\n",
+         EXIT_CAPACITY, 3, "machine 9 outside the 4-machine cluster"),
+        ("cluster machines=4 gpus=2\njob a model=lenet strategy=baseline workers=1 ps=1\n"
+         "place a worker 0 -1 0\nplace a ps 0 1 0\n",
+         EXIT_CAPACITY, 3, "machine -1 outside the 4-machine cluster"),
+        ("cluster machines=4 gpus=2\njob a model=lenet strategy=baseline workers=1 ps=1\n"
+         "place a worker 0 0 0\nplace a ps 0 1 2\n",
+         EXIT_CAPACITY, 4, "gpu 2 outside a 2-GPU machine"),
+        ("cluster machines=4 gpus=2\njob a model=lenet strategy=baseline workers=1 ps=1\n"
+         "place a worker 0 0 0\nplace a ps 0 0 0\n",
+         EXIT_CAPACITY, 4, "slot (0, 0) already taken on line 3"),
+        ("job a model=lenet strategy=baseline workers=2 ps=1\n"
+         "place a worker 0 0 0\nplace a ps 0 1 0\n",
+         EXIT_PARSE, 1, "worker placements must cover 0..1"),
+        ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a worker 0 0 0\n",
+         EXIT_PARSE, 1, "ps placements must cover 0..0"),
+        ("job a model=lenet strategy=ring workers=2\njob a model=lenet strategy=ring workers=2\n",
+         EXIT_PARSE, 2, "duplicate job name 'a'"),
+    ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
+            "double-booked", "workers-uncovered", "ps-uncovered", "duplicate-job"])
+    def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        got, _, err = run_cli(capsys, "simulate", str(scn))
+        assert got == code
+        assert f"line {line}: " in err
+        assert message in err
+
+    def test_place_spread_line(self, capsys, tmp_path):
+        scn = tmp_path / "spread.scn"
+        scn.write_text("job a model=lenet strategy=baseline workers=2 ps=1\nplace a spread\n")
+        code, out, _ = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_OK
+        assert "a: strategy=baseline workers=2" in out
+
+    @pytest.mark.parametrize("name", ["vgg11_16gpu_baseline", "vgg11_16gpu_ralp"])
+    def test_bundled_reports_match_recorded_bytes(self, capsys, tmp_path, name):
+        report, timeline = tmp_path / "report.json", tmp_path / "steps.csv"
+        code, _, _ = run_cli(capsys, "simulate", f"{name}.scn", "--steps", "3",
+                             "--out", str(report), "--timeline", str(timeline))
+        assert code == EXIT_OK
+        assert report.read_bytes() == (DATA / f"{name}_steps3.json").read_bytes()
+        assert timeline.read_bytes() == (DATA / f"{name}_steps3.csv").read_bytes()
 
     def test_scenario_with_local_descriptor(self, capsys, tmp_path):
         (tmp_path / "toy.model").write_text(

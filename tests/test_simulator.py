@@ -200,6 +200,37 @@ class TestSingleResourceCases:
             assert step.step_duration(worker) == pytest.approx(expected, rel=1e-12)
             assert step.communication[worker] == pytest.approx((w - 1) * back, rel=1e-9)
 
+    def test_ps_worker_takes_batches_in_arrival_order(self):
+        # Workers 0 and 2 share machine 0 with the PS, so their activations
+        # arrive at once; worker 1's crosses the network and arrives while
+        # worker 0's batch runs.  First come, first served puts worker 1's
+        # batch last, and its network round trips then delay aggregation.
+        model = catalog_lookup("lenet")
+        split = 4
+        rate = 1e12
+        fwd = model.forward_flops_per_sample(1, split) * model.batch_size / rate
+        back = 3 * model.forward_flops_per_sample(split + 1, model.num_layers) \
+            * model.batch_size / rate
+        link = 4 * model.output_bytes(split) / back
+        cluster = small_cluster(
+            machines=2,
+            gpus_per_machine=3,
+            gpu_flops_per_sec=rate,
+            memcopy_bytes_per_sec=math.inf,
+            link_bytes_per_sec=link,
+            intra_machine_bytes_per_sec=math.inf,
+        )
+        spec = JobSpec(model=model, strategy=Strategy.ralp(split), worker_count=3, ps_count=1)
+        placement = Placement(workers=((0, 0), (1, 0), (0, 2)), ps=((0, 1),))
+        (step,) = simulate_step(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1))
+
+        act = model.output_bytes(split) / link
+        grad = model.cumulative_param_bytes(split) / link
+        agg = model.total_param_count * 3 / rate
+        local_end = fwd + 3 * back + act + 2 * fwd + grad + agg
+        assert step.step_durations == pytest.approx((local_end, local_end + grad, local_end),
+                                                    rel=1e-12)
+
     def test_baseline_shards_whole_layers_round_robin(self):
         # PS shards hold whole weighted layers, assigned in order; with 8
         # shards, vgg11's dominant first fully connected layer lands with
