@@ -7,13 +7,9 @@ from .costmodel import (
     StrategyKind,
     StrategyVolumes,
     compare_strategies,
-    compute_load,
-    volume_baseline,
-    volume_ralp,
-    volume_ring,
 )
-from .descriptor import DescriptorError, ShapeMismatchError, parse_model, serialize_model
-from .layers import LayerKind, LayerSpec, ModelError, ModelGraph, TensorShape, infer_layer
+from .descriptor import DescriptorError, ShapeMismatchError, parse_model
+from .layers import LayerKind, LayerSpec, ModelError, ModelGraph
 from .profiler import (
     ProfileReport,
     ProfilerConfig,
@@ -21,7 +17,6 @@ from .profiler import (
     SplitChoice,
     compute_skewness,
     find_split,
-    gate_eligibility,
     profile,
 )
 from .simulator import (
@@ -37,7 +32,6 @@ from .simulator import (
     parse_scenario,
     simulate_consolidation,
     simulate_run,
-    simulate_step,
     spread_placement,
 )
 
@@ -67,25 +61,16 @@ __all__ = [
     "Strategy",
     "StrategyKind",
     "StrategyVolumes",
-    "TensorShape",
     "UnknownModelError",
     "catalog_lookup",
     "catalog_names",
     "compare_strategies",
-    "compute_load",
     "compute_skewness",
     "find_split",
-    "gate_eligibility",
-    "infer_layer",
     "parse_model",
     "parse_scenario",
     "profile",
-    "serialize_model",
     "simulate_consolidation",
     "simulate_run",
-    "simulate_step",
     "spread_placement",
-    "volume_baseline",
-    "volume_ralp",
-    "volume_ring",
 ]

@@ -1,50 +1,36 @@
 """Bundled benchmark catalog.
 
-Eight CNN training benchmarks encoded as descriptor files.  The directory
-can be overridden with the RALP_CATALOG_DIR environment variable, e.g. to
-swap in re-profiled descriptors without reinstalling.
+Eight CNN training benchmarks encoded as descriptor files.  A re-profiled
+descriptor is loaded by path instead (``ralp profile x.model``, or
+``model=x.model`` in a scenario).
 """
 
 from __future__ import annotations
 
-import os
 from importlib import resources
 from pathlib import Path
 
 from .descriptor import parse_model
 from .layers import ModelGraph
 
-CATALOG_ENV_VAR = "RALP_CATALOG_DIR"
 _SUFFIX = ".model"
 
 
 class UnknownModelError(KeyError):
     def __init__(self, name: str, available: list[str]):
         super().__init__(f"unknown benchmark {name!r}; available: {', '.join(available)}")
-        self.name = name
-        self.available = available
 
 
-def _bundled_dir() -> Path:
+def _catalog_dir() -> Path:
     return Path(str(resources.files(__package__) / "catalog_data"))
 
 
-def catalog_dir() -> Path:
-    override = os.environ.get(CATALOG_ENV_VAR)
-    if override:
-        return Path(override)
-    return _bundled_dir()
-
-
 def catalog_names() -> list[str]:
-    base = catalog_dir()
-    if not base.is_dir():
-        return []
-    return sorted(p.name[: -len(_SUFFIX)] for p in base.iterdir() if p.name.endswith(_SUFFIX))
+    return sorted(p.name[: -len(_SUFFIX)] for p in _catalog_dir().iterdir() if p.name.endswith(_SUFFIX))
 
 
 def catalog_lookup(name: str) -> ModelGraph:
-    path = catalog_dir() / f"{name}{_SUFFIX}"
+    path = _catalog_dir() / f"{name}{_SUFFIX}"
     if not path.is_file():
         raise UnknownModelError(name, catalog_names())
     return parse_model(path.read_text())

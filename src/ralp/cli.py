@@ -14,6 +14,7 @@ import json
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import Optional
 
 from .catalog import UnknownModelError, catalog_lookup, catalog_names
 from .costmodel import (
@@ -44,12 +45,13 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_model(ref: str) -> ModelGraph:
-    """Resolve a model reference: a path when it looks like one, else a
-    catalog name."""
+def _load_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
+    """Resolve a model reference: a path when it looks like one (tried under
+    ``base`` first, then as given), else a catalog name."""
     if ref.endswith(".model") or "/" in ref or "\\" in ref:
-        path = Path(ref)
-        if not path.is_file():
+        candidates = [Path(ref)] if base is None else [base / ref, Path(ref)]
+        path = next((p for p in candidates if p.is_file()), None)
+        if path is None:
             raise _CliError(EXIT_PARSE, f"cannot read model descriptor {ref!r}: no such file")
         try:
             return parse_model(path.read_text())
@@ -161,19 +163,11 @@ def _cmd_simulate(args) -> int:
             path = bundled
         else:
             raise _CliError(EXIT_PARSE, f"cannot read scenario {args.scenario!r}: no such file")
-
-    def resolve(ref: str) -> ModelGraph:
-        if ref.endswith(".model") or "/" in ref:
-            candidate = (path.parent / ref) if not Path(ref).is_absolute() else Path(ref)
-            if candidate.is_file():
-                return parse_model(candidate.read_text())
-        return _load_model(ref)
-
     try:
-        scenario = parse_scenario(path.read_text(), resolve)
+        scenario = parse_scenario(path.read_text(), lambda ref: _load_model(ref, path.parent))
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, str(exc)) from exc
-    except (ScenarioError, DescriptorError) as exc:
+    except ScenarioError as exc:
         raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
     if args.steps is not None:
         scenario = dataclasses.replace(scenario, steps=args.steps)

@@ -89,7 +89,6 @@ class JobSpec:
 @dataclass(frozen=True)
 class StrategyVolumes:
     total_bytes_per_step: int
-    per_worker_bytes: float
     parameter_sync_bytes: int
     activation_bytes: int
 
@@ -99,13 +98,6 @@ class StrategyVolumes:
         if self.parameter_sync_bytes + self.activation_bytes != self.total_bytes_per_step:
             raise CostModelError("breakdown does not sum to total")
 
-    @property
-    def breakdown(self) -> dict[str, int]:
-        return {
-            "parameter_sync_bytes": self.parameter_sync_bytes,
-            "activation_bytes": self.activation_bytes,
-        }
-
 
 def volume_baseline(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     """Each worker pushes gradients of size S and pulls parameters of size S."""
@@ -114,7 +106,6 @@ def volume_baseline(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     total = 2 * model.total_param_bytes * worker_count
     return StrategyVolumes(
         total_bytes_per_step=total,
-        per_worker_bytes=2.0 * model.total_param_bytes,
         parameter_sync_bytes=total,
         activation_bytes=0,
     )
@@ -127,7 +118,6 @@ def volume_ring(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     total = 2 * model.total_param_bytes * (worker_count - 1)
     return StrategyVolumes(
         total_bytes_per_step=total,
-        per_worker_bytes=total / worker_count,
         parameter_sync_bytes=total,
         activation_bytes=0,
     )
@@ -147,19 +137,26 @@ def volume_ralp(model: ModelGraph, split_index: int, worker_count: int) -> Strat
     param_per_worker = 2 * model.cumulative_param_bytes(split_index)
     return StrategyVolumes(
         total_bytes_per_step=worker_count * (act_per_worker + param_per_worker),
-        per_worker_bytes=float(act_per_worker + param_per_worker),
         parameter_sync_bytes=worker_count * param_per_worker,
         activation_bytes=worker_count * act_per_worker,
     )
 
 
-def volumes_for(job: JobSpec) -> StrategyVolumes:
-    kind = job.strategy.kind
-    if kind is StrategyKind.BASELINE_PS:
-        return volume_baseline(job.model, job.worker_count)
+def _volumes(
+    model: ModelGraph, kind: StrategyKind, split_index: Optional[int], worker_count: int
+) -> StrategyVolumes:
+    """Volumes of one strategy.  A split plan without a split (the model is
+    not partitionable) degenerates to the baseline, which is what the
+    runtime would fall back to."""
     if kind is StrategyKind.RING_ALLREDUCE:
-        return volume_ring(job.model, job.worker_count)
-    return volume_ralp(job.model, job.strategy.split_index, job.worker_count)
+        return volume_ring(model, worker_count)
+    if kind is StrategyKind.RALP and split_index is not None:
+        return volume_ralp(model, split_index, worker_count)
+    return volume_baseline(model, worker_count)
+
+
+def volumes_for(job: JobSpec) -> StrategyVolumes:
+    return _volumes(job.model, job.strategy.kind, job.strategy.split_index, job.worker_count)
 
 
 def compute_load(
@@ -202,9 +199,7 @@ def compare_strategies(
 ) -> list[VolumeRow]:
     """Tabulate volumes for each (strategy, W).
 
-    For the split strategy, the split defaults to the profiler's choice;
-    when the model is not partitionable the split plan degenerates to the
-    baseline (that is what the runtime would fall back to).
+    For the split strategy, the split defaults to the profiler's choice.
     """
     if not worker_counts:
         raise CostModelError("worker_counts must be nonempty")
@@ -212,19 +207,11 @@ def compare_strategies(
     if StrategyKind.RALP in kinds and split_index is None:
         report = profile(model, ProfilerConfig())
         split_index = report.split_index
-    rows = []
-    for kind in kinds:
-        for w in worker_counts:
-            if kind is StrategyKind.BASELINE_PS:
-                vol = volume_baseline(model, w)
-            elif kind is StrategyKind.RING_ALLREDUCE:
-                vol = volume_ring(model, w)
-            elif split_index is not None:
-                vol = volume_ralp(model, split_index, w)
-            else:
-                vol = volume_baseline(model, w)
-            rows.append(VolumeRow(model.name, kind.value, w, vol))
-    return rows
+    return [
+        VolumeRow(model.name, kind.value, w, _volumes(model, kind, split_index, w))
+        for kind in kinds
+        for w in worker_counts
+    ]
 
 
 def gpu_assignments(total_gpus: int) -> dict[str, dict[str, int]]:

@@ -6,6 +6,7 @@ comment.  Layers are either *derived* (hyperparameters given, counts
 inferred and shape-checked against the previous layer) or *explicit*
 (``params= out= flops=`` given directly, used for fused blocks and for
 linearized branchy architectures where chain inference does not apply).
+A key the header or the layer's kind does not take is an error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from .layers import (
 
 _KIND_TOKENS = {kind.value: kind for kind in LayerKind}
 
-_INT_KEYS = {"k", "cin", "cout", "stride", "pad", "window", "in", "out", "params", "flops"}
+_HEADER_KEYS = ("batch", "elem_bytes", "input")
+# Keys every layer line accepts, then the hyperparameters of each derived kind.
+_LAYER_KEYS = ("params", "out", "flops", "shape")
+_KIND_KEYS = {
+    LayerKind.CONVOLUTION: ("k", "cout", "stride", "pad", "cin"),
+    LayerKind.POOLING: ("window", "stride", "pad"),
+    LayerKind.FULLY_CONNECTED: ("in",),
+}
 
 
 class DescriptorError(ValueError):
@@ -53,7 +61,9 @@ def _parse_shape(text: str, line: int, col: int) -> TensorShape:
     raise DescriptorError(f"bad shape {text!r} (expected HxWxC or N)", line, col)
 
 
-def _parse_kv(tokens: list[str], line: int, offsets: list[int]) -> dict[str, object]:
+def _parse_kv(
+    tokens: list[str], line: int, offsets: list[int], allowed: tuple[str, ...]
+) -> dict[str, object]:
     pairs: dict[str, object] = {}
     for token, col in zip(tokens, offsets):
         if "=" not in token:
@@ -61,9 +71,13 @@ def _parse_kv(tokens: list[str], line: int, offsets: list[int]) -> dict[str, obj
         key, _, value = token.partition("=")
         if not key or not value:
             raise DescriptorError(f"expected key=value, got {token!r}", line, col)
+        if key not in allowed:
+            raise DescriptorError(
+                f"unknown key {key!r}; expected one of {', '.join(allowed)}", line, col
+            )
         if key in pairs:
             raise DescriptorError(f"duplicate key {key!r}", line, col)
-        if key in _INT_KEYS or key == "batch" or key == "elem_bytes":
+        if key not in ("input", "shape"):
             try:
                 pairs[key] = int(value)
             except ValueError:
@@ -101,7 +115,7 @@ def parse_model(text: str) -> ModelGraph:
             if len(tokens) < 2 or "=" in tokens[1]:
                 raise DescriptorError("model header needs a name", lineno, offsets[0])
             header = {"name": tokens[1]}
-            header.update(_parse_kv(tokens[2:], lineno, offsets[2:]))
+            header.update(_parse_kv(tokens[2:], lineno, offsets[2:], _HEADER_KEYS))
             if "batch" not in header:
                 raise DescriptorError("model header needs batch=<n>", lineno, offsets[0])
             if "input" in header:
@@ -121,7 +135,7 @@ def parse_model(text: str) -> ModelGraph:
                 lineno,
                 offsets[1],
             )
-        kv = _parse_kv(tokens[2:], lineno, offsets[2:])
+        kv = _parse_kv(tokens[2:], lineno, offsets[2:], _LAYER_KEYS + _KIND_KEYS.get(kind, ()))
         out_shape_override = None
         if "shape" in kv:
             out_shape_override = _parse_shape(str(kv.pop("shape")), lineno, offsets[0])
@@ -129,12 +143,9 @@ def parse_model(text: str) -> ModelGraph:
         explicit = "params" in kv or ("out" in kv and kind is not LayerKind.FULLY_CONNECTED)
         try:
             if explicit:
-                params = int(kv.pop("params", 0))
                 if "out" not in kv:
                     raise DescriptorError(f"explicit layer {name!r} needs out=<elems>", lineno, offsets[0])
-                # Fully-connected lines keep out= as their width hyperparameter.
-                out_elems = int(kv["out"] if kind is LayerKind.FULLY_CONNECTED else kv.pop("out"))
-                flops = int(kv.pop("flops", 0))
+                params, out_elems, flops = int(kv.get("params", 0)), int(kv["out"]), int(kv.get("flops", 0))
                 new_shape = out_shape_override or TensorShape.flat(out_elems)
             else:
                 if kind is LayerKind.BLOCK:
@@ -166,23 +177,20 @@ def parse_model(text: str) -> ModelGraph:
                             lineno,
                             offsets[0],
                         )
-                params, out_elems, flops, new_shape = infer_layer(kind, kv, shape)
+                try:
+                    params, out_elems, flops, new_shape = infer_layer(kind, kv, shape)
+                except KeyError as exc:  # a required hyperparameter is missing
+                    raise DescriptorError(f"{kind.value} layer {name!r} needs {exc.args[0]}=",
+                                          lineno, offsets[0]) from None
                 if out_shape_override is not None:
                     new_shape = out_shape_override
-        except ModelError as exc:
-            raise DescriptorError(str(exc), lineno, offsets[0]) from None
-
-        try:
             layers.append(
                 LayerSpec(
-                    index=len(layers) + 1,
                     name=name,
                     kind=kind,
                     param_count=params,
                     output_elems_per_sample=out_elems,
                     compute_flops_per_sample=flops,
-                    hyperparams=dict(kv),
-                    output_shape=new_shape,
                 )
             )
         except ModelError as exc:
@@ -201,24 +209,3 @@ def parse_model(text: str) -> ModelGraph:
         )
     except ModelError as exc:
         raise DescriptorError(str(exc), header_line) from None
-
-
-def serialize_model(graph: ModelGraph) -> str:
-    """Render a ModelGraph back to descriptor text.
-
-    Every layer is written with its explicit totals (plus any recorded
-    hyperparameters), so parse(serialize(g)) reproduces g exactly.
-    """
-    lines = [f"model {graph.name} batch={graph.batch_size} elem_bytes={graph.bytes_per_element}"]
-    for layer in graph.layers:
-        parts = [layer.name, layer.kind.value]
-        for key in sorted(layer.hyperparams):
-            parts.append(f"{key}={layer.hyperparams[key]}")
-        parts.append(f"params={layer.param_count}")
-        if "out" not in layer.hyperparams:
-            parts.append(f"out={layer.output_elems_per_sample}")
-        parts.append(f"flops={layer.compute_flops_per_sample}")
-        if layer.output_shape is not None and not layer.output_shape.is_flat:
-            parts.append(f"shape={layer.output_shape}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"

@@ -10,8 +10,7 @@ closed-form counting rules that populate those numbers.
 from __future__ import annotations
 
 import enum
-import types
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 
@@ -124,9 +123,9 @@ def infer_fc(in_elems: int, out_width: int) -> tuple[int, TensorShape, int]:
 
 
 def infer_layer(
-    kind: LayerKind, hyperparams: Mapping[str, int], input_shape: TensorShape
+    kind: LayerKind, settings: Mapping[str, int], input_shape: TensorShape
 ) -> tuple[int, int, int, TensorShape]:
-    """Derive (param_count, output_elems_per_sample, flops, output_shape).
+    """Derive (param_count, output_elems_per_sample, flops, shape).
 
     Pooling, normalization, activation, flatten, concat and residual-add
     carry zero parameters; their compute is treated as negligible next to
@@ -135,23 +134,23 @@ def infer_layer(
     if kind is LayerKind.CONVOLUTION:
         params, shape, flops = infer_conv(
             input_shape,
-            kernel=hyperparams["k"],
-            c_out=hyperparams["cout"],
-            stride=hyperparams.get("stride", 1),
-            pad=hyperparams.get("pad", 0),
+            kernel=settings["k"],
+            c_out=settings["cout"],
+            stride=settings.get("stride", 1),
+            pad=settings.get("pad", 0),
         )
         return params, shape.elems, flops, shape
     if kind is LayerKind.POOLING:
         _, shape, _ = infer_pool(
             input_shape,
-            window=hyperparams["window"],
-            stride=hyperparams.get("stride"),
-            pad=hyperparams.get("pad", 0),
+            window=settings["window"],
+            stride=settings.get("stride"),
+            pad=settings.get("pad", 0),
         )
         return 0, shape.elems, 0, shape
     if kind is LayerKind.FULLY_CONNECTED:
-        in_elems = hyperparams.get("in", input_shape.elems)
-        params, shape, flops = infer_fc(in_elems, hyperparams["out"])
+        in_elems = settings.get("in", input_shape.elems)
+        params, shape, flops = infer_fc(in_elems, settings["out"])
         return params, shape.elems, flops, shape
     if kind is LayerKind.FLATTEN:
         shape = TensorShape.flat(input_shape.elems)
@@ -168,25 +167,18 @@ def infer_layer(
 class LayerSpec:
     """One forward-pass layer.
 
-    ``index`` is the 1-based position in forward order.  ``param_count`` and
-    ``output_elems_per_sample`` are element counts; byte sizes come from the
-    owning ModelGraph's element width and batch size.
+    Its 1-based index is its position in the owning ModelGraph.  ``param_count``
+    and ``output_elems_per_sample`` are element counts; byte sizes come from
+    the owning ModelGraph's element width and batch size.
     """
 
-    index: int
     name: str
     kind: LayerKind
     param_count: int
     output_elems_per_sample: int
     compute_flops_per_sample: int
-    hyperparams: Mapping[str, int] = field(default_factory=dict)
-    output_shape: Optional[TensorShape] = None
 
     def __post_init__(self) -> None:
-        # freeze the hyperparameter mapping so shared instances stay inert
-        object.__setattr__(self, "hyperparams", types.MappingProxyType(dict(self.hyperparams)))
-        if self.index < 1:
-            raise ModelError(f"layer {self.name}: index must be 1-based, got {self.index}")
         if self.param_count < 0 or self.output_elems_per_sample < 0 or self.compute_flops_per_sample < 0:
             raise ModelError(f"layer {self.name}: negative derived quantity")
         if self.param_count > 0 and self.kind not in PARAMETERIZED_KINDS:
@@ -195,10 +187,6 @@ class LayerSpec:
             )
         if self.output_elems_per_sample == 0 and self.kind is not LayerKind.LOSS:
             raise ModelError(f"layer {self.name}: empty output on a non-loss layer")
-
-    @property
-    def is_compute_demand(self) -> bool:
-        return self.kind in COMPUTE_DEMAND_KINDS
 
 
 @dataclass(frozen=True)
@@ -217,12 +205,6 @@ class ModelGraph:
             raise ModelError(f"model {self.name}: batch_size must be >= 1")
         if self.bytes_per_element < 1:
             raise ModelError(f"model {self.name}: bytes_per_element must be >= 1")
-        for pos, layer in enumerate(self.layers, start=1):
-            if layer.index != pos:
-                raise ModelError(
-                    f"model {self.name}: layer indices must be contiguous from 1 "
-                    f"(layer {layer.name} has index {layer.index}, expected {pos})"
-                )
 
     @property
     def num_layers(self) -> int:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .layers import LayerKind, ModelGraph
+from .layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
 
 
 class ProfilerError(ValueError):
@@ -118,7 +118,7 @@ def find_split(
     if n == 0 or len(output_bytes) != n or len(kinds) != n:
         raise ProfilerError("per-layer lists must be nonempty and equal length")
 
-    compute = [k in (LayerKind.CONVOLUTION, LayerKind.BLOCK) for k in kinds]
+    compute = [k in COMPUTE_DEMAND_KINDS for k in kinds]
     best_index = 0
     best_cost = 0
     cum = 0

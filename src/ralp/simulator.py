@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -309,29 +309,6 @@ class ConsolidationReport:
     entries: tuple[ConsolidationEntry, ...]
     isolated: tuple[SimReport, ...]
     consolidated: SimReport
-
-    @property
-    def mean_slowdown(self) -> float:
-        return sum(e.slowdown for e in self.entries) / len(self.entries)
-
-    @property
-    def max_slowdown(self) -> float:
-        return max(e.slowdown for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs": [
-                {
-                    "job": e.job,
-                    "isolated_step_time": e.isolated_step_time,
-                    "consolidated_step_time": e.consolidated_step_time,
-                    "slowdown": e.slowdown,
-                }
-                for e in self.entries
-            ],
-            "mean_slowdown": self.mean_slowdown,
-            "max_slowdown": self.max_slowdown,
-        }
 
 
 def _split_bytes(total: int, parts: int) -> list[int]:
@@ -668,12 +645,6 @@ def simulate_run(scenario: Scenario) -> SimReport:
     return SimReport(jobs=tuple(reports))
 
 
-def simulate_step(scenario: Scenario) -> list[StepBreakdown]:
-    """Simulate a single step per job (ignores scenario.steps)."""
-    report = simulate_run(replace(scenario, steps=1))
-    return [job.steps[0] for job in report.jobs]
-
-
 def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationReport:
     """Compare each job running alone vs. all jobs (times `copies`) sharing
     the cluster.  Placements are recomputed with the spread policy so the
@@ -768,7 +739,6 @@ def _job_spec(model: ModelGraph, kv: dict[str, str]) -> JobSpec:
 def parse_scenario(
     text: str,
     resolve_model: Callable[[str], ModelGraph],
-    default_steps: int = 1,
 ) -> Scenario:
     """Parse a scenario document.
 
@@ -776,13 +746,14 @@ def parse_scenario(
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
     and ``steps <n>``.  Jobs without explicit slots get the spread policy.
-    A malformed line, an unknown key, a bad value, a duplicate job name or
-    a place line for an undeclared job raises ScenarioError naming the
-    line; an explicit slot outside the cluster or already taken raises
-    CapacityError naming the line.
+    A malformed line, an unknown key, a bad value, a second cluster or
+    steps line, a duplicate job name or a place line for an undeclared job
+    raises ScenarioError naming the line; an explicit slot outside the
+    cluster or already taken raises CapacityError naming the line.
     """
     cluster: Optional[ClusterSpec] = None
-    steps = default_steps
+    steps = 1
+    directive_lines: dict[str, int] = {}  # cluster/steps -> the line that set it
     job_lines: list[tuple[int, str, dict]] = []
     place_lines: dict[str, int] = {}  # job name -> its first place line
     explicit: dict[str, dict[str, dict[int, tuple[int, int]]]] = {}
@@ -810,6 +781,10 @@ def parse_scenario(
             continue
         tokens = stripped.split()
         head = tokens[0]
+        if head in ("cluster", "steps"):
+            if head in directive_lines:
+                fail(lineno, f"second {head} line (first on line {directive_lines[head]})")
+            directive_lines[head] = lineno
         if head == "cluster":
             kv = pairs(lineno, tokens[1:], _CLUSTER_KEYS)
             try:

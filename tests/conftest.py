@@ -13,7 +13,6 @@ _FREE = (LayerKind.POOLING, LayerKind.NORMALIZATION, LayerKind.ACTIVATION)
 
 def make_layer(index: int, kind: LayerKind, params: int, out: int, flops: int = 0) -> LayerSpec:
     return LayerSpec(
-        index=index,
         name=f"l{index}",
         kind=kind,
         param_count=params,

@@ -117,8 +117,8 @@ def test_criterion_4_skewness_values():
         if not (got < 0 and abs(got - reported) <= 0.5):
             # report the layer-granularity table for the deviating model
             table = "\n".join(
-                f"    {l.index:3d} {l.name:16s} {l.kind.value:6s} params={l.param_count}"
-                for l in model.layers
+                f"    {i:3d} {l.name:16s} {l.kind.value:6s} params={l.param_count}"
+                for i, l in enumerate(model.layers, start=1)
             )
             failures.append(
                 f"{name}: got {got:.4f}, reported {reported} "

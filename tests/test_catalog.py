@@ -1,8 +1,10 @@
-import shutil
+import importlib.util
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from ralp.catalog import CATALOG_ENV_VAR, UnknownModelError, catalog_dir, catalog_lookup, catalog_names
+from ralp.catalog import UnknownModelError, catalog_lookup, catalog_names
 from ralp.layers import LayerKind
 
 GIB = 1 << 30
@@ -71,10 +73,14 @@ class TestCatalog:
         fc = sum(l.param_count for l in model.layers if l.kind is LayerKind.FULLY_CONNECTED)
         assert fc / model.total_param_count > 0.70
 
-    def test_env_var_overrides_catalog_dir(self, tmp_path, monkeypatch):
-        shutil.copy(catalog_dir() / "lenet.model", tmp_path / "lenet.model")
-        monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path))
-        assert catalog_names() == ["lenet"]
-        assert catalog_lookup("lenet").total_param_count == EXPECTED_PARAM_COUNTS["lenet"]
-        with pytest.raises(UnknownModelError):
-            catalog_lookup("vgg11")
+
+def test_generator_reproduces_bundled_descriptors():
+    script = Path(__file__).resolve().parent.parent / "tools" / "build_catalog.py"
+    spec = importlib.util.spec_from_file_location("build_catalog", script)
+    build_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build_catalog)
+    generated = build_catalog.build()
+    assert sorted(generated) == ALL_NAMES
+    data = resources.files("ralp") / "catalog_data"
+    for name, text in generated.items():
+        assert (data / f"{name}.model").read_bytes() == text.encode(), f"{name}.model drifted from its generator"

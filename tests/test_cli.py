@@ -1,7 +1,10 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ralp.cli import (
     EXIT_BAD_FLAG,
@@ -199,6 +202,28 @@ class TestSimulateCommand:
         assert f"line {line}: " in err
         assert message in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("cluster machines=1 gpus=2\ncluster machines=8 gpus=4\n"
+         "job a model=lenet strategy=baseline workers=4 ps=1\n",
+         "line 2: second cluster line (first on line 1)"),
+        ("job a model=lenet strategy=baseline workers=4 ps=1\nsteps 2\nsteps 1\n",
+         "line 3: second steps line (first on line 2)"),
+    ], ids=["cluster", "steps"])
+    def test_repeated_directive_names_both_lines(self, capsys, tmp_path, text, message):
+        scn = tmp_path / "twice.scn"
+        scn.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert message in err
+
+    def test_bad_descriptor_in_scenario_names_the_model_file(self, capsys, tmp_path):
+        (tmp_path / "z.model").write_text("model z batch=1 input=4\nf fc out=2\nc2 oops\n")
+        scn = tmp_path / "e.scn"
+        scn.write_text("job a model=z.model strategy=baseline workers=1 ps=1\nsteps 1\n")
+        code, _, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert err.startswith("error: z.model: line 3, column 4: unknown layer kind 'oops'")
+
     def test_place_spread_line(self, capsys, tmp_path):
         scn = tmp_path / "spread.scn"
         scn.write_text("job a model=lenet strategy=baseline workers=2 ps=1\nplace a spread\n")
@@ -258,3 +283,74 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "--json")
         payload = json.loads(out)
         assert {entry["name"] for entry in payload} >= {"vgg11", "lenet"}
+
+
+_PACKAGE = Path(str(resources.files("ralp")))
+_FUZZ_SOURCES = sorted(_PACKAGE.glob("scenarios/*.scn")) + sorted(_PACKAGE.glob("catalog_data/*.model"))
+# Replacement words: small integers only, so no input asks for a huge
+# cluster, plus tokens that are valid somewhere else in the two formats.
+_JUNK = st.one_of(
+    st.integers(-2, 64).map(str),
+    st.sampled_from(["x", "=", "", "0x0x3", "4x4", "1e3", "nan", "inf", "-0", "#", "auto",
+                     "ring", "ralp", "baseline", "conv", "fc", "block", "pool", "model",
+                     "job", "place", "spread", "steps", "cluster", "k=3", "out=", "=3"]),
+)
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop", "duplicate", "swap", "insert", "value", "drop-line", "copy-line"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        _JUNK,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(text: str, mutations) -> str:
+    lines = text.splitlines()
+    for op, a, b, junk in mutations:
+        if not lines:
+            lines.append(junk)
+            continue
+        row = a % len(lines)
+        if op == "drop-line":
+            del lines[row]
+            continue
+        if op == "copy-line":
+            lines.insert(b % (len(lines) + 1), lines[row])
+            continue
+        tokens = lines[row].split()
+        i = b % (len(tokens) + 1)
+        if op == "insert" or not tokens:
+            tokens.insert(i, junk)
+        elif op == "drop":
+            del tokens[i % len(tokens)]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i % len(tokens)])
+        elif op == "swap":
+            j = a % len(tokens)
+            i %= len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:  # value: replace what follows '=' (or the whole token)
+            i %= len(tokens)
+            key, sep, _ = tokens[i].partition("=")
+            tokens[i] = f"{key}={junk}" if sep else junk
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzedInputs:
+    @given(source=st.sampled_from(_FUZZ_SOURCES), mutations=_MUTATIONS, steps=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_file_exits_with_a_documented_code(self, capsys, tmp_path, source, mutations, steps):
+        path = tmp_path / source.name
+        path.write_text(_mutate(source.read_text(), mutations))
+        if path.suffix == ".scn":
+            runs = [("simulate", str(path), "--steps", str(steps))]
+        else:
+            runs = [("profile", str(path)), ("volumes", str(path), "--workers", "1,8")]
+        for argv in runs:
+            code, _, _ = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNKNOWN_CATALOG, EXIT_BAD_FLAG, EXIT_CAPACITY)

@@ -87,14 +87,6 @@ class TestModelGraph:
         assert m.forward_flops_per_sample() == 5200
         assert m.forward_flops_per_sample(2, 2) == 200
 
-    def test_indices_must_be_contiguous(self):
-        layers = (
-            make_layer(1, LayerKind.CONVOLUTION, 10, 10),
-            make_layer(3, LayerKind.FULLY_CONNECTED, 10, 10),
-        )
-        with pytest.raises(ModelError, match="contiguous"):
-            ModelGraph(name="bad", layers=layers, batch_size=1)
-
     def test_empty_chain_rejected(self):
         with pytest.raises(ModelError, match="empty"):
             ModelGraph(name="bad", layers=(), batch_size=1)

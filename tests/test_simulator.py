@@ -17,7 +17,6 @@ from ralp.simulator import (
     parse_scenario,
     simulate_consolidation,
     simulate_run,
-    simulate_step,
     spread_placement,
 )
 from conftest import fc_tail_model, make_layer
@@ -103,7 +102,7 @@ class TestSingleResourceCases:
         model = paramless_model(flops=5_000_000_000)
         cluster = small_cluster(gpu_flops_per_sec=2.5e9)
         scenario = one_job_scenario(model, Strategy.baseline(), 1, 1, cluster)
-        (step,) = simulate_step(scenario)
+        (step,) = simulate_run(scenario).jobs[0].steps
         # 3x forward at 5e9 flops over 2.5e9 flops/s = 6 s
         assert step.worker_computation[0] == 3 * 5_000_000_000 / 2.5e9
         assert step.step_duration(0) == step.worker_computation[0]
@@ -115,7 +114,7 @@ class TestSingleResourceCases:
         cluster = small_cluster(link_bytes_per_sec=math.inf,
                                 intra_machine_bytes_per_sec=math.inf)
         scenario = one_job_scenario(model, Strategy.baseline(), 3, 1, cluster)
-        (step,) = simulate_step(scenario)
+        (step,) = simulate_run(scenario).jobs[0].steps
         for w in range(3):
             assert step.communication[w] == pytest.approx(0.0, abs=1e-12)
             assert step.step_duration(w) == pytest.approx(
@@ -189,7 +188,7 @@ class TestSingleResourceCases:
         )
         spec = JobSpec(model=model, strategy=Strategy.ralp(split), worker_count=w, ps_count=1)
         placement = Placement(workers=((0, 0), (1, 0), (2, 0)), ps=((3, 0),))
-        (step,) = simulate_step(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1))
+        (step,) = simulate_run(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)).job("j").steps
 
         fwd = model.forward_flops_per_sample(1, split) * model.batch_size / rate
         back = 3 * model.forward_flops_per_sample(split + 1, model.num_layers) \
@@ -222,7 +221,7 @@ class TestSingleResourceCases:
         )
         spec = JobSpec(model=model, strategy=Strategy.ralp(split), worker_count=3, ps_count=1)
         placement = Placement(workers=((0, 0), (1, 0), (0, 2)), ps=((0, 1),))
-        (step,) = simulate_step(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1))
+        (step,) = simulate_run(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)).job("j").steps
 
         act = model.output_bytes(split) / link
         grad = model.cumulative_param_bytes(split) / link
@@ -264,7 +263,7 @@ class TestDeterminismAndInvariants:
         rng = np.random.default_rng(2024)
         for _ in range(20):
             scenario = random_scenario(rng)
-            for step in simulate_step(scenario):
+            for step in (job.steps[0] for job in simulate_run(scenario).jobs):
                 for w in range(len(step.worker_computation)):
                     total = (
                         step.worker_computation[w]
@@ -277,7 +276,7 @@ class TestDeterminismAndInvariants:
     def test_max_at_least_avg(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
-            for step in simulate_step(random_scenario(rng)):
+            for step in (job.steps[0] for job in simulate_run(random_scenario(rng)).jobs):
                 assert step.max_step_time >= step.avg_step_time
 
     def test_wire_bytes_match_cost_model(self):
