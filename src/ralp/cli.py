@@ -27,7 +27,7 @@ from .costmodel import (
 )
 from .descriptor import DescriptorError, parse_model
 from .layers import ModelGraph
-from .profiler import ProfilerConfig, SkewnessMode, profile
+from .profiler import ProfilerConfig, ProfilerError, SkewnessMode, profile
 from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
 
 EXIT_OK = 0
@@ -70,7 +70,10 @@ def _profiler_config(args) -> ProfilerConfig:
         mode = SkewnessMode(args.mode)
     except ValueError:
         raise _CliError(EXIT_BAD_FLAG, f"unknown skewness mode {args.mode!r}") from None
-    return ProfilerConfig(threshold=args.threshold, mode=mode)
+    try:
+        return ProfilerConfig(threshold=args.threshold, mode=mode)
+    except ProfilerError as exc:
+        raise _CliError(EXIT_BAD_FLAG, f"--threshold: {exc}") from None
 
 
 def _cmd_profile(args) -> int:
@@ -126,13 +129,20 @@ def _cmd_volumes(args) -> int:
         raise _CliError(EXIT_BAD_FLAG, f"bad --workers value {args.workers!r}") from None
     if any(w < 1 for w in workers):
         raise _CliError(EXIT_BAD_FLAG, "--workers values must be >= 1")
+    if args.split is not None and not 1 <= args.split < model.num_layers:
+        raise _CliError(
+            EXIT_BAD_FLAG,
+            f"--split must be in 1..{model.num_layers - 1} for {model.name}, got {args.split}",
+        )
+    if args.gpus is not None and args.gpus < 2:
+        raise _CliError(EXIT_BAD_FLAG, f"--gpus must be >= 2, got {args.gpus}")
     kinds = _parse_strategies(args.strategies)
     rows = compare_strategies(model, workers, kinds, split_index=args.split)
     if args.format == "json":
         print(rows_to_json(rows))
     else:
         print(rows_to_csv(rows), end="")
-    if args.gpus:
+    if args.gpus is not None:
         print(json.dumps({"gpu_assignments": gpu_assignments(args.gpus)}, indent=2))
     return EXIT_OK
 

@@ -5,8 +5,10 @@ One layer per line, ``<name> <kind> key=value ...``, preceded by a header
 comment.  Layers are either *derived* (hyperparameters given, counts
 inferred and shape-checked against the previous layer) or *explicit*
 (``params= out= flops=`` given directly, used for fused blocks and for
-linearized branchy architectures where chain inference does not apply).
-A key the header or the layer's kind does not take is an error.
+linearized branchy architectures where chain inference does not apply;
+``shape=HxWxC`` sets the shape the next layer sees).  A key the header or
+the layer's kind does not take is an error, and so are ``flops=`` and
+``shape=`` on a derived layer, whose flops and shape are inferred.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from .layers import (
 _KIND_TOKENS = {kind.value: kind for kind in LayerKind}
 
 _HEADER_KEYS = ("batch", "elem_bytes", "input")
-# Keys every layer line accepts, then the hyperparameters of each derived kind.
-_LAYER_KEYS = ("params", "out", "flops", "shape")
+# Keys explicit and derived layer lines accept, then the hyperparameters of
+# each derived kind.
+_EXPLICIT_KEYS = ("params", "out", "flops", "shape")
+_DERIVED_KEYS = ("params", "out")
 _KIND_KEYS = {
     LayerKind.CONVOLUTION: ("k", "cout", "stride", "pad", "cin"),
     LayerKind.POOLING: ("window", "stride", "pad"),
@@ -135,18 +139,19 @@ def parse_model(text: str) -> ModelGraph:
                 lineno,
                 offsets[1],
             )
-        kv = _parse_kv(tokens[2:], lineno, offsets[2:], _LAYER_KEYS + _KIND_KEYS.get(kind, ()))
-        out_shape_override = None
-        if "shape" in kv:
-            out_shape_override = _parse_shape(str(kv.pop("shape")), lineno, offsets[0])
-
-        explicit = "params" in kv or ("out" in kv and kind is not LayerKind.FULLY_CONNECTED)
+        keys = {token.partition("=")[0] for token in tokens[2:]}
+        explicit = "params" in keys or ("out" in keys and kind is not LayerKind.FULLY_CONNECTED)
+        layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS
+        kv = _parse_kv(tokens[2:], lineno, offsets[2:], layer_keys + _KIND_KEYS.get(kind, ()))
         try:
             if explicit:
                 if "out" not in kv:
                     raise DescriptorError(f"explicit layer {name!r} needs out=<elems>", lineno, offsets[0])
                 params, out_elems, flops = int(kv.get("params", 0)), int(kv["out"]), int(kv.get("flops", 0))
-                new_shape = out_shape_override or TensorShape.flat(out_elems)
+                if "shape" in kv:
+                    new_shape = _parse_shape(str(kv["shape"]), lineno, offsets[0])
+                else:
+                    new_shape = TensorShape.flat(out_elems)
             else:
                 if kind is LayerKind.BLOCK:
                     raise DescriptorError(
@@ -182,8 +187,6 @@ def parse_model(text: str) -> ModelGraph:
                 except KeyError as exc:  # a required hyperparameter is missing
                     raise DescriptorError(f"{kind.value} layer {name!r} needs {exc.args[0]}=",
                                           lineno, offsets[0]) from None
-                if out_shape_override is not None:
-                    new_shape = out_shape_override
             layers.append(
                 LayerSpec(
                     name=name,

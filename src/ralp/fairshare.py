@@ -4,6 +4,8 @@ This is the simulator's hot kernel: it reruns on every flow arrival and
 departure, and large consolidated scenarios solve it tens of thousands of
 times.  It is progressive filling (Bertsekas & Gallager, *Data Networks*,
 §6.5.2) over per-link flow lists, on plain Python lists and floats.
+Lists go in and a list comes out; a caller that passes numpy arrays gets
+a float64 array back, and only that caller pays for importing numpy.
 
 Each flow occupies up to two directed links (source uplink, destination
 downlink); a link id of -1 means "no constraint on that side".
@@ -12,15 +14,16 @@ downlink); a link id of -1 means "no constraint on that side".
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-import numpy as np
 
-
-def solve_rates(link_a: np.ndarray, link_b: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):
     """Max-min fair rates for flows over directed links.
 
-    link_a/link_b: int64 link ids per flow (-1 for unconstrained side);
-    capacity: float64 bytes/sec per link.  Returns bytes/sec per flow.
+    link_a/link_b: link ids per flow (-1 for unconstrained side);
+    capacity: bytes/sec per link, copied and never written.  Returns
+    bytes/sec per flow: a list, or a float64 array when the link ids are
+    arrays.
 
     Each round takes the smallest per-flow share of any loaded link and
     freezes, at that share, every unfrozen flow of every link whose share
@@ -30,11 +33,11 @@ def solve_rates(link_a: np.ndarray, link_b: np.ndarray, capacity: np.ndarray) ->
     freezing changes no value.  Flows left when only unbounded shares
     remain get an infinite rate.
     """
-    if link_a.shape != link_b.shape:
-        raise ValueError("link_a and link_b must have the same shape")
-    ends_a = np.asarray(link_a, dtype=np.int64).tolist()
-    ends_b = np.asarray(link_b, dtype=np.int64).tolist()
-    remaining = np.asarray(capacity, dtype=np.float64).tolist()
+    if len(link_a) != len(link_b):
+        raise ValueError("link_a and link_b must have the same length")
+    as_array = hasattr(link_a, "tolist")
+    ends_a, ends_b = (link_a.tolist(), link_b.tolist()) if as_array else (link_a, link_b)
+    remaining = [float(c) for c in capacity]
     flows_on = [[] for _ in remaining]
     for f, (a, b) in enumerate(zip(ends_a, ends_b)):
         if a >= 0:
@@ -64,4 +67,8 @@ def solve_rates(link_a: np.ndarray, link_b: np.ndarray, capacity: np.ndarray) ->
                         remaining[end] = 0.0 if left < 0.0 else left
                         n_active[end] -= 1
         loaded = [l for l in loaded if n_active[l]]
-    return np.array(rates, dtype=np.float64)
+    if as_array:
+        import numpy as np
+
+        return np.array(rates, dtype=np.float64)
+    return rates

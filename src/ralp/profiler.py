@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
 
@@ -41,6 +41,8 @@ class ProfilerConfig:
     mode: SkewnessMode = SkewnessMode.INDEX_WEIGHTED
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.threshold):
+            raise ProfilerError(f"threshold must be finite, got {self.threshold!r}")
         if self.threshold >= 0:
             # A non-negative threshold admits right-skewed models, which the
             # partitioning rationale does not cover.  Warn, never alter.
@@ -56,30 +58,39 @@ def compute_skewness(
 ) -> float:
     """Skewness factor of the per-layer parameter distribution.
 
-    Returns 0.0 when the second moment vanishes (all mass at one point or
-    a uniform distribution in index_weighted mode has m3 == 0 anyway).
+    Every sum is a ``math.fsum``, so it is exactly rounded and the result
+    does not depend on summation order.  Returns 0.0 when the second moment
+    vanishes: in index_weighted mode when all the mass sits on one layer,
+    in literal_values mode when every layer has the same size.
     """
-    p = np.asarray(params, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
+    try:
+        p = list(map(float, params))
+    except (TypeError, ValueError):
+        raise ProfilerError("parameter sizes must be numbers") from None
+    n = len(p)
+    if n < 2:
         raise ProfilerError("skewness needs at least 2 layers")
-    if np.any(p < 0):
+    if min(p) < 0:
         raise ProfilerError("negative parameter sizes")
-    total = float(p.sum())
+    total = math.fsum(p)
     if total == 0.0:
         raise ProfilerError("all layers carry zero parameters")
 
     mode = SkewnessMode(mode)
     if mode is SkewnessMode.LITERAL_VALUES:
-        dev = p - p.mean()
-        m2 = float(np.mean(dev**2))
-        m3 = float(np.mean(dev**3))
+        mean = total / n
+        dev = [x - mean for x in p]
+        sq = [d * d for d in dev]
+        m2 = math.fsum(sq) / n
+        m3 = math.fsum(map(operator.mul, sq, dev)) / n
     else:
-        weights = p / total
-        idx = np.arange(1, p.size + 1, dtype=np.float64)
-        mu = float(np.dot(weights, idx))
-        dev = idx - mu
-        m2 = float(np.dot(weights, dev**2))
-        m3 = float(np.dot(weights, dev**3))
+        # Moments of the layer index under the weights p / total.
+        idx = range(1, n + 1)
+        mu = math.fsum(map(operator.mul, p, idx)) / total
+        dev = [i - mu for i in idx]
+        psq = [x * d * d for x, d in zip(p, dev)]
+        m2 = math.fsum(psq) / total
+        m3 = math.fsum(map(operator.mul, psq, dev)) / total
     if m2 == 0.0:
         return 0.0
     return m3 / m2**1.5
@@ -87,7 +98,7 @@ def compute_skewness(
 
 def gate_eligibility(skewness: float, config: ProfilerConfig) -> bool:
     """True iff the model is skewed enough to partition (strict comparison)."""
-    if not np.isfinite(skewness):
+    if not math.isfinite(skewness):
         raise ProfilerError(f"non-finite skewness {skewness!r}")
     return skewness < config.threshold
 

@@ -35,8 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import fairshare
 from .costmodel import JobSpec, Strategy, StrategyKind, compute_load
 from .layers import ModelGraph
@@ -142,7 +140,7 @@ def spread_placement(
     before PS processes; each replica goes to the least-loaded machine
     with a free slot (ties to the lowest machine index).
     """
-    used = np.zeros(cluster.machines, dtype=np.int64)
+    used = [0] * cluster.machines
     occupied = set(taken or ())
     for machine, _ in occupied:
         used[machine] += 1
@@ -355,7 +353,7 @@ class _Env:
         self._seq = itertools.count()
         self._flows: list[_Task] = []
         self._rates_dirty = False
-        self._capacity = np.full(2 * cluster.machines, cluster.link_bytes_per_sec, dtype=np.float64)
+        self._capacity = [float(cluster.link_bytes_per_sec)] * (2 * cluster.machines)
 
     def _finish_at(self, time, task):
         heapq.heappush(self._heap, (time, next(self._seq), task))
@@ -392,14 +390,13 @@ class _Env:
             job.worker_done(task.last)
 
     def _recompute_rates(self):
+        flows = self._flows
         machines = self.cluster.machines
-        link_a = np.fromiter((f.src for f in self._flows), dtype=np.int64, count=len(self._flows))
-        link_b = np.fromiter(
-            (machines + f.dst for f in self._flows), dtype=np.int64, count=len(self._flows)
+        rates = fairshare.solve_rates(
+            [f.src for f in flows], [machines + f.dst for f in flows], self._capacity
         )
-        rates = fairshare.solve_rates(link_a, link_b, self._capacity)
-        for flow, rate in zip(self._flows, rates):
-            flow.rate = float(rate)
+        for flow, rate in zip(flows, rates):
+            flow.rate = rate
         self._rates_dirty = False
 
     def run(self):

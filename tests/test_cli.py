@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ralp
 from ralp.cli import (
     EXIT_BAD_FLAG,
     EXIT_CAPACITY,
@@ -23,6 +27,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # The package has no run-time dependencies; numpy is for the tests only.
+    src = str(Path(ralp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, ralp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestProfileCommand:
@@ -60,6 +74,13 @@ class TestProfileCommand:
     def test_bad_mode_flag(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--mode", "sideways")
         assert code == EXIT_BAD_FLAG
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold(self, capsys, value):
+        code, out, err = run_cli(capsys, "profile", "vgg11", f"--threshold={value}")
+        assert code == EXIT_BAD_FLAG
+        assert out == ""
+        assert f"threshold must be finite, got {value}" in err
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "profile", "resnet-50")
@@ -121,6 +142,19 @@ class TestVolumesCommand:
     def test_bad_workers_value(self, capsys):
         code, _, _ = run_cli(capsys, "volumes", "vgg11", "--workers", "eight")
         assert code == EXIT_BAD_FLAG
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gpus", "1", "--gpus must be >= 2, got 1"),
+        ("--gpus", "-2", "--gpus must be >= 2, got -2"),
+        ("--gpus", "0", "--gpus must be >= 2, got 0"),
+        ("--split", "0", "--split must be in 1..15 for vgg11, got 0"),
+        ("--split", "99", "--split must be in 1..15 for vgg11, got 99"),
+    ])
+    def test_bad_flag_exits_before_printing(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "volumes", "vgg11", f"{flag}={value}")
+        assert code == EXIT_BAD_FLAG
+        assert out == ""
+        assert message in err
 
 
 class TestSimulateCommand:

@@ -116,6 +116,12 @@ class TestParse:
         ("model m batch=1 input=4x4x3\np1 pool window=2 cout=4\n", 2, 18, "unknown key 'cout'"),
         ("model m batch=1 input=4\nf1 fc out=2 k=3\n", 2, 13, "unknown key 'k'"),
         ("model m batch=1 input=4\nn1 norm stride=1\n", 2, 9, "unknown key 'stride'"),
+        # flops and shape are inferred on a derived layer, so giving either is an error
+        ("model m batch=1 input=4x4x3\nc conv k=3 cout=4 pad=1 flops=5\n", 2, 25, "unknown key 'flops'"),
+        ("model m batch=1 input=4x4x3\nc conv k=3 cout=4 pad=1 shape=9x9x9\nf fc out=2\n", 2, 25,
+         "unknown key 'shape'"),
+        ("model m batch=1 input=4\nf1 fc out=2 flops=9\n", 2, 13, "unknown key 'flops'"),
+        ("model m batch=1 input=4x4x3\np1 pool window=2 shape=2x2x3\n", 2, 18, "unknown key 'shape'"),
     ])
     def test_unknown_key_names_line_and_column(self, text, line, column, message):
         with pytest.raises(DescriptorError, match=rf"line {line}, column {column}: {message}"):

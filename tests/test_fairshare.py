@@ -56,6 +56,11 @@ class TestSolver:
         assert fairshare.solve_rates(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.ones(3)
         ).size == 0
+        assert fairshare.solve_rates([], [], [1.0, 1.0, 1.0]) == []
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="same length"):
+            fairshare.solve_rates([0, 1], [1], [1.0, 1.0])
 
     def test_total_rate_never_exceeds_capacity(self):
         rng = np.random.default_rng(5)
@@ -84,14 +89,24 @@ class TestSolver:
 
 
 
-def hex_rates(link_a, link_b, capacity):
-    """solve_rates and the scalar reference, as float bit patterns."""
-    got = fairshare.solve_rates(
-        np.array(link_a, dtype=np.int64), np.array(link_b, dtype=np.int64),
-        np.array(capacity, dtype=np.float64),
-    )
+def hex_rates(link_a, link_b, capacity, as_array):
+    """solve_rates on lists or on arrays, and the scalar reference, as
+    float bit patterns."""
+    if as_array:
+        got = fairshare.solve_rates(
+            np.array(link_a, dtype=np.int64), np.array(link_b, dtype=np.int64),
+            np.array(capacity, dtype=np.float64),
+        )
+        assert got.dtype == np.float64
+        got = got.tolist()
+    else:
+        got = fairshare.solve_rates(list(link_a), list(link_b), list(capacity))
+        assert type(got) is list
     want = progressive_filling(link_a, link_b, capacity)
-    return [x.hex() for x in got.tolist()], [x.hex() for x in want]
+    return [x.hex() for x in got], [x.hex() for x in want]
+
+
+INPUTS = pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])
 
 
 @st.composite
@@ -114,7 +129,8 @@ def flow_sets(draw):
 
 
 class TestReferenceEquivalence:
-    def test_seeded_cases_bit_identical(self):
+    @INPUTS
+    def test_seeded_cases_bit_identical(self, as_array):
         rng = np.random.default_rng(99)
         for _ in range(25):
             n_links = int(rng.integers(2, 12))
@@ -122,25 +138,26 @@ class TestReferenceEquivalence:
             caps = rng.uniform(0.5, 500.0, size=n_links)
             a = rng.integers(0, n_links, size=n_flows)
             b = rng.integers(-1, n_links, size=n_flows)
-            got, want = hex_rates(a.tolist(), b.tolist(), caps.tolist())
+            got, want = hex_rates(a.tolist(), b.tolist(), caps.tolist(), as_array)
             assert got == want
 
+    @INPUTS
     @given(case=flow_sets())
     # 0.3 / 3 rounds to one ulp below 0.1: link 0 alone is the bottleneck.
     @example(case=([0, 0, 0, 1], [-1, -1, -1, -1], [0.3, 0.1]))
     @settings(max_examples=300, deadline=None)
-    def test_generated_flow_sets_bit_identical(self, case):
-        got, want = hex_rates(*case)
+    def test_generated_flow_sets_bit_identical(self, as_array, case):
+        got, want = hex_rates(*case, as_array)
         assert got == want
 
-    def test_capacity_is_left_unchanged(self):
-        # The simulator passes the same capacity array on every call.
-        capacity = np.array([10.0, 3.0, math.inf, 7.5])
-        before = capacity.copy()
+    @INPUTS
+    def test_capacity_is_left_unchanged(self, as_array):
+        # The simulator passes the same capacity list on every call.
+        wrap = np.array if as_array else list
+        capacity = wrap([10.0, 3.0, math.inf, 7.5])
+        before = list(capacity)
         # A flow with both ends on one link counts twice on it: link 1 gives
         # each of its three flow ends 1, and link 3 each of its three 2.5.
-        rates = fairshare.solve_rates(
-            np.array([0, 1, 0, 2, -1, 3]), np.array([1, 1, -1, 3, -1, 3]), capacity
-        )
-        assert rates.tolist() == [1.0, 1.0, 9.0, 2.5, math.inf, 2.5]
-        assert capacity.tobytes() == before.tobytes()
+        rates = fairshare.solve_rates(wrap([0, 1, 0, 2, -1, 3]), wrap([1, 1, -1, 3, -1, 3]), capacity)
+        assert list(rates) == [1.0, 1.0, 9.0, 2.5, math.inf, 2.5]
+        assert [x.hex() for x in capacity] == [x.hex() for x in before]

@@ -54,6 +54,54 @@ class TestSkewness:
         with pytest.raises(ProfilerError, match="zero"):
             compute_skewness([0, 0, 0])
 
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ProfilerError, match="negative"):
+            compute_skewness([3, -1, 5])
+
+    @pytest.mark.parametrize("params", [[1, "x", 2], [1, None], [[1, 2], [3, 4]]])
+    def test_non_numeric_rejected(self, params):
+        with pytest.raises(ProfilerError, match="numbers"):
+            compute_skewness(params)
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    def test_matches_numpy_moments(self, mode):
+        # The moments as numpy computes them; math.fsum rounds each sum
+        # exactly, so the two agree to a few ulps of the moments, not bit
+        # for bit (a near-zero skewness is a difference of such sums).
+        def numpy_skewness(params):
+            p = np.asarray(params, dtype=np.float64)
+            if mode is SkewnessMode.LITERAL_VALUES:
+                dev = p - p.mean()
+                m2, m3 = np.mean(dev**2), np.mean(dev**3)
+            else:
+                w = p / p.sum()
+                dev = np.arange(1, p.size + 1) - np.dot(w, np.arange(1, p.size + 1))
+                m2, m3 = np.dot(w, dev**2), np.dot(w, dev**3)
+            return float(m3 / m2**1.5)
+
+        rng = np.random.default_rng(31)
+        models = [[l.param_count for l in catalog_lookup(name).layers]
+                  for name in ("alexnet", "googlenet", "resnet-50", "vgg19")]
+        models += [rng.integers(0, 10**8, size=int(rng.integers(2, 400))).tolist()
+                   for _ in range(50)]
+        for params in models:
+            want = numpy_skewness(params)
+            assert math.isclose(compute_skewness(params, mode), want, rel_tol=1e-12, abs_tol=1e-12)
+
+    @given(
+        params=st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=64).filter(
+            lambda p: sum(p) > 0
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_literal_mode_is_bit_identical_under_permutation(self, params, seed):
+        # Exactly rounded sums of the same terms do not depend on their order.
+        shuffled = np.random.default_rng(seed).permutation(params).tolist()
+        assert compute_skewness(shuffled, SkewnessMode.LITERAL_VALUES) == compute_skewness(
+            params, SkewnessMode.LITERAL_VALUES
+        )
+
     @given(
         params=st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=64).filter(
             lambda p: sum(p) > 0
@@ -117,6 +165,11 @@ class TestGate:
             c2 = ProfilerConfig(threshold=k1 + bump)
         if gate_eligibility(skew, c1):
             assert gate_eligibility(skew, c2) or bump == 0
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ProfilerError, match="finite"):
+            ProfilerConfig(threshold=threshold)
 
     def test_nonnegative_threshold_warns_but_keeps_value(self):
         with pytest.warns(UserWarning, match="non-negative"):

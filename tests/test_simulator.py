@@ -259,6 +259,29 @@ class TestDeterminismAndInvariants:
         assert simulate_run(scenario) == simulate_run(scenario)
         assert simulate_run(scenario).to_json() == simulate_run(scenario).to_json()
 
+    def test_finished_network_flows_complete_after_tasks_due_at_the_same_instant(self):
+        # With equal link and intra rates, inter- and intra-machine transfers
+        # finish at the same instants.  The event loop completes a finished
+        # network flow through the heap: after the tasks already due at that
+        # instant, and in key order among the flows finishing together.
+        # Completing them inline, before those tasks, changes the order in
+        # which work reaches the PS queues, and with it these floats.
+        model = catalog_lookup("vgg11")
+        strategy = Strategy.ralp(13)
+        cluster = small_cluster(machines=2, gpus_per_machine=4, gpu_flops_per_sec=2e12,
+                                link_bytes_per_sec=3e9, intra_machine_bytes_per_sec=3e9)
+        jobs = (
+            ("a", JobSpec(model=model, strategy=strategy, worker_count=1, ps_count=1),
+             Placement(workers=((0, 0),), ps=((1, 0),))),
+            ("b", JobSpec(model=model, strategy=strategy, worker_count=2, ps_count=1),
+             Placement(workers=((0, 1), (1, 1)), ps=((0, 2),))),
+        )
+        report = simulate_run(Scenario(cluster=cluster, jobs=jobs, steps=1))
+        assert [job.steps[0].communication for job in report.jobs] == [
+            (0.02978634684666681,),
+            (0.053524010334666805, 0.053524010334666805),
+        ]
+
     def test_category_sums_define_step_durations(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
