@@ -45,20 +45,23 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
+def _resolve_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
     """Resolve a model reference: a path when it looks like one (tried under
-    ``base`` first, then as given), else a catalog name."""
+    ``base`` first, then as given), else a catalog name.  A missing file
+    exits 2; a bad descriptor or name raises DescriptorError or
+    UnknownModelError."""
     if ref.endswith(".model") or "/" in ref or "\\" in ref:
         candidates = [Path(ref)] if base is None else [base / ref, Path(ref)]
         path = next((p for p in candidates if p.is_file()), None)
         if path is None:
             raise _CliError(EXIT_PARSE, f"cannot read model descriptor {ref!r}: no such file")
-        try:
-            return parse_model(path.read_text())
-        except DescriptorError as exc:
-            raise _CliError(EXIT_PARSE, f"{ref}: {exc}") from exc
+        return parse_model(path.read_text())
+    return catalog_lookup(ref)
+
+
+def _load_model(ref: str) -> ModelGraph:
     try:
-        return catalog_lookup(ref)
+        return _resolve_model(ref)
     except UnknownModelError as exc:
         raise _CliError(EXIT_UNKNOWN_CATALOG, str(exc.args[0])) from exc
     except DescriptorError as exc:
@@ -174,11 +177,12 @@ def _cmd_simulate(args) -> int:
         else:
             raise _CliError(EXIT_PARSE, f"cannot read scenario {args.scenario!r}: no such file")
     try:
-        scenario = parse_scenario(path.read_text(), lambda ref: _load_model(ref, path.parent))
+        scenario = parse_scenario(path.read_text(), lambda ref: _resolve_model(ref, path.parent))
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, str(exc)) from exc
     except ScenarioError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
+        unknown = isinstance(exc.__cause__, UnknownModelError)
+        raise _CliError(EXIT_UNKNOWN_CATALOG if unknown else EXIT_PARSE, f"{path}: {exc}") from exc
     if args.steps is not None:
         scenario = dataclasses.replace(scenario, steps=args.steps)
     try:

@@ -8,7 +8,8 @@ inferred and shape-checked against the previous layer) or *explicit*
 linearized branchy architectures where chain inference does not apply;
 ``shape=HxWxC`` sets the shape the next layer sees).  A key the header or
 the layer's kind does not take is an error, and so are ``flops=`` and
-``shape=`` on a derived layer, whose flops and shape are inferred.
+``shape=`` on a derived layer, whose flops and shape are inferred, and a
+kind's hyperparameters on an explicit layer, whose counts are given.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .layers import (
 _KIND_TOKENS = {kind.value: kind for kind in LayerKind}
 
 _HEADER_KEYS = ("batch", "elem_bytes", "input")
-# Keys explicit and derived layer lines accept, then the hyperparameters of
-# each derived kind.
+# Keys explicit and derived layer lines accept, then the hyperparameters a
+# derived layer of each kind also accepts.
 _EXPLICIT_KEYS = ("params", "out", "flops", "shape")
 _DERIVED_KEYS = ("params", "out")
 _KIND_KEYS = {
@@ -141,8 +142,8 @@ def parse_model(text: str) -> ModelGraph:
             )
         keys = {token.partition("=")[0] for token in tokens[2:]}
         explicit = "params" in keys or ("out" in keys and kind is not LayerKind.FULLY_CONNECTED)
-        layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS
-        kv = _parse_kv(tokens[2:], lineno, offsets[2:], layer_keys + _KIND_KEYS.get(kind, ()))
+        layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS + _KIND_KEYS.get(kind, ())
+        kv = _parse_kv(tokens[2:], lineno, offsets[2:], layer_keys)
         try:
             if explicit:
                 if "out" not in kv:

@@ -3,12 +3,19 @@
 This is the simulator's hot kernel: it reruns on every flow arrival and
 departure, and large consolidated scenarios solve it tens of thousands of
 times.  It is progressive filling (Bertsekas & Gallager, *Data Networks*,
-§6.5.2) over per-link flow lists, on plain Python lists and floats.
-Lists go in and a list comes out; a caller that passes numpy arrays gets
-a float64 array back, and only that caller pays for importing numpy.
+§6.5.2) over per-link flow sets, on plain Python lists and floats.
 
 Each flow occupies up to two directed links (source uplink, destination
 downlink); a link id of -1 means "no constraint on that side".
+
+``FairShare`` keeps the flow sets and the previous solve's round log
+across events, so a solve after a few arrivals and departures starts
+from the first round they can change (a warm start) rather than from
+round 0.  The rounds it keeps are the ones the new flow set would run
+identically, so every rate is bit-identical to a cold solve.
+``solve_rates`` is a cold solve of a fresh ``FairShare``: lists go in
+and a list comes out; a caller that passes numpy arrays gets a float64
+array back, and only that caller pays for importing numpy.
 """
 
 from __future__ import annotations
@@ -16,57 +23,166 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+# The round of a flow that no round has frozen yet.
+_UNFROZEN = 1 << 62
 
-def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):
-    """Max-min fair rates for flows over directed links.
 
-    link_a/link_b: link ids per flow (-1 for unconstrained side);
-    capacity: bytes/sec per link, copied and never written.  Returns
-    bytes/sec per flow: a list, or a float64 array when the link ids are
-    arrays.
+class Flow:
+    """A flow a ``FairShare`` rates: its links, its max-min fair rate in
+    bytes/sec, and the round of the last solve that froze it."""
 
-    Each round takes the smallest per-flow share of any loaded link and
+    __slots__ = ("links", "rate", "frozen_in")
+
+
+class FairShare:
+    """Max-min fair rates for a set of flows that changes between solves.
+
+    Progressive filling runs in rounds.  Each round takes the smallest
+    per-flow share (remainder / unfrozen flow ends) of any loaded link and
     freezes, at that share, every unfrozen flow of every link whose share
     equals it.  A frozen flow subtracts the share once from each of its
     links (twice from one link when both ends are that link), clamping at
     zero.  All subtractions of a round use the same share, so the order of
     freezing changes no value.  Flows left when only unbounded shares
     remain get an infinite rate.
+
+    Each solve logs, per round, its level and each link's remainder and
+    unfrozen count at the start of the round.  Round j of the last solve
+    runs identically on the changed flow set while j is below the round in
+    which any departed flow froze (a departure only raises shares of links
+    that were not at the level, since its flow was still unfrozen) and
+    every link with added flows keeps a share above the round's level with
+    them counted.  The next solve keeps those rounds, with their unfrozen
+    counts moved by the added and departed flow ends, leaves the flows they
+    froze untouched, and refills from the first round that may differ.
+    """
+
+    def __init__(self, capacity: Sequence[float]):
+        self._capacity = [float(c) for c in capacity]
+        self._flows_on: list[dict[Flow, None]] = [{} for _ in self._capacity]
+        self._ends = [0] * len(self._capacity)  # flow ends per link
+        self._solved_ends = self._ends[:]  # flow ends per link at the last solve
+        self._touched: list[int] = []  # links of flows added or removed since then
+        self._cut = _UNFROZEN  # earliest round in which a departed flow froze
+        # One entry per round of the last solve: its level, each link's
+        # remainder and unfrozen flow ends at its start, and the flows it
+        # froze.  The last round is the one whose level is infinite.
+        self._log: list[tuple[float, list[float], list[int], list[Flow]]] = []
+
+    def add(self, flow: Flow, links: tuple[int, ...]) -> None:
+        """Add ``flow`` over ``links``, one id per constrained end."""
+        flow.links = links
+        flow.rate = math.inf
+        flow.frozen_in = _UNFROZEN
+        flows_on, ends = self._flows_on, self._ends
+        for l in links:
+            flows_on[l][flow] = None
+            ends[l] += 1
+        self._touched += links
+
+    def remove(self, flow: Flow) -> None:
+        """Remove ``flow``: the next solve refills from the round that froze
+        it, if not from an earlier one."""
+        flows_on, ends = self._flows_on, self._ends
+        for l in flow.links:
+            flows_on[l].pop(flow, None)  # listed once when both ends share a link
+            ends[l] -= 1
+        self._touched += flow.links
+        if flow.frozen_in < self._cut:
+            self._cut = flow.frozen_in
+
+    def solve(self) -> None:
+        """Set ``rate`` on every flow whose rate the changes since the last
+        solve can move."""
+        log, ends, solved = self._log, self._ends, self._solved_ends
+        if log:
+            changed = []  # (link, flow ends added minus removed)
+            for l in set(self._touched):
+                if ends[l] != solved[l]:
+                    changed.append((l, ends[l] - solved[l]))
+                    solved[l] = ends[l]
+            keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
+            _, rem, cnt, _ = log[keep]
+            for l, d in changed:
+                cnt[l] += d
+            for _, _, _, flows in log[keep:]:
+                for f in flows:
+                    f.frozen_in = _UNFROZEN
+            del log[keep:]
+        else:
+            keep, rem, cnt = 0, self._capacity[:], ends[:]
+            solved[:] = ends
+        self._touched.clear()
+        self._cut = _UNFROZEN
+        self._fill(keep, rem, cnt)
+
+    def _kept_rounds(self, limit: int, changed: list[tuple[int, int]]) -> int:
+        """How many of the first ``limit`` logged rounds run unchanged with
+        each link's flow ends moved by ``changed``; their unfrozen counts
+        are moved with them."""
+        grown = [(l, d) for l, d in changed if d > 0]
+        for j in range(limit):
+            level, rem, cnt, _ = self._log[j]
+            for l, d in grown:
+                if rem[l] / (cnt[l] + d) <= level:
+                    return j
+            for l, d in changed:
+                cnt[l] += d
+        return limit
+
+    def _fill(self, r: int, rem: list[float], cnt: list[int]) -> None:
+        """Progressive filling from round ``r``, whose start state is
+        ``rem`` and ``cnt``, logging each round."""
+        flows_on, log = self._flows_on, self._log
+        loaded = [l for l, n in enumerate(cnt) if n]
+        while True:
+            shares = [rem[l] / cnt[l] for l in loaded]
+            best = min(shares, default=math.inf)
+            done: list[Flow] = []
+            log.append((best, rem[:], cnt[:], done))
+            if best == math.inf:
+                for l in loaded:
+                    for f in flows_on[l]:
+                        if f.frozen_in > r:
+                            f.frozen_in = r
+                            f.rate = best
+                            done.append(f)
+                return
+            for l in [l for l, share in zip(loaded, shares) if share == best]:
+                for f in flows_on[l]:
+                    if f.frozen_in <= r:
+                        continue
+                    f.frozen_in = r
+                    f.rate = best
+                    done.append(f)
+                    for end in f.links:
+                        left = rem[end] - best
+                        rem[end] = 0.0 if left < 0.0 else left
+                        cnt[end] -= 1
+            if not done:  # pragma: no cover - counts out of step with the flow sets
+                raise RuntimeError("fair-share round froze no flow")
+            loaded = [l for l in loaded if cnt[l]]
+            r += 1
+
+
+def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):
+    """Max-min fair rates for flows over directed links: a cold solve.
+
+    link_a/link_b: link ids per flow (-1 for unconstrained side);
+    capacity: bytes/sec per link, copied and never written.  Returns
+    bytes/sec per flow: a list, or a float64 array when the link ids are
+    arrays.
     """
     if len(link_a) != len(link_b):
         raise ValueError("link_a and link_b must have the same length")
     as_array = hasattr(link_a, "tolist")
     ends_a, ends_b = (link_a.tolist(), link_b.tolist()) if as_array else (link_a, link_b)
-    remaining = [float(c) for c in capacity]
-    flows_on = [[] for _ in remaining]
-    for f, (a, b) in enumerate(zip(ends_a, ends_b)):
-        if a >= 0:
-            flows_on[a].append(f)
-        if b >= 0:
-            flows_on[b].append(f)
-    n_active = [len(flows) for flows in flows_on]
-    loaded = [l for l, n in enumerate(n_active) if n]
-    rates = [math.inf] * len(ends_a)
-    frozen = [False] * len(ends_a)
-    while loaded:
-        shares = [remaining[l] / n_active[l] for l in loaded]
-        best = min(shares)
-        if best == math.inf:
-            break
-        for l, share in zip(loaded, shares):
-            if share != best:
-                continue
-            for f in flows_on[l]:
-                if frozen[f]:
-                    continue
-                frozen[f] = True
-                rates[f] = best
-                for end in (ends_a[f], ends_b[f]):
-                    if end >= 0:
-                        left = remaining[end] - best
-                        remaining[end] = 0.0 if left < 0.0 else left
-                        n_active[end] -= 1
-        loaded = [l for l in loaded if n_active[l]]
+    state = FairShare(capacity)
+    flows = [Flow() for _ in ends_a]
+    for flow, a, b in zip(flows, ends_a, ends_b):
+        state.add(flow, (a, b) if a >= 0 and b >= 0 else tuple(l for l in (a, b) if l >= 0))
+    state.solve()
+    rates = [flow.rate for flow in flows]
     if as_array:
         import numpy as np
 

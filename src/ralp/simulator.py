@@ -6,6 +6,9 @@ so only the network contends: inter-machine transfers share per-machine
 full-duplex links under max-min fairness (see fairshare), intra-machine
 transfers ride a separate non-contended tier.  Training is synchronous:
 a job's next step starts when its slowest worker finishes the current one.
+The event loop keeps one fairshare.FairShare per run: a flow joins it when
+it starts and leaves when it finishes, and each solve between events
+replays the previous solve's rounds that the change leaves alone.
 
 Each step of each job is a small task graph, built by one function per
 strategy and run by one event loop for all jobs.  A task is either a
@@ -23,6 +26,10 @@ per-strategy constant; communication is the residual (step duration
 minus the other three), mirroring how such breakdowns are measured from
 traces, so the four buckets sum to the reported step duration
 identically.  A step's wire bytes are the sum of its flows' bytes.
+
+A consolidation runs each job alone once per placement shape (its
+machines relabelled by first use) and gives that report to every copy of
+the job with the same shape.
 """
 
 from __future__ import annotations
@@ -32,11 +39,13 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import fairshare
+from .catalog import UnknownModelError
 from .costmodel import JobSpec, Strategy, StrategyKind, compute_load
+from .descriptor import DescriptorError
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, profile
 
@@ -315,7 +324,7 @@ def _split_bytes(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
-class _Task:
+class _Task(fairshare.Flow):
     """One node of a job's step graph: a delay of ``seconds`` (``src`` is
     None) or a flow of ``nbytes`` from machine ``src`` to ``dst``.  It
     starts once its ``waiting`` predecessors have finished; a ``serial``
@@ -323,7 +332,7 @@ class _Task:
     ``last`` worker index ends that worker's step."""
 
     __slots__ = ("job", "seconds", "src", "dst", "nbytes", "key", "serial", "last",
-                 "succ", "waiting", "remaining", "rate")
+                 "succ", "waiting", "remaining")
 
     def __init__(self, job, after, seconds=0.0, src=None, dst=None, nbytes=0, key=None,
                  serial=False, last=None):
@@ -342,18 +351,18 @@ class _Task:
 
 
 class _Env:
-    """Event loop: a time-ordered heap of finishing tasks plus the set of
-    in-flight inter-machine flows whose rates come from the fair-share
-    kernel."""
+    """Event loop: a time-ordered heap of finishing tasks plus the
+    in-flight inter-machine flows, in start order, whose rates come from
+    the fair-share state."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
         self.now = 0.0
         self._heap = []
         self._seq = itertools.count()
-        self._flows: list[_Task] = []
+        self._flows: dict[_Task, None] = {}
         self._rates_dirty = False
-        self._capacity = [float(cluster.link_bytes_per_sec)] * (2 * cluster.machines)
+        self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * cluster.machines))
 
     def _finish_at(self, time, task):
         heapq.heappush(self._heap, (time, next(self._seq), task))
@@ -373,7 +382,8 @@ class _Env:
             self._finish_at(self.now + task.nbytes / self.cluster.intra_machine_bytes_per_sec, task)
         else:
             task.remaining = float(task.nbytes)
-            self._flows.append(task)
+            self._flows[task] = None
+            self._share.add(task, (task.src, self.cluster.machines + task.dst))
             self._rates_dirty = True
 
     def _finish(self, task: _Task):
@@ -389,54 +399,47 @@ class _Env:
         if task.last is not None:
             job.worker_done(task.last)
 
-    def _recompute_rates(self):
-        flows = self._flows
-        machines = self.cluster.machines
-        rates = fairshare.solve_rates(
-            [f.src for f in flows], [machines + f.dst for f in flows], self._capacity
-        )
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
-        self._rates_dirty = False
-
     def run(self):
-        while self._heap or self._flows:
-            if self._flows and self._rates_dirty:
-                self._recompute_rates()
+        heap, flows, inf = self._heap, self._flows, math.inf
+        while heap or flows:
+            if flows and self._rates_dirty:
+                self._share.solve()
+                self._rates_dirty = False
 
-            next_heap = self._heap[0][0] if self._heap else math.inf
-            next_flow = math.inf
+            now = self.now
+            next_heap = heap[0][0] if heap else inf
+            next_flow = inf
             finish_times = None
-            if self._flows:
+            if flows:
                 finish_times = [
-                    self.now + (flow.remaining / flow.rate if flow.rate > 0 else math.inf)
-                    if flow.rate != math.inf
-                    else self.now
-                    for flow in self._flows
+                    now + (flow.remaining / flow.rate if flow.rate > 0 else inf)
+                    if flow.rate != inf
+                    else now
+                    for flow in flows
                 ]
                 next_flow = min(finish_times)
 
             t_next = min(next_heap, next_flow)
-            if t_next == math.inf:
+            if t_next == inf:
                 raise RuntimeError("simulation deadlock: pending work cannot progress")
 
-            dt = t_next - self.now
-            if dt > 0 and self._flows:
-                for flow in self._flows:
+            dt = t_next - now
+            if dt > 0 and flows:
+                for flow in flows:
                     flow.remaining -= flow.rate * dt
             self.now = t_next
 
             if finish_times is not None and next_flow == t_next:
-                done = [f for f, t in zip(self._flows, finish_times) if t == t_next]
+                done = [f for f, t in zip(flows, finish_times) if t == t_next]
                 done.sort(key=lambda f: f.key)
-                done_set = set(id(f) for f in done)
-                self._flows = [f for f in self._flows if id(f) not in done_set]
-                self._rates_dirty = True
                 for flow in done:
-                    self._finish_at(self.now, flow)
+                    del flows[flow]
+                    self._share.remove(flow)
+                    self._finish_at(t_next, flow)
+                self._rates_dirty = True
 
-            while self._heap and self._heap[0][0] == self.now:
-                self._finish(heapq.heappop(self._heap)[2])
+            while heap and heap[0][0] == t_next:
+                self._finish(heapq.heappop(heap)[2])
 
 
 # -- per-job runtime -------------------------------------------------------
@@ -642,11 +645,29 @@ def simulate_run(scenario: Scenario) -> SimReport:
     return SimReport(jobs=tuple(reports))
 
 
+def _placement_shape(placement: Placement) -> tuple[int, ...]:
+    """The placement's machines relabelled 0, 1, ... by first use, over
+    workers then PS processes."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(m, len(labels)) for m, _ in (*placement.workers, *placement.ps))
+
+
+def _renamed(report: SimReport, name: str) -> SimReport:
+    (job,) = report.jobs
+    steps = tuple(replace(step, job=name) for step in job.steps)
+    return SimReport(jobs=(replace(job, job=name, steps=steps),))
+
+
 def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationReport:
     """Compare each job running alone vs. all jobs (times `copies`) sharing
     the cluster.  Placements are recomputed with the spread policy so the
     copies actually overlap on links; isolated runs reuse the consolidated
-    placement so only contention differs."""
+    placement so only contention differs.
+
+    Copies of a job whose placements have the same shape share one
+    isolated run: every link has the same capacity, and neither the rates
+    nor the order of events depends on which machines a job uses, only on
+    which of its replicas share one."""
     if copies < 1:
         raise ScenarioError("copies must be >= 1")
     base_jobs = list(scenario.jobs)
@@ -668,10 +689,15 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
 
     isolated_reports = []
     entries = []
-    for name, spec, placement in consolidated.jobs:
-        alone = Scenario(cluster=scenario.cluster, jobs=((name, spec, placement),),
-                         steps=scenario.steps)
-        alone_report = simulate_run(alone)
+    isolated_runs: dict[tuple[int, tuple[int, ...]], SimReport] = {}
+    for index, (name, spec, placement) in enumerate(consolidated.jobs):
+        key = (index % len(base_jobs), _placement_shape(placement))
+        if key in isolated_runs:
+            alone_report = _renamed(isolated_runs[key], name)
+        else:
+            alone = Scenario(cluster=scenario.cluster, jobs=((name, spec, placement),),
+                             steps=scenario.steps)
+            alone_report = isolated_runs[key] = simulate_run(alone)
         isolated_reports.append(alone_report)
         entries.append(
             ConsolidationEntry(
@@ -746,7 +772,9 @@ def parse_scenario(
     A malformed line, an unknown key, a bad value, a second cluster or
     steps line, a duplicate job name or a place line for an undeclared job
     raises ScenarioError naming the line; an explicit slot outside the
-    cluster or already taken raises CapacityError naming the line.
+    cluster or already taken raises CapacityError naming the line.  A
+    model the resolver rejects with UnknownModelError or DescriptorError
+    raises ScenarioError naming the job line, caused by that error.
     """
     cluster: Optional[ClusterSpec] = None
     steps = 1
@@ -862,7 +890,13 @@ def parse_scenario(
 
     specs: list[tuple[str, JobSpec, Optional[Placement]]] = []
     for lineno, name, kv in job_lines:
-        model = resolve_model(kv["model"])
+        ref = kv["model"]
+        try:
+            model = resolve_model(ref)
+        except UnknownModelError as exc:
+            raise ScenarioError(f"line {lineno}: job {name!r}: {exc.args[0]}") from exc
+        except DescriptorError as exc:
+            raise ScenarioError(f"line {lineno}: job {name!r}: {ref}: {exc}") from exc
         try:
             spec = _job_spec(model, kv)
         except ValueError as exc:

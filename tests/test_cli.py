@@ -253,10 +253,19 @@ class TestSimulateCommand:
     def test_bad_descriptor_in_scenario_names_the_model_file(self, capsys, tmp_path):
         (tmp_path / "z.model").write_text("model z batch=1 input=4\nf fc out=2\nc2 oops\n")
         scn = tmp_path / "e.scn"
-        scn.write_text("job a model=z.model strategy=baseline workers=1 ps=1\nsteps 1\n")
+        scn.write_text("steps 1\njob a model=z.model strategy=baseline workers=1 ps=1\n")
         code, _, err = run_cli(capsys, "simulate", str(scn))
         assert code == EXIT_PARSE
-        assert err.startswith("error: z.model: line 3, column 4: unknown layer kind 'oops'")
+        assert err.startswith(f"error: {scn}: line 2: job 'a': z.model: "
+                              "line 3, column 4: unknown layer kind 'oops'")
+
+    def test_unknown_model_in_scenario_names_the_job_line(self, capsys, tmp_path):
+        scn = tmp_path / "e.scn"
+        scn.write_text("# line 1\njob a model=nosuch strategy=baseline workers=1 ps=1\n")
+        code, _, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_UNKNOWN_CATALOG
+        assert err.startswith(f"error: {scn}: line 2: job 'a': unknown benchmark 'nosuch'; "
+                              "available: alexnet, ")
 
     def test_place_spread_line(self, capsys, tmp_path):
         scn = tmp_path / "spread.scn"

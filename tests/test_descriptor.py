@@ -122,6 +122,11 @@ class TestParse:
          "unknown key 'shape'"),
         ("model m batch=1 input=4\nf1 fc out=2 flops=9\n", 2, 13, "unknown key 'flops'"),
         ("model m batch=1 input=4x4x3\np1 pool window=2 shape=2x2x3\n", 2, 18, "unknown key 'shape'"),
+        # an explicit layer's counts are given, so its kind's hyperparameters are errors
+        ("model m batch=1 input=4x4x3\nc conv params=5 out=3 k=3 cout=99 stride=7\n", 2, 23,
+         "unknown key 'k'"),
+        ("model m batch=1 input=4x4x3\np pool out=12 window=2\n", 2, 15, "unknown key 'window'"),
+        ("model m batch=1 input=4\nf fc params=10 out=2 in=5\n", 2, 22, "unknown key 'in'"),
     ])
     def test_unknown_key_names_line_and_column(self, text, line, column, message):
         with pytest.raises(DescriptorError, match=rf"line {line}, column {column}: {message}"):

@@ -109,23 +109,37 @@ def hex_rates(link_a, link_b, capacity, as_array):
 INPUTS = pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])
 
 
-@st.composite
-def flow_sets(draw):
-    """Flows over a few links, with both ends on one link, unconstrained
-    (-1, -1) flows and infinite capacities among the constrained ones.
-    Capacities in tenths make several links tie for the bottleneck, exactly
-    or, after rounding in earlier rounds, within an ulp."""
-    n_links = draw(st.integers(1, 8))
-    capacity = draw(st.lists(
+def capacities_and_flows(n_links):
+    """Capacities and flows over ``n_links`` links, with both ends on one
+    link, unconstrained (-1, -1) flows and infinite capacities among the
+    constrained ones.  Capacities in tenths make several links tie for the
+    bottleneck, exactly or, after rounding in earlier rounds, within an
+    ulp."""
+    capacity = st.lists(
         st.one_of(st.floats(0.5, 500.0), st.integers(1, 30).map(lambda k: k / 10), st.just(math.inf)),
         min_size=n_links, max_size=n_links,
-    ))
+    )
     link = st.integers(-1, n_links - 1)
-    flows = draw(st.lists(
-        st.one_of(st.tuples(link, link), link.map(lambda l: (l, l)), st.just((-1, -1))),
-        max_size=40,
-    ))
-    return [a for a, _ in flows], [b for _, b in flows], capacity
+    return capacity, st.one_of(st.tuples(link, link), link.map(lambda l: (l, l)), st.just((-1, -1)))
+
+
+@st.composite
+def flow_sets(draw):
+    capacity, flow = capacities_and_flows(draw(st.integers(1, 8)))
+    flows = draw(st.lists(flow, max_size=40))
+    return [a for a, _ in flows], [b for _, b in flows], draw(capacity)
+
+
+@st.composite
+def event_batches(draw):
+    """Capacities and a list of batches solved one after another.  An
+    operation is a flow ``(a, b)`` to add or an int ``k`` that removes the
+    present flow at index k modulo their count, so a batch can also remove
+    a flow it added."""
+    capacity, flow = capacities_and_flows(draw(st.integers(1, 6)))
+    batches = st.lists(st.lists(st.one_of(flow, st.integers(0, 1000)), max_size=8),
+                       min_size=1, max_size=10)
+    return draw(capacity), draw(batches)
 
 
 class TestReferenceEquivalence:
@@ -161,3 +175,37 @@ class TestReferenceEquivalence:
         rates = fairshare.solve_rates(wrap([0, 1, 0, 2, -1, 3]), wrap([1, 1, -1, 3, -1, 3]), capacity)
         assert list(rates) == [1.0, 1.0, 9.0, 2.5, math.inf, 2.5]
         assert [x.hex() for x in capacity] == [x.hex() for x in before]
+
+
+class TestWarmStart:
+    """A FairShare solved after every batch of arrivals and departures
+    must give each present flow the rate a cold solve of the same flows
+    gives, bit for bit."""
+
+    @given(case=event_batches())
+    # An arrival on link 1 keeps round 0 (10 / 3 > 0.5) and refills from
+    # round 1; the departure of a flow frozen in round 0 then refills from
+    # round 0, whose unfrozen count on link 1 must include the arrival.
+    @example(case=([1.0, 10.0], [[(0, -1), (0, 1), (-1, 1)], [(-1, 1)], [1]]))
+    # An arrival whose link's share ties round 0's level (1 / 3) exactly
+    # must refill round 0: frozen in round 1 it would get (2 / 3) / 2,
+    # one ulp above 1 / 3.
+    @example(case=([1.0, 1.0], [[(0, 1), (1, 1)], [(0, 0)]]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_solve_matches_the_reference(self, case):
+        capacity, batches = case
+        state = fairshare.FairShare(capacity)
+        present = []
+        for batch in batches:
+            for op in batch:
+                if isinstance(op, tuple):
+                    flow = fairshare.Flow()
+                    state.add(flow, tuple(l for l in op if l >= 0))
+                    present.append((flow, op))
+                elif present:
+                    flow, _ = present.pop(op % len(present))
+                    state.remove(flow)
+            state.solve()
+            want = progressive_filling([a for _, (a, _) in present], [b for _, (_, b) in present],
+                                       capacity)
+            assert [f.rate.hex() for f, _ in present] == [x.hex() for x in want]

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ralp import simulator
 from ralp.catalog import catalog_lookup
 from ralp.costmodel import JobSpec, Strategy, StrategyKind, volumes_for
 from ralp.layers import LayerKind, ModelGraph
@@ -282,6 +284,29 @@ class TestDeterminismAndInvariants:
             (0.053524010334666805, 0.053524010334666805),
         ]
 
+    def test_network_flows_finishing_together_complete_in_key_order(self):
+        # With equal link and intra rates, four activations (two per job)
+        # finish crossing the network at the same instant.  Completing them
+        # in key order gives each PS its lower-numbered worker's batch first;
+        # the reverse order serves the other batch first, which moves the
+        # activation-gradient flows against job b's traffic and changes job
+        # a's floats.
+        model = catalog_lookup("vgg11")
+        strategy = Strategy.ralp(13)
+        cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=3, gpus_per_machine=4,
+                                      link_bytes_per_sec=DEFAULT_CLUSTER.intra_machine_bytes_per_sec)
+        jobs = (
+            ("a", JobSpec(model=model, strategy=strategy, worker_count=2, ps_count=1),
+             Placement(workers=((0, 0), (1, 0)), ps=((2, 0),))),
+            ("b", JobSpec(model=model, strategy=strategy, worker_count=3, ps_count=1),
+             Placement(workers=((0, 1), (1, 1), (2, 1)), ps=((0, 2),))),
+        )
+        report = simulate_run(Scenario(cluster=cluster, jobs=jobs, steps=1))
+        assert [job.steps[0].communication for job in report.jobs] == [
+            (0.008440239872000044, 0.008440239872000044),
+            (0.013222095743999962, 0.013798375744000002, 0.013798375744000002),
+        ]
+
     def test_category_sums_define_step_durations(self):
         rng = np.random.default_rng(2024)
         for _ in range(20):
@@ -403,6 +428,19 @@ class TestConsolidation:
         assert len(report.entries) == 8
         assert min(e.slowdown for e in report.entries) > 2.0
 
+    def test_copies_with_one_placement_shape_share_an_isolated_run(self, monkeypatch):
+        # Spread placement puts every replica of each lenet copy on its own
+        # machine, so one isolated run serves all four copies.
+        runs = []
+        real_run = simulator.simulate_run
+        monkeypatch.setattr(simulator, "simulate_run", lambda s: runs.append(s) or real_run(s))
+        report = simulate_consolidation(self._lenet_scenario(), copies=4)
+        assert len(runs) == 2  # the consolidated run and one isolated run
+        job = runs[0].jobs[3]
+        assert job[0] == "lenet/3"
+        alone = real_run(Scenario(cluster=DEFAULT_CLUSTER, jobs=(job,), steps=2))
+        assert report.isolated[3].to_json() == alone.to_json()
+
     def test_copies_must_fit(self):
         cluster = small_cluster(machines=2, gpus_per_machine=2)
         model = catalog_lookup("lenet")
@@ -502,3 +540,59 @@ class TestPlacementAndScenarios:
         for step in report.jobs[0].steps[1:]:
             for a, b in zip(step.step_durations, first.step_durations):
                 assert a == pytest.approx(b, rel=1e-9)
+
+
+def _report_bytes(report) -> bytes:
+    return report.to_json().encode()
+
+
+def _consolidation_bytes(report) -> bytes:
+    parts = [report.consolidated.to_json()]
+    parts += [alone.to_json() for alone in report.isolated]
+    parts += [f"{e.job} {e.isolated_step_time!r} {e.consolidated_step_time!r}" for e in report.entries]
+    return "\n".join(parts).encode()
+
+
+class TestEngineDigest:
+    """sha256 digests of whole reports, recorded before the fair-share
+    kernel kept state across events and before consolidation reused
+    isolated runs.  Any float that moves in any report changes them."""
+
+    def test_random_scenarios(self):
+        # Each scenario also runs with equal link and intra rates (flows
+        # finish together) and with infinite links (infinite rates).
+        rng = np.random.default_rng(0xD16E57)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            scenario = random_scenario(rng, steps=int(rng.integers(1, 4)))
+            cluster = scenario.cluster
+            for variant in (
+                cluster,
+                dataclasses.replace(cluster, link_bytes_per_sec=cluster.intra_machine_bytes_per_sec),
+                dataclasses.replace(cluster, link_bytes_per_sec=math.inf),
+            ):
+                run = simulate_run(dataclasses.replace(scenario, cluster=variant))
+                digest.update(_report_bytes(run))
+        assert digest.hexdigest() == "da20f62b442b2b1fdf2b5fc6b657859b369c116f27ebeeeea7b5726acacedd65"
+
+    def test_consolidations(self):
+        # 64x8 machines: every replica of a copy on its own machine.  3x8
+        # machines: replicas of one copy share machines, and co-located
+        # transfers ride the intra-machine tier.
+        jobs = (
+            ("b", JobSpec(model=catalog_lookup("alexnet"), strategy=Strategy.baseline(),
+                          worker_count=6, ps_count=3)),
+            ("r", JobSpec(model=catalog_lookup("vgg11"), strategy=Strategy.ralp(13),
+                          worker_count=4, ps_count=1)),
+            ("g", JobSpec(model=catalog_lookup("lenet"), strategy=Strategy.ring(),
+                          worker_count=3, ps_count=0)),
+        )
+        digest = hashlib.sha256()
+        for machines, base, copy_counts in ((64, jobs, range(2, 9)), (3, jobs[1:], (2, 3))):
+            cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=machines, gpus_per_machine=8)
+            placements = spread_placement(cluster, [(s.worker_count, s.ps_count) for _, s in base])
+            scenario = Scenario(cluster=cluster, steps=2, jobs=tuple(
+                (name, spec, placement) for (name, spec), placement in zip(base, placements)))
+            for copies in copy_counts:
+                digest.update(_consolidation_bytes(simulate_consolidation(scenario, copies)))
+        assert digest.hexdigest() == "b86697369ac3b26dbe81fed3c06a093e00adf32bd704ca8e9b5d7be225bc5725"
