@@ -46,17 +46,19 @@ class _CliError(Exception):
 
 
 def _resolve_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
-    """Resolve a model reference: a path when it looks like one (tried under
-    ``base`` first, then as given), else a catalog name.  A missing file
-    exits 2; a bad descriptor or name raises DescriptorError or
-    UnknownModelError."""
+    """Resolve a model reference: a descriptor path when it looks like one
+    (``base / ref`` when that is a file, else ``ref`` as given), else a
+    catalog name.  Errors propagate: OSError or UnicodeDecodeError from the
+    read, DescriptorError or UnknownModelError from the contents."""
     if ref.endswith(".model") or "/" in ref or "\\" in ref:
-        candidates = [Path(ref)] if base is None else [base / ref, Path(ref)]
-        path = next((p for p in candidates if p.is_file()), None)
-        if path is None:
-            raise _CliError(EXIT_PARSE, f"cannot read model descriptor {ref!r}: no such file")
-        return parse_model(path.read_text())
+        path = base / ref if base is not None and (base / ref).is_file() else Path(ref)
+        return parse_model(path.read_text(encoding="utf-8"))
     return catalog_lookup(ref)
+
+
+def _file_error(exc: Exception) -> str:
+    """Why a file could not be read or written, without its path."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
 def _load_model(ref: str) -> ModelGraph:
@@ -66,6 +68,9 @@ def _load_model(ref: str) -> ModelGraph:
         raise _CliError(EXIT_UNKNOWN_CATALOG, str(exc.args[0])) from exc
     except DescriptorError as exc:
         raise _CliError(EXIT_PARSE, f"{ref}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_PARSE, f"cannot read model descriptor {ref!r}: "
+                                    f"{_file_error(exc)}") from exc
 
 
 def _profiler_config(args) -> ProfilerConfig:
@@ -80,35 +85,19 @@ def _profiler_config(args) -> ProfilerConfig:
 
 
 def _cmd_profile(args) -> int:
-    model = _load_model(args.model)
-    report = profile(model, _profiler_config(args))
-    print(report.to_json())
-    return EXIT_OK
-
-
-def _cmd_split(args) -> int:
-    model = _load_model(args.model)
-    report = profile(model, _profiler_config(args))
-    print(
-        json.dumps(
-            {
-                "model": report.model_name,
-                "skewness": report.skewness,
-                "threshold": report.threshold,
-                "eligible": report.eligible,
-                "split_index": report.split_index,
-                "split_cost_bytes": report.split_cost_bytes,
-                "recommendation": report.recommendation,
-            },
-            indent=2,
-        )
-    )
+    """``profile`` prints the whole report; ``split`` (``brief``) leaves
+    out the per-layer table and the skewness mode."""
+    report = profile(_load_model(args.model), _profiler_config(args))
+    payload = report.to_dict()
+    if args.brief:
+        del payload["layers"], payload["mode"]
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _parse_strategies(raw: str) -> list[StrategyKind]:
     if raw == "all":
-        return [StrategyKind.BASELINE_PS, StrategyKind.RALP, StrategyKind.RING_ALLREDUCE]
+        return list(StrategyKind)
     kinds = []
     for token in raw.split(","):
         token = token.strip()
@@ -170,14 +159,17 @@ def _cmd_simulate(args) -> int:
     if args.steps is not None and args.steps < 1:
         raise _CliError(EXIT_PARSE, f"--steps must be >= 1, got {args.steps}")
     path = Path(args.scenario)
-    if not path.is_file():
-        bundled = _bundled_scenario(path.name)
+    if not path.is_file() and path.name == args.scenario:
+        bundled = _bundled_scenario(args.scenario)
         if bundled.is_file():
             path = bundled
-        else:
-            raise _CliError(EXIT_PARSE, f"cannot read scenario {args.scenario!r}: no such file")
     try:
-        scenario = parse_scenario(path.read_text(), lambda ref: _resolve_model(ref, path.parent))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_PARSE, f"cannot read scenario {args.scenario!r}: "
+                                    f"{_file_error(exc)}") from exc
+    try:
+        scenario = parse_scenario(text, lambda ref: _resolve_model(ref, path.parent))
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, str(exc)) from exc
     except ScenarioError as exc:
@@ -190,10 +182,14 @@ def _cmd_simulate(args) -> int:
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, str(exc)) from exc
 
-    if args.out:
-        Path(args.out).write_text(report.to_json() + "\n")
-    if args.timeline:
-        Path(args.timeline).write_text(report.timeline_csv())
+    for flag, dest, render in (("--out", args.out, lambda: report.to_json() + "\n"),
+                               ("--timeline", args.timeline, report.timeline_csv)):
+        if dest:
+            try:
+                Path(dest).write_text(render())
+            except OSError as exc:
+                raise _CliError(EXIT_BAD_FLAG, f"{flag}: cannot write {dest!r}: "
+                                               f"{_file_error(exc)}") from exc
     for job in report.jobs:
         print(
             f"{job.job}: strategy={job.strategy} workers={job.worker_count} "
@@ -246,11 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="full profile report (JSON)")
     add_profile_flags(p_profile)
-    p_profile.set_defaults(fn=_cmd_profile)
+    p_profile.set_defaults(fn=_cmd_profile, brief=False)
 
     p_split = sub.add_parser("split", help="split decision only (JSON)")
     add_profile_flags(p_split)
-    p_split.set_defaults(fn=_cmd_split)
+    p_split.set_defaults(fn=_cmd_profile, brief=True)
 
     p_vol = sub.add_parser("volumes", help="per-step communication volume table")
     p_vol.add_argument("model")

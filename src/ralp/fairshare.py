@@ -61,8 +61,8 @@ class FairShare:
         self._capacity = [float(c) for c in capacity]
         self._flows_on: list[dict[Flow, None]] = [{} for _ in self._capacity]
         self._ends = [0] * len(self._capacity)  # flow ends per link
-        self._solved_ends = self._ends[:]  # flow ends per link at the last solve
-        self._touched: list[int] = []  # links of flows added or removed since then
+        # Flow ends added minus removed per link since the last solve.
+        self._delta: dict[int, int] = {}
         self._cut = _UNFROZEN  # earliest round in which a departed flow froze
         # One entry per round of the last solve: its level, each link's
         # remainder and unfrozen flow ends at its start, and the flows it
@@ -74,33 +74,29 @@ class FairShare:
         flow.links = links
         flow.rate = math.inf
         flow.frozen_in = _UNFROZEN
-        flows_on, ends = self._flows_on, self._ends
+        flows_on, ends, delta = self._flows_on, self._ends, self._delta
         for l in links:
             flows_on[l][flow] = None
             ends[l] += 1
-        self._touched += links
+            delta[l] = delta.get(l, 0) + 1
 
     def remove(self, flow: Flow) -> None:
         """Remove ``flow``: the next solve refills from the round that froze
         it, if not from an earlier one."""
-        flows_on, ends = self._flows_on, self._ends
+        flows_on, ends, delta = self._flows_on, self._ends, self._delta
         for l in flow.links:
             flows_on[l].pop(flow, None)  # listed once when both ends share a link
             ends[l] -= 1
-        self._touched += flow.links
+            delta[l] = delta.get(l, 0) - 1
         if flow.frozen_in < self._cut:
             self._cut = flow.frozen_in
 
     def solve(self) -> None:
         """Set ``rate`` on every flow whose rate the changes since the last
         solve can move."""
-        log, ends, solved = self._log, self._ends, self._solved_ends
+        log = self._log
         if log:
-            changed = []  # (link, flow ends added minus removed)
-            for l in set(self._touched):
-                if ends[l] != solved[l]:
-                    changed.append((l, ends[l] - solved[l]))
-                    solved[l] = ends[l]
+            changed = [(l, d) for l, d in self._delta.items() if d]
             keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
             _, rem, cnt, _ = log[keep]
             for l, d in changed:
@@ -110,9 +106,8 @@ class FairShare:
                     f.frozen_in = _UNFROZEN
             del log[keep:]
         else:
-            keep, rem, cnt = 0, self._capacity[:], ends[:]
-            solved[:] = ends
-        self._touched.clear()
+            keep, rem, cnt = 0, self._capacity[:], self._ends[:]
+        self._delta.clear()
         self._cut = _UNFROZEN
         self._fill(keep, rem, cnt)
 

@@ -433,6 +433,13 @@ class _Env:
                 done = [f for f, t in zip(flows, finish_times) if t == t_next]
                 done.sort(key=lambda f: f.key)
                 for flow in done:
+                    # Delivered bytes match nbytes up to rounding: of the
+                    # float sums, and of the finish time to the clock's
+                    # resolution.  An infinite-rate flow finishes at once.
+                    slack = 1e-9 * flow.nbytes + flow.rate * math.ulp(t_next)
+                    if flow.rate != inf and abs(flow.remaining) > slack:
+                        raise RuntimeError(f"flow {flow.key} finished with {flow.remaining!r} "
+                                           f"of {flow.nbytes} bytes undelivered")
                     del flows[flow]
                     self._share.remove(flow)
                     self._finish_at(t_next, flow)
@@ -478,8 +485,7 @@ class _JobRun:
             self.agg_s = model.total_param_count * w / cluster.gpu_flops_per_sec
             self.ps_computation_s = self.back_batch_s + self.agg_s
         else:
-            total_flops = 3 * model.forward_flops_per_sample() * model.batch_size
-            self.compute_s = total_flops / cluster.gpu_flops_per_sec
+            self.compute_s = compute_load(model)[0] / cluster.gpu_flops_per_sec
             self.model_bytes = model.total_param_bytes
             if kind is StrategyKind.BASELINE_PS:
                 # PS frameworks place whole variables, so shards are formed by
@@ -734,16 +740,13 @@ def _job_spec(model: ModelGraph, kv: dict[str, str]) -> JobSpec:
 
     if "batch" in kv:
         model = model.with_batch_size(integer("batch"))
-    strategy_name = kv["strategy"]
-    if "split" in kv and strategy_name != "ralp":
-        raise ScenarioError("split= applies only to strategy=ralp")
-    if strategy_name == "baseline":
-        strategy, ps_count = Strategy.baseline(), 1
-    elif strategy_name == "ring":
-        strategy, ps_count = Strategy.ring(), 0
-    elif strategy_name == "ralp":
-        split_token = kv.get("split", "auto")
-        if split_token == "auto":
+    try:
+        kind = StrategyKind(kv["strategy"])
+    except ValueError:
+        raise ScenarioError(f"unknown strategy {kv['strategy']!r}") from None
+    split = None
+    if kind is StrategyKind.RALP:
+        if kv.get("split", "auto") == "auto":
             split = profile(model, ProfilerConfig()).split_index
             if split is None:
                 raise ScenarioError(
@@ -752,11 +755,11 @@ def _job_spec(model: ModelGraph, kv: dict[str, str]) -> JobSpec:
                 )
         else:
             split = integer("split")
-        strategy, ps_count = Strategy.ralp(split), 1
-    else:
-        raise ScenarioError(f"unknown strategy {strategy_name!r}")
-    return JobSpec(model=model, strategy=strategy, worker_count=integer("workers"),
-                   ps_count=integer("ps", ps_count))
+    elif "split" in kv:
+        raise ScenarioError("split= applies only to strategy=ralp")
+    ps_default = 0 if kind is StrategyKind.RING_ALLREDUCE else 1
+    return JobSpec(model=model, strategy=Strategy(kind, split), worker_count=integer("workers"),
+                   ps_count=integer("ps", ps_default))
 
 
 def parse_scenario(
@@ -773,8 +776,9 @@ def parse_scenario(
     steps line, a duplicate job name or a place line for an undeclared job
     raises ScenarioError naming the line; an explicit slot outside the
     cluster or already taken raises CapacityError naming the line.  A
-    model the resolver rejects with UnknownModelError or DescriptorError
-    raises ScenarioError naming the job line, caused by that error.
+    model the resolver rejects with UnknownModelError or DescriptorError,
+    or cannot read (OSError, UnicodeDecodeError), raises ScenarioError
+    naming the job line, caused by that error.
     """
     cluster: Optional[ClusterSpec] = None
     steps = 1
@@ -895,8 +899,9 @@ def parse_scenario(
             model = resolve_model(ref)
         except UnknownModelError as exc:
             raise ScenarioError(f"line {lineno}: job {name!r}: {exc.args[0]}") from exc
-        except DescriptorError as exc:
-            raise ScenarioError(f"line {lineno}: job {name!r}: {ref}: {exc}") from exc
+        except (DescriptorError, OSError, UnicodeDecodeError) as exc:
+            why = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+            raise ScenarioError(f"line {lineno}: job {name!r}: {ref}: {why}") from exc
         try:
             spec = _job_spec(model, kv)
         except ValueError as exc:

@@ -80,7 +80,8 @@ def test_generator_reproduces_bundled_descriptors():
     build_catalog = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(build_catalog)
     generated = build_catalog.build()
-    assert sorted(generated) == ALL_NAMES
+    # The linear stacks are hand-written descriptors; only these are computed.
+    assert sorted(generated) == ["googlenet", "inception-v3", "resnet-50"]
     data = resources.files("ralp") / "catalog_data"
     for name, text in generated.items():
         assert (data / f"{name}.model").read_bytes() == text.encode(), f"{name}.model drifted from its generator"

@@ -64,6 +64,18 @@ class TestProfileCommand:
         assert code == EXIT_UNKNOWN_CATALOG
         assert "vgg11" in err  # lists what is available
 
+    @pytest.mark.parametrize("make", ["undecodable", "directory"])
+    def test_unreadable_descriptor_is_parse_error(self, capsys, tmp_path, make):
+        path = tmp_path / "x.model"
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"model x batch=1 input=4\nf fc out=2 \xff\n")
+        code, out, err = run_cli(capsys, "profile", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: cannot read model descriptor {str(path)!r}: ")
+
     def test_descriptor_syntax_error_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text("model x batch=1 input=4\noops\n")
@@ -95,6 +107,14 @@ class TestSplitCommand:
         payload = json.loads(out)
         assert payload["split_index"] == 13
         assert payload["eligible"] is True
+
+    @pytest.mark.parametrize("mode", ["index_weighted", "literal_values"])
+    def test_split_is_profile_without_layers_and_mode(self, capsys, mode):
+        _, full, _ = run_cli(capsys, "profile", "alexnet", "--mode", mode)
+        _, brief, _ = run_cli(capsys, "split", "alexnet", "--mode", mode)
+        expected = json.loads(full)
+        del expected["layers"], expected["mode"]
+        assert brief == json.dumps(expected, indent=2) + "\n"
 
 
 class TestVolumesCommand:
@@ -176,6 +196,28 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "nope.scn")
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("make", ["bundled-name-in-missing-dir", "undecodable", "directory"])
+    def test_unreadable_scenario_is_parse_error(self, capsys, tmp_path, make):
+        # Only a bare name falls back to the bundled scenario of that name.
+        path = tmp_path / "missing" / "vgg11_16gpu_ralp.scn"
+        if make == "directory":
+            path.mkdir(parents=True)
+        elif make == "undecodable":
+            path.parent.mkdir()
+            path.write_bytes(b"job a model=lenet strategy=ring workers=2 # \xff\n")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: cannot read scenario {str(path)!r}: ")
+
+    @pytest.mark.parametrize("flag", ["--out", "--timeline"])
+    def test_unwritable_output_is_bad_flag(self, capsys, tmp_path, flag):
+        dest = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "simulate", "vgg11_16gpu_baseline.scn", flag, str(dest))
+        assert code == EXIT_BAD_FLAG
+        assert out == ""
+        assert err.startswith(f"error: {flag}: cannot write {str(dest)!r}: ")
+
     def test_capacity_exceeded(self, capsys, tmp_path):
         scn = tmp_path / "big.scn"
         scn.write_text(
@@ -195,6 +237,7 @@ class TestSimulateCommand:
         ("job a model=lenet strategy=baseline workers=2 ps=1 gpu4", "expected key=value"),
         ("job a model=lenet strategy=baseline workers=2 workers=3 ps=1", "duplicate key 'workers'"),
         ("job a model=lenet strategy=baseline workers=2 ps=1 split=3", "split= applies only"),
+        ("job a model=lenet strategy=bogus workers=2 ps=1 split=3", "unknown strategy 'bogus'"),
     ])
     def test_bad_scenario_line_names_its_line(self, capsys, tmp_path, line, message):
         scn = tmp_path / "bad.scn"
@@ -258,6 +301,22 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert err.startswith(f"error: {scn}: line 2: job 'a': z.model: "
                               "line 3, column 4: unknown layer kind 'oops'")
+
+    @pytest.mark.parametrize("make", ["missing", "undecodable", "directory"])
+    def test_unreadable_model_in_scenario_names_the_job_line(self, capsys, tmp_path, make):
+        path = tmp_path / "missing.model"
+        if make == "directory":
+            path.mkdir()
+        elif make == "undecodable":
+            path.write_bytes(b"model z batch=1 input=4\nf fc out=2\xff\n")
+        # Next to the scenario only a file counts, so the directory is named in full.
+        ref = str(path) if make == "directory" else path.name
+        scn = tmp_path / "e.scn"
+        scn.write_text(f"steps 1\njob a model={ref} strategy=baseline workers=1 ps=1\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: {scn}: line 2: job 'a': {ref}: ")
 
     def test_unknown_model_in_scenario_names_the_job_line(self, capsys, tmp_path):
         scn = tmp_path / "e.scn"

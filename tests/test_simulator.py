@@ -336,6 +336,15 @@ class TestDeterminismAndInvariants:
                 assert report.job(name).bytes_on_wire_per_step == \
                     volumes_for(spec).total_bytes_per_step
 
+    def test_flow_shorter_than_the_clock_resolution_delivers_its_bytes(self):
+        # 1e30 B/s moves a layer's gradients in far less than one ulp of the
+        # step clock, so such a flow ends at the instant it starts.
+        spec = JobSpec(model=catalog_lookup("lenet"), strategy=Strategy.baseline(),
+                       worker_count=2, ps_count=1)
+        report = simulate_run(one_job_scenario(spec.model, spec.strategy, 2, 1,
+                                               cluster=small_cluster(link_bytes_per_sec=1e30)))
+        assert report.job("job").bytes_on_wire_per_step == volumes_for(spec).total_bytes_per_step
+
     def test_wire_bytes_independent_of_step_count(self):
         rng = np.random.default_rng(8)
         scenario = random_scenario(rng, steps=3)

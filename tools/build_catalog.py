@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled benchmark descriptors in src/ralp/catalog_data/.
+"""Regenerate the computed benchmark descriptors in src/ralp/catalog_data/.
 
-Linear stacks (alexnet, lenet, overfeat, vgg11, vgg19) are written with
-hyperparameters only; the descriptor parser derives their counts.  Branchy
-architectures (googlenet, inception-v3, resnet-50) are linearized to one
-entry per weighted convolution (batch norm folded into the conv totals),
-in topological order, with standalone entries for the pooling stages; the
-last convolution of each branch group carries the merged block output.
-All explicit numbers are computed here from the architecture tables.
+Branchy architectures (googlenet, inception-v3, resnet-50) are linearized
+to one entry per weighted convolution (batch norm folded into the conv
+totals), in topological order, with standalone entries for the pooling
+stages; the last convolution of each branch group carries the merged
+block output.  All explicit numbers are computed here from the
+architecture tables.  The linear stacks (alexnet, lenet, overfeat, vgg11,
+vgg19) are hand-written descriptors with hyperparameters only, edited in
+place: the descriptor parser derives their counts.
 
-Run with --report to print totals and skewness after regeneration.
+Run with --report to print totals and skewness of the whole catalog after
+regeneration.
 """
 
 from __future__ import annotations
@@ -18,99 +20,6 @@ import argparse
 from pathlib import Path
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "ralp" / "catalog_data"
-
-LINEAR_MODELS = {
-    "alexnet": """\
-# Five convolutions, three fully connected layers (TF benchmark variant).
-model alexnet batch=512 elem_bytes=4 input=227x227x3
-conv1 conv k=11 cout=64 stride=4
-pool1 pool window=3 stride=2
-conv2 conv k=5 cout=192 pad=2
-pool2 pool window=3 stride=2
-conv3 conv k=3 cout=384 pad=1
-conv4 conv k=3 cout=256 pad=1
-conv5 conv k=3 cout=256 pad=1
-pool5 pool window=3 stride=2
-fc6 fc out=4096
-fc7 fc out=4096
-fc8 fc out=1000
-""",
-    "lenet": """\
-# Two convolutions, two fully connected layers, 28x28 inputs.
-model lenet batch=32 elem_bytes=4 input=28x28x3
-conv1 conv k=5 cout=32 pad=2
-pool1 pool window=2
-conv2 conv k=5 cout=64 pad=2
-pool2 pool window=2
-fc1 fc out=512
-fc2 fc out=1000
-""",
-    "overfeat": """\
-# Fast variant: five convolutions (conv1/conv2 unpadded), three fully
-# connected layers.
-model overfeat batch=32 elem_bytes=4 input=231x231x3
-conv1 conv k=11 cout=96 stride=4
-pool1 pool window=2
-conv2 conv k=5 cout=256
-pool2 pool window=2
-conv3 conv k=3 cout=512 pad=1
-conv4 conv k=3 cout=1024 pad=1
-conv5 conv k=3 cout=1024 pad=1
-pool5 pool window=2
-fc6 fc out=3072
-fc7 fc out=4096
-fc8 fc out=1000
-""",
-    "vgg11": """\
-# Configuration A: eight convolutions, three fully connected layers.
-model vgg11 batch=64 elem_bytes=4 input=224x224x3
-conv1 conv k=3 cout=64 pad=1
-pool1 pool window=2
-conv2 conv k=3 cout=128 pad=1
-pool2 pool window=2
-conv3 conv k=3 cout=256 pad=1
-conv4 conv k=3 cout=256 pad=1
-pool3 pool window=2
-conv5 conv k=3 cout=512 pad=1
-conv6 conv k=3 cout=512 pad=1
-pool4 pool window=2
-conv7 conv k=3 cout=512 pad=1
-conv8 conv k=3 cout=512 pad=1
-pool5 pool window=2
-fc1 fc out=4096
-fc2 fc out=4096
-fc3 fc out=1000
-""",
-    "vgg19": """\
-# Configuration E: sixteen convolutions, three fully connected layers.
-model vgg19 batch=64 elem_bytes=4 input=224x224x3
-conv1 conv k=3 cout=64 pad=1
-conv2 conv k=3 cout=64 pad=1
-pool1 pool window=2
-conv3 conv k=3 cout=128 pad=1
-conv4 conv k=3 cout=128 pad=1
-pool2 pool window=2
-conv5 conv k=3 cout=256 pad=1
-conv6 conv k=3 cout=256 pad=1
-conv7 conv k=3 cout=256 pad=1
-conv8 conv k=3 cout=256 pad=1
-pool3 pool window=2
-conv9 conv k=3 cout=512 pad=1
-conv10 conv k=3 cout=512 pad=1
-conv11 conv k=3 cout=512 pad=1
-conv12 conv k=3 cout=512 pad=1
-pool4 pool window=2
-conv13 conv k=3 cout=512 pad=1
-conv14 conv k=3 cout=512 pad=1
-conv15 conv k=3 cout=512 pad=1
-conv16 conv k=3 cout=512 pad=1
-pool5 pool window=2
-fc1 fc out=4096
-fc2 fc out=4096
-fc3 fc out=1000
-""",
-}
-
 
 def conv_entry(name, cin, kh, kw, cout, hw, *, bn, out_elems=None):
     """One linearized convolution: weights (+bias or +batch-norm scale/shift)
@@ -334,17 +243,17 @@ def resnet50_lines():
 
 
 def build() -> dict[str, str]:
-    files = dict(LINEAR_MODELS)
-    files["googlenet"] = "\n".join(googlenet_lines()) + "\n"
-    files["inception-v3"] = "\n".join(inception_v3_lines()) + "\n"
-    files["resnet-50"] = "\n".join(resnet50_lines()) + "\n"
-    return files
+    return {
+        "googlenet": "\n".join(googlenet_lines()) + "\n",
+        "inception-v3": "\n".join(inception_v3_lines()) + "\n",
+        "resnet-50": "\n".join(resnet50_lines()) + "\n",
+    }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--report", action="store_true",
-                        help="parse the generated files and print totals/skewness")
+                        help="parse the catalog and print totals/skewness")
     args = parser.parse_args()
 
     OUT_DIR.mkdir(parents=True, exist_ok=True)
@@ -353,10 +262,10 @@ def main() -> None:
         print(f"wrote {name}.model")
 
     if args.report:
-        from ralp import catalog_lookup, compute_skewness, profile
+        from ralp import catalog_lookup, catalog_names, compute_skewness, profile
 
         print(f"\n{'model':14s} {'layers':>6s} {'params':>12s} {'GB':>7s} {'skewness':>9s} split")
-        for name in sorted(build()):
+        for name in catalog_names():
             model = catalog_lookup(name)
             params = [l.param_count for l in model.layers]
             skew = compute_skewness(params)
