@@ -113,12 +113,18 @@ def _parse_strategies(raw: str) -> list[StrategyKind]:
 
 def _cmd_volumes(args) -> int:
     if args.reproduce_table3:
+        given = [f"--{flag}" for flag in ("workers", "strategies", "split", "format", "gpus")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise _CliError(EXIT_BAD_FLAG, f"--reproduce-table3 prints a fixed table; "
+                                           f"it does not take {', '.join(given)}")
         return _reproduce_table3()
     model = _load_model(args.model)
+    workers_arg = "8" if args.workers is None else args.workers
     try:
-        workers = [int(w) for w in args.workers.split(",")]
+        workers = [int(w) for w in workers_arg.split(",")]
     except ValueError:
-        raise _CliError(EXIT_BAD_FLAG, f"bad --workers value {args.workers!r}") from None
+        raise _CliError(EXIT_BAD_FLAG, f"bad --workers value {workers_arg!r}") from None
     if any(w < 1 for w in workers):
         raise _CliError(EXIT_BAD_FLAG, "--workers values must be >= 1")
     if args.split is not None and not 1 <= args.split < model.num_layers:
@@ -128,7 +134,10 @@ def _cmd_volumes(args) -> int:
         )
     if args.gpus is not None and args.gpus < 2:
         raise _CliError(EXIT_BAD_FLAG, f"--gpus must be >= 2, got {args.gpus}")
-    kinds = _parse_strategies(args.strategies)
+    kinds = _parse_strategies("all" if args.strategies is None else args.strategies)
+    if args.split is not None and StrategyKind.RALP not in kinds:
+        raise _CliError(EXIT_BAD_FLAG, f"--split sets the ralp rows' split, but --strategies "
+                                       f"{args.strategies!r} has no ralp rows")
     rows = compare_strategies(model, workers, kinds, split_index=args.split)
     if args.format == "json":
         print(rows_to_json(rows))
@@ -157,7 +166,7 @@ def _bundled_scenario(name: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     if args.steps is not None and args.steps < 1:
-        raise _CliError(EXIT_PARSE, f"--steps must be >= 1, got {args.steps}")
+        raise _CliError(EXIT_BAD_FLAG, f"--steps must be >= 1, got {args.steps}")
     path = Path(args.scenario)
     if not path.is_file() and path.name == args.scenario:
         bundled = _bundled_scenario(args.scenario)
@@ -250,12 +259,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_vol = sub.add_parser("volumes", help="per-step communication volume table")
     p_vol.add_argument("model")
-    p_vol.add_argument("--workers", default="8", help="comma-separated worker counts")
-    p_vol.add_argument("--strategies", default="all",
-                       help="comma-separated subset of baseline,ralp,ring, or all")
+    # Defaults are None so that --reproduce-table3 can tell a flag was given.
+    p_vol.add_argument("--workers", default=None, help="comma-separated worker counts (default 8)")
+    p_vol.add_argument("--strategies", default=None,
+                       help="comma-separated subset of baseline,ralp,ring, or all (the default)")
     p_vol.add_argument("--split", type=int, default=None,
                        help="override the profiled split layer for the ralp rows")
-    p_vol.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_vol.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="csv (default) or json")
     p_vol.add_argument("--gpus", type=int, default=None,
                        help="also print worker/PS device accounting for this GPU budget")
     p_vol.add_argument("--reproduce-table3", action="store_true",

@@ -15,6 +15,7 @@ kind's hyperparameters on an explicit layer, whose counts are given.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional
 
 from .layers import (
@@ -27,16 +28,20 @@ from .layers import (
 )
 
 _KIND_TOKENS = {kind.value: kind for kind in LayerKind}
+_TOKEN = re.compile(r"\S+")
 
-_HEADER_KEYS = ("batch", "elem_bytes", "input")
-# Keys explicit and derived layer lines accept, then the hyperparameters a
-# derived layer of each kind also accepts.
-_EXPLICIT_KEYS = ("params", "out", "flops", "shape")
-_DERIVED_KEYS = ("params", "out")
+# The keys each kind of line accepts, in the order errors list them, each
+# with the type of its value: the header's, an explicit layer's, and a
+# derived layer's of each kind (params and out, then its hyperparameters).
+_HEADER_KEYS = {"batch": int, "elem_bytes": int, "input": str}
+_EXPLICIT_KEYS = {"params": int, "out": int, "flops": int, "shape": str}
 _KIND_KEYS = {
     LayerKind.CONVOLUTION: ("k", "cout", "stride", "pad", "cin"),
     LayerKind.POOLING: ("window", "stride", "pad"),
     LayerKind.FULLY_CONNECTED: ("in",),
+}
+_DERIVED_KEYS = {
+    kind: dict.fromkeys(("params", "out") + _KIND_KEYS.get(kind, ()), int) for kind in LayerKind
 }
 
 
@@ -53,51 +58,51 @@ class ShapeMismatchError(DescriptorError):
     """Adjacent layers disagree on the tensor flowing between them."""
 
 
-def _parse_shape(text: str, line: int, col: int) -> TensorShape:
+def _column(code: str, token: int) -> int:
+    """1-based column where the ``token``-th whitespace-separated token of
+    ``code`` starts.  Only error messages report columns, so only they pay
+    for finding them."""
+    return next(islice(_TOKEN.finditer(code), token, None)).start() + 1
+
+
+def _parse_shape(text: str, line: int, code: str) -> TensorShape:
+    """A shape value on ``code``; its errors point at the line's first token."""
     parts = text.lower().split("x")
     try:
         dims = [int(p) for p in parts]
     except ValueError:
-        raise DescriptorError(f"bad shape {text!r} (expected HxWxC or N)", line, col) from None
+        dims = []  # reported below, with the wrong-rank shapes
     if len(dims) == 1:
         return TensorShape.flat(dims[0])
     if len(dims) == 3:
         return TensorShape(*dims)
-    raise DescriptorError(f"bad shape {text!r} (expected HxWxC or N)", line, col)
+    raise DescriptorError(f"bad shape {text!r} (expected HxWxC or N)", line, _column(code, 0))
 
 
 def _parse_kv(
-    tokens: list[str], line: int, offsets: list[int], allowed: tuple[str, ...]
+    tokens: list[str], first: int, allowed: dict[str, type], line: int, code: str
 ) -> dict[str, object]:
+    """The ``key=value`` pairs of ``tokens[first:]``, split from ``code``,
+    each value converted to ``allowed[key]``."""
     pairs: dict[str, object] = {}
-    for token, col in zip(tokens, offsets):
-        if "=" not in token:
-            raise DescriptorError(f"expected key=value, got {token!r}", line, col)
+    for i, token in enumerate(tokens[first:], first):
         key, _, value = token.partition("=")
-        if not key or not value:
-            raise DescriptorError(f"expected key=value, got {token!r}", line, col)
-        if key not in allowed:
+        if not key or not value:  # also a token without '='
+            raise DescriptorError(f"expected key=value, got {token!r}", line, _column(code, i))
+        convert = allowed.get(key)
+        if convert is None:
             raise DescriptorError(
-                f"unknown key {key!r}; expected one of {', '.join(allowed)}", line, col
+                f"unknown key {key!r}; expected one of {', '.join(allowed)}", line, _column(code, i)
             )
         if key in pairs:
-            raise DescriptorError(f"duplicate key {key!r}", line, col)
-        if key not in ("input", "shape"):
-            try:
-                pairs[key] = int(value)
-            except ValueError:
-                raise DescriptorError(f"key {key!r} needs an integer, got {value!r}", line, col) from None
-        else:
-            pairs[key] = value
+            raise DescriptorError(f"duplicate key {key!r}", line, _column(code, i))
+        try:
+            pairs[key] = convert(value)
+        except ValueError:  # only int() raises
+            raise DescriptorError(
+                f"key {key!r} needs an integer, got {value!r}", line, _column(code, i)
+            ) from None
     return pairs
-
-
-def _tokenize(raw: str) -> tuple[list[str], list[int]]:
-    tokens, offsets = [], []
-    for match in re.finditer(r"\S+", raw):
-        tokens.append(match.group(0))
-        offsets.append(match.start() + 1)
-    return tokens, offsets
 
 
 def parse_model(text: str) -> ModelGraph:
@@ -109,61 +114,63 @@ def parse_model(text: str) -> ModelGraph:
     prev_name = "<input>"
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        code = raw.partition("#")[0]
+        tokens = code.split()
+        if not tokens:
             continue
-        tokens, offsets = _tokenize(stripped)
 
         if header is None:
             if tokens[0] != "model":
-                raise DescriptorError(f"expected 'model' header, got {tokens[0]!r}", lineno, offsets[0])
+                raise DescriptorError(f"expected 'model' header, got {tokens[0]!r}", lineno, _column(code, 0))
             if len(tokens) < 2 or "=" in tokens[1]:
-                raise DescriptorError("model header needs a name", lineno, offsets[0])
+                raise DescriptorError("model header needs a name", lineno, _column(code, 0))
             header = {"name": tokens[1]}
-            header.update(_parse_kv(tokens[2:], lineno, offsets[2:], _HEADER_KEYS))
+            header.update(_parse_kv(tokens, 2, _HEADER_KEYS, lineno, code))
             if "batch" not in header:
-                raise DescriptorError("model header needs batch=<n>", lineno, offsets[0])
+                raise DescriptorError("model header needs batch=<n>", lineno, _column(code, 0))
             if "input" in header:
-                shape = _parse_shape(str(header["input"]), lineno, offsets[0])
+                shape = _parse_shape(str(header["input"]), lineno, code)
             header_line = lineno
             continue
 
         if len(tokens) < 2:
-            raise DescriptorError("layer line needs <name> <kind> [key=value ...]", lineno, offsets[0])
+            raise DescriptorError("layer line needs <name> <kind> [key=value ...]", lineno, _column(code, 0))
         name, kind_token = tokens[0], tokens[1]
         if "=" in name or "=" in kind_token:
-            raise DescriptorError("layer line needs <name> <kind> before key=value pairs", lineno, offsets[0])
+            raise DescriptorError("layer line needs <name> <kind> before key=value pairs",
+                                  lineno, _column(code, 0))
         kind = _KIND_TOKENS.get(kind_token)
         if kind is None:
             raise DescriptorError(
                 f"unknown layer kind {kind_token!r} (expected one of {', '.join(sorted(_KIND_TOKENS))})",
                 lineno,
-                offsets[1],
+                _column(code, 1),
             )
         keys = {token.partition("=")[0] for token in tokens[2:]}
         explicit = "params" in keys or ("out" in keys and kind is not LayerKind.FULLY_CONNECTED)
-        layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS + _KIND_KEYS.get(kind, ())
-        kv = _parse_kv(tokens[2:], lineno, offsets[2:], layer_keys)
+        layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS[kind]
+        kv = _parse_kv(tokens, 2, layer_keys, lineno, code)
         try:
             if explicit:
                 if "out" not in kv:
-                    raise DescriptorError(f"explicit layer {name!r} needs out=<elems>", lineno, offsets[0])
+                    raise DescriptorError(f"explicit layer {name!r} needs out=<elems>",
+                                          lineno, _column(code, 0))
                 params, out_elems, flops = int(kv.get("params", 0)), int(kv["out"]), int(kv.get("flops", 0))
                 if "shape" in kv:
-                    new_shape = _parse_shape(str(kv["shape"]), lineno, offsets[0])
+                    new_shape = _parse_shape(str(kv["shape"]), lineno, code)
                 else:
                     new_shape = TensorShape.flat(out_elems)
             else:
                 if kind is LayerKind.BLOCK:
                     raise DescriptorError(
-                        f"block layer {name!r} needs explicit params= out= flops=", lineno, offsets[0]
+                        f"block layer {name!r} needs explicit params= out= flops=", lineno, _column(code, 0)
                     )
                 if shape is None:
                     raise DescriptorError(
                         f"layer {name!r} needs an input shape (set input= in the header "
                         "or give explicit out=)",
                         lineno,
-                        offsets[0],
+                        _column(code, 0),
                     )
                 if kind is LayerKind.CONVOLUTION and "cin" in kv:
                     declared = int(kv["cin"])
@@ -172,7 +179,7 @@ def parse_model(text: str) -> ModelGraph:
                             f"layer {name!r} declares cin={declared} but {prev_name!r} "
                             f"produces {shape}",
                             lineno,
-                            offsets[0],
+                            _column(code, 0),
                         )
                 if kind is LayerKind.FULLY_CONNECTED and "in" in kv:
                     declared = int(kv["in"])
@@ -181,24 +188,16 @@ def parse_model(text: str) -> ModelGraph:
                             f"layer {name!r} declares in={declared} but {prev_name!r} "
                             f"produces {shape.elems} elements",
                             lineno,
-                            offsets[0],
+                            _column(code, 0),
                         )
                 try:
                     params, out_elems, flops, new_shape = infer_layer(kind, kv, shape)
                 except KeyError as exc:  # a required hyperparameter is missing
                     raise DescriptorError(f"{kind.value} layer {name!r} needs {exc.args[0]}=",
-                                          lineno, offsets[0]) from None
-            layers.append(
-                LayerSpec(
-                    name=name,
-                    kind=kind,
-                    param_count=params,
-                    output_elems_per_sample=out_elems,
-                    compute_flops_per_sample=flops,
-                )
-            )
+                                          lineno, _column(code, 0)) from None
+            layers.append(LayerSpec(name, kind, params, out_elems, flops))
         except ModelError as exc:
-            raise DescriptorError(str(exc), lineno, offsets[0]) from None
+            raise DescriptorError(str(exc), lineno, _column(code, 0)) from None
         shape = new_shape
         prev_name = name
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional
 
 
@@ -31,6 +33,10 @@ class LayerKind(enum.Enum):
     # Fused subgraph (e.g. an inception branch conv or a bottleneck conv with
     # batch norm folded in) whose totals are given explicitly.
     BLOCK = "block"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and keeps set lookups out of Python code.
+    __hash__ = object.__hash__
 
 
 # Kinds that may carry parameters.
@@ -133,11 +139,7 @@ def infer_layer(
     """
     if kind is LayerKind.CONVOLUTION:
         params, shape, flops = infer_conv(
-            input_shape,
-            kernel=settings["k"],
-            c_out=settings["cout"],
-            stride=settings.get("stride", 1),
-            pad=settings.get("pad", 0),
+            input_shape, settings["k"], settings["cout"], settings.get("stride", 1), settings.get("pad", 0)
         )
         return params, shape.elems, flops, shape
     if kind is LayerKind.POOLING:
@@ -210,9 +212,20 @@ class ModelGraph:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    # Prefix sums over the chain, computed once per instance: entry i covers
+    # layers 1..i, so entry 0 is 0 and the last entry is the whole model.
+    # ``replace`` builds a new instance, which starts without them.
+    @cached_property
+    def param_count_prefix(self) -> tuple[int, ...]:
+        return tuple(accumulate((l.param_count for l in self.layers), initial=0))
+
+    @cached_property
+    def flops_prefix(self) -> tuple[int, ...]:
+        return tuple(accumulate((l.compute_flops_per_sample for l in self.layers), initial=0))
+
     @property
     def total_param_count(self) -> int:
-        return sum(layer.param_count for layer in self.layers)
+        return self.param_count_prefix[-1]
 
     @property
     def total_param_bytes(self) -> int:
@@ -235,7 +248,7 @@ class ModelGraph:
         """Parameter bytes of layers 1..index inclusive."""
         if not 1 <= index <= self.num_layers:
             raise ModelError(f"model {self.name}: layer index {index} out of range")
-        return self.bytes_per_element * sum(l.param_count for l in self.layers[:index])
+        return self.bytes_per_element * self.param_count_prefix[index]
 
     def forward_flops_per_sample(self, start: int = 1, stop: Optional[int] = None) -> int:
         """Forward flops of layers start..stop inclusive (whole model by default)."""
@@ -243,7 +256,8 @@ class ModelGraph:
             stop = self.num_layers
         if not 1 <= start <= stop <= self.num_layers:
             raise ModelError(f"model {self.name}: bad layer range [{start}, {stop}]")
-        return sum(l.compute_flops_per_sample for l in self.layers[start - 1 : stop])
+        prefix = self.flops_prefix
+        return prefix[stop] - prefix[start - 1]
 
     def with_batch_size(self, batch_size: int) -> "ModelGraph":
         return replace(self, batch_size=batch_size)

@@ -13,6 +13,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
@@ -197,16 +198,13 @@ class ProfileReport:
 
 def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> ProfileReport:
     """Run the full static profile: skewness, gate, split choice."""
-    p_bytes = tuple(model.param_bytes(i) for i in range(1, model.num_layers + 1))
-    o_bytes = tuple(model.output_bytes(i) for i in range(1, model.num_layers + 1))
-    cum = []
-    running = 0
-    for p in p_bytes:
-        running += p
-        cum.append(running)
+    layers = model.layers
+    elem = model.bytes_per_element
+    p_bytes = tuple(l.param_count * elem for l in layers)
+    o_bytes = tuple(l.output_elems_per_sample * model.batch_size * elem for l in layers)
 
-    kinds = tuple(layer.kind for layer in model.layers)
-    degenerate = model.num_layers < 2 or model.total_param_count == 0
+    kinds = tuple(l.kind for l in layers)
+    degenerate = len(layers) < 2 or model.total_param_count == 0
     if degenerate:
         skew = 0.0
         passed_gate = False
@@ -223,11 +221,11 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
 
     return ProfileReport(
         model_name=model.name,
-        layer_names=tuple(l.name for l in model.layers),
-        layer_kinds=tuple(l.kind.value for l in model.layers),
+        layer_names=tuple(l.name for l in layers),
+        layer_kinds=tuple(k._value_ for k in kinds),  # .value is a Python-level property
         param_bytes=p_bytes,
         output_bytes=o_bytes,
-        cumulative_param_bytes=tuple(cum),
+        cumulative_param_bytes=tuple(accumulate(p_bytes)),
         skewness=skew,
         threshold=config.threshold,
         mode=SkewnessMode(config.mode).value,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -176,6 +177,23 @@ class TestVolumesCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("strategies", ["baseline", "ring", "baseline,ring"])
+    def test_split_without_ralp_rows_is_bad_flag(self, capsys, strategies):
+        code, out, err = run_cli(capsys, "volumes", "vgg11", "--strategies", strategies, "--split", "3")
+        assert code == EXIT_BAD_FLAG
+        assert out == ""
+        assert "--split" in err and repr(strategies) in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "8"), ("--split", "3"), ("--gpus", "16"), ("--strategies", "all"), ("--format", "csv"),
+    ])
+    def test_reproduce_table3_rejects_table_flags(self, capsys, flag, value):
+        # Even a flag's default value is refused: the fixed table ignores it.
+        code, out, err = run_cli(capsys, "volumes", "vgg11", "--reproduce-table3", flag, value)
+        assert code == EXIT_BAD_FLAG
+        assert out == ""
+        assert flag in err
+
 
 class TestSimulateCommand:
     def test_bundled_baseline_scenario(self, capsys, tmp_path):
@@ -189,7 +207,7 @@ class TestSimulateCommand:
 
     def test_zero_steps_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "vgg11_16gpu_baseline.scn", "--steps", "0")
-        assert code == EXIT_PARSE
+        assert code == EXIT_BAD_FLAG
         assert "steps" in err
 
     def test_missing_scenario_file(self, capsys):
@@ -385,6 +403,27 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "--json")
         payload = json.loads(out)
         assert {entry["name"] for entry in payload} >= {"vgg11", "lenet"}
+
+
+class TestPlanDigest:
+    """sha256 of every planning command's output on the whole catalog,
+    recorded before the layer sums were cached and before the descriptor
+    parser stopped tokenizing with a regex.  Any byte that moves in any
+    report changes it."""
+
+    def test_catalog_reports(self, capsys):
+        runs = [("catalog",), ("catalog", "--json"), ("volumes", "vgg11", "--reproduce-table3")]
+        for name in ralp.catalog_names():
+            runs += [("profile", name, "--mode", mode) for mode in ("index_weighted", "literal_values")]
+            runs.append(("split", name))
+            runs.append(("volumes", name, "--workers", "1,8,15", "--gpus", "16", "--format", "json"))
+        digest = hashlib.sha256()
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            digest.update(f"{' '.join(argv)}\n{out}".encode())
+        assert len(runs) == 35
+        assert digest.hexdigest() == "34d3b01b0d3333dd3060db2de1cfc4d24060e5bc4cc5daf12d09cfb541fe0b9c"
 
 
 _PACKAGE = Path(str(resources.files("ralp")))

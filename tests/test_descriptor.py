@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,3 +167,60 @@ class TestExplicitTotals:
             for l in layers
         )
         assert parse_model(text) == built
+
+
+# Malformed header and layer lines: (words, index of the offending word,
+# message).  ``{kv}`` expands to the line's valid key=value words with one
+# bad word inserted; its index is then the bad word's.
+_HEADER = (["model", "m"], ["batch=2", "input=8x8x3"])
+_LAYER = (["c", "conv"], ["k=3", "cout=4", "pad=1"])
+_BAD_WORDS = [
+    ("oops", "expected key=value, got 'oops'"),
+    ("=4", "expected key=value, got '=4'"),
+    ("stride=", "expected key=value, got 'stride='"),
+    ("zz=1", "unknown key 'zz'"),
+]
+_WHOLE_LINE = [  # errors that point at a fixed word
+    (["modle", "m", "batch=2"], 0, "expected 'model' header"),
+    (["c", "warp", "k=3"], 1, "unknown layer kind 'warp'"),
+    (["c"], 0, "layer line needs <name> <kind>"),
+    (["k=3", "conv"], 0, "before key=value pairs"),
+    (["c", "conv", "k=9", "cout=4"], 0, "does not fit"),
+    (["c", "block", "out=4", "shape=2x2"], 0, "bad shape"),
+]
+_SPACE = st.text(alphabet=" \t", min_size=1, max_size=3)
+
+
+class TestErrorColumns:
+    @given(data=st.data(), header=st.booleans(), lead=st.text(alphabet=" \t", max_size=3),
+           comment=st.sampled_from(["", "#", "  # k=oops zz=1", "\t#x y"]))
+    @settings(max_examples=300, deadline=None)
+    def test_column_is_the_offending_word(self, data, header, lead, comment):
+        kind = data.draw(st.sampled_from(["bad", "duplicate", "integer", "whole"]))
+        if kind == "whole":
+            words, at, message = data.draw(st.sampled_from(_WHOLE_LINE))
+            header = words[0] == "modle"
+        else:
+            head, kv = _HEADER if header else _LAYER
+            kv = list(kv)
+            if kind == "duplicate":
+                pos = data.draw(st.integers(1, len(kv)))
+                bad, message = kv[0], f"duplicate key {kv[0].partition('=')[0]!r}"
+            else:
+                pos = data.draw(st.integers(0, len(kv)))
+                if kind == "integer":
+                    key = "elem_bytes" if header else "stride"
+                    bad, message = f"{key}=two", f"key {key!r} needs an integer, got 'two'"
+                else:
+                    bad, message = data.draw(st.sampled_from(_BAD_WORDS))
+                    if header and bad == "stride=":
+                        bad, message = "input=", "expected key=value, got 'input='"
+            kv.insert(pos, bad)
+            words, at = head + kv, len(head) + pos
+        line = lead + "".join(w + data.draw(_SPACE) for w in words) + comment
+        text = f"{line}\nc conv k=3 cout=4\n" if header else f"model m batch=2 input=8x8x3\n{line}\n"
+        with pytest.raises(DescriptorError) as err:
+            parse_model(text)
+        starts = [m.start() + 1 for m in re.finditer(r"\S+", line)]
+        assert (err.value.line, err.value.column) == (1 if header else 2, starts[at])
+        assert message in str(err.value)

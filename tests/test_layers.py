@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ralp.layers import (
+    PARAMETERIZED_KINDS,
     LayerKind,
     ModelError,
     ModelGraph,
@@ -100,3 +105,61 @@ class TestModelGraph:
             make_layer(1, LayerKind.CONVOLUTION, params=5, out=0)
         # loss may produce nothing
         make_layer(1, LayerKind.LOSS, params=0, out=0)
+
+
+_layer_specs = st.lists(
+    st.tuples(
+        st.sampled_from([LayerKind.CONVOLUTION, LayerKind.FULLY_CONNECTED, LayerKind.BLOCK,
+                         LayerKind.POOLING, LayerKind.ACTIVATION]),
+        st.integers(0, 10**9),  # params (dropped for free kinds)
+        st.integers(1, 10**7),  # output elems
+        st.integers(0, 10**12),  # flops
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _chain(spec) -> tuple:
+    return tuple(make_layer(i + 1, kind, params if kind in PARAMETERIZED_KINDS else 0, out, flops)
+                 for i, (kind, params, out, flops) in enumerate(spec))
+
+
+class TestCachedSums:
+    @given(spec=_layer_specs, other=_layer_specs, batch=st.integers(1, 512), new_batch=st.integers(1, 512),
+           elem=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=150, deadline=None)
+    def test_accessors_equal_plain_sums(self, spec, other, batch, new_batch, elem):
+        layers = _chain(spec)
+        model = ModelGraph(name="m", layers=layers, batch_size=batch, bytes_per_element=elem)
+        fresh = ModelGraph(name="m", layers=layers, batch_size=batch, bytes_per_element=elem)
+
+        def check(m):
+            n = len(m.layers)
+            assert m.total_param_count == sum(l.param_count for l in m.layers)
+            assert m.total_param_bytes == m.bytes_per_element * m.total_param_count
+            for i in range(1, n + 1):
+                assert m.cumulative_param_bytes(i) == m.bytes_per_element * sum(
+                    l.param_count for l in m.layers[:i])
+                for j in range(i, n + 1):
+                    assert m.forward_flops_per_sample(i, j) == sum(
+                        l.compute_flops_per_sample for l in m.layers[i - 1 : j])
+            assert m.forward_flops_per_sample() == sum(l.compute_flops_per_sample for l in m.layers)
+            for bad in (0, n + 1):
+                with pytest.raises(ModelError, match="out of range"):
+                    m.cumulative_param_bytes(bad)
+            with pytest.raises(ModelError, match="bad layer range"):
+                m.forward_flops_per_sample(n, n + 1)
+
+        check(model)
+        # Reading the sums leaves equality, hash and repr as they were.
+        assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+
+        # Copies made after the sums were read report their own values.
+        rebatched = model.with_batch_size(new_batch)
+        assert rebatched.batch_size == new_batch
+        for i, layer in enumerate(layers, start=1):
+            assert rebatched.output_bytes(i) == layer.output_elems_per_sample * new_batch * elem
+        check(rebatched)
+        check(dataclasses.replace(model, layers=_chain(other)))
+        check(dataclasses.replace(model, bytes_per_element=elem * 2))
