@@ -112,6 +112,7 @@ def _parse_strategies(raw: str) -> list[StrategyKind]:
 
 
 def _cmd_volumes(args) -> int:
+    model = _load_model(args.model)
     if args.reproduce_table3:
         given = [f"--{flag}" for flag in ("workers", "strategies", "split", "format", "gpus")
                  if getattr(args, flag) is not None]
@@ -119,7 +120,6 @@ def _cmd_volumes(args) -> int:
             raise _CliError(EXIT_BAD_FLAG, f"--reproduce-table3 prints a fixed table; "
                                            f"it does not take {', '.join(given)}")
         return _reproduce_table3()
-    model = _load_model(args.model)
     workers_arg = "8" if args.workers is None else args.workers
     try:
         workers = [int(w) for w in workers_arg.split(",")]

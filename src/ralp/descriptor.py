@@ -6,8 +6,9 @@ comment.  Layers are either *derived* (hyperparameters given, counts
 inferred and shape-checked against the previous layer) or *explicit*
 (``params= out= flops=`` given directly, used for fused blocks and for
 linearized branchy architectures where chain inference does not apply;
-``shape=HxWxC`` sets the shape the next layer sees).  A key the header or
-the layer's kind does not take is an error, and so are ``flops=`` and
+``shape=HxWxC`` sets the shape the next layer sees and must hold ``out=``
+elements).  Every dimension of a shape is at least 1.  A key the header
+or the layer's kind does not take is an error, and so are ``flops=`` and
 ``shape=`` on a derived layer, whose flops and shape are inferred, and a
 kind's hyperparameters on an explicit layer, whose counts are given.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from math import prod
 from typing import Optional
 
 from .layers import (
@@ -65,18 +67,27 @@ def _column(code: str, token: int) -> int:
     return next(islice(_TOKEN.finditer(code), token, None)).start() + 1
 
 
-def _parse_shape(text: str, line: int, code: str) -> TensorShape:
-    """A shape value on ``code``; its errors point at the line's first token."""
+def _parse_shape(
+    text: str, elems: Optional[int], key: str, tokens: list[str], line: int, code: str
+) -> TensorShape:
+    """The shape ``text`` of the ``key=`` word among ``tokens``, split from
+    ``code``, with ``elems`` elements unless that is None.  Its errors point
+    at that word."""
     parts = text.lower().split("x")
     try:
         dims = [int(p) for p in parts]
     except ValueError:
         dims = []  # reported below, with the wrong-rank shapes
-    if len(dims) == 1:
-        return TensorShape.flat(dims[0])
-    if len(dims) == 3:
-        return TensorShape(*dims)
-    raise DescriptorError(f"bad shape {text!r} (expected HxWxC or N)", line, _column(code, 0))
+    if len(dims) not in (1, 3):
+        problem = "expected HxWxC or N"
+    elif min(dims) < 1:
+        problem = "every dimension must be >= 1"
+    elif elems is not None and prod(dims) != elems:
+        problem = f"{prod(dims)} elements, but out={elems}"
+    else:
+        return TensorShape.flat(dims[0]) if len(dims) == 1 else TensorShape(*dims)
+    at = next(i for i, token in enumerate(tokens) if token.startswith(key + "="))
+    raise DescriptorError(f"bad shape {text!r} ({problem})", line, _column(code, at))
 
 
 def _parse_kv(
@@ -129,7 +140,7 @@ def parse_model(text: str) -> ModelGraph:
             if "batch" not in header:
                 raise DescriptorError("model header needs batch=<n>", lineno, _column(code, 0))
             if "input" in header:
-                shape = _parse_shape(str(header["input"]), lineno, code)
+                shape = _parse_shape(str(header["input"]), None, "input", tokens, lineno, code)
             header_line = lineno
             continue
 
@@ -157,7 +168,7 @@ def parse_model(text: str) -> ModelGraph:
                                           lineno, _column(code, 0))
                 params, out_elems, flops = int(kv.get("params", 0)), int(kv["out"]), int(kv.get("flops", 0))
                 if "shape" in kv:
-                    new_shape = _parse_shape(str(kv["shape"]), lineno, code)
+                    new_shape = _parse_shape(str(kv["shape"]), out_elems, "shape", tokens, lineno, code)
                 else:
                     new_shape = TensorShape.flat(out_elems)
             else:

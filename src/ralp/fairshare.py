@@ -55,13 +55,18 @@ class FairShare:
     them counted.  The next solve keeps those rounds, with their unfrozen
     counts moved by the added and departed flow ends, leaves the flows they
     froze untouched, and refills from the first round that may differ.
+
+    The flow-end counts come from one change log, the flow ends added
+    minus removed per link since the last solve.  The first solve is cold:
+    it starts every link at zero, so the log alone gives its counts.  Both
+    kinds of solve apply the log to their starting counts in the same way.
     """
 
     def __init__(self, capacity: Sequence[float]):
         self._capacity = [float(c) for c in capacity]
         self._flows_on: list[dict[Flow, None]] = [{} for _ in self._capacity]
-        self._ends = [0] * len(self._capacity)  # flow ends per link
-        # Flow ends added minus removed per link since the last solve.
+        # Flow ends added minus removed per link since the last solve (since
+        # construction before the first solve).
         self._delta: dict[int, int] = {}
         self._cut = _UNFROZEN  # earliest round in which a departed flow froze
         # One entry per round of the last solve: its level, each link's
@@ -74,19 +79,17 @@ class FairShare:
         flow.links = links
         flow.rate = math.inf
         flow.frozen_in = _UNFROZEN
-        flows_on, ends, delta = self._flows_on, self._ends, self._delta
+        flows_on, delta = self._flows_on, self._delta
         for l in links:
             flows_on[l][flow] = None
-            ends[l] += 1
             delta[l] = delta.get(l, 0) + 1
 
     def remove(self, flow: Flow) -> None:
         """Remove ``flow``: the next solve refills from the round that froze
         it, if not from an earlier one."""
-        flows_on, ends, delta = self._flows_on, self._ends, self._delta
+        flows_on, delta = self._flows_on, self._delta
         for l in flow.links:
             flows_on[l].pop(flow, None)  # listed once when both ends share a link
-            ends[l] -= 1
             delta[l] = delta.get(l, 0) - 1
         if flow.frozen_in < self._cut:
             self._cut = flow.frozen_in
@@ -95,18 +98,18 @@ class FairShare:
         """Set ``rate`` on every flow whose rate the changes since the last
         solve can move."""
         log = self._log
+        changed = [(l, d) for l, d in self._delta.items() if d]
         if log:
-            changed = [(l, d) for l, d in self._delta.items() if d]
             keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
             _, rem, cnt, _ = log[keep]
-            for l, d in changed:
-                cnt[l] += d
             for _, _, _, flows in log[keep:]:
                 for f in flows:
                     f.frozen_in = _UNFROZEN
             del log[keep:]
         else:
-            keep, rem, cnt = 0, self._capacity[:], self._ends[:]
+            keep, rem, cnt = 0, self._capacity[:], [0] * len(self._capacity)
+        for l, d in changed:
+            cnt[l] += d
         self._delta.clear()
         self._cut = _UNFROZEN
         self._fill(keep, rem, cnt)

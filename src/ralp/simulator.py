@@ -11,21 +11,28 @@ it starts and leaves when it finishes, and each solve between events
 replays the previous solve's rounds that the change leaves alone.
 
 Each step of each job is a small task graph, built by one function per
-strategy and run by one event loop for all jobs.  A task is either a
-delay (compute, memcopy or PS work) or a flow of bytes between two
-machines, and it starts once all its predecessors have finished.  The
-split strategy's back-segment batches are serial tasks: the PS runs them
-one at a time, in the order they became ready.  A worker's step ends
-with its last task.
+strategy and run by one event loop for all jobs.  A builder computes its
+strategy's constants from the model's cached sums and returns the step's
+per-worker PS computation.  A task is either a delay (compute, memcopy or
+PS work, or a transfer that needs no network) or a flow of bytes between
+two machines, and it starts once all its predecessors have finished.  A
+transfer within one machine is a delay at the intra-machine rate, and an
+empty transfer is a zero-second delay.  The split strategy's
+back-segment batches are serial tasks: the PS runs them one at a time,
+in the order they became ready.  A worker's step ends with its last task.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
 memcopy, and communication.  Worker computation and memcopy are the sums
-of the worker's delay tasks tagged with that bucket; PS computation is a
-per-strategy constant; communication is the residual (step duration
+of the worker's delay tasks tagged with that bucket; PS computation is
+what the builder returned; communication is the residual (step duration
 minus the other three), mirroring how such breakdowns are measured from
 traces, so the four buckets sum to the reported step duration
-identically.  A step's wire bytes are the sum of its flows' bytes.
+identically.  The residual is clamped at zero.  A residual below -16
+ulps of the clock at the worker's step end, more than the clock and the
+bucket sums can round, is an engine error: some bucket then holds time
+the worker did not spend.  A step's wire bytes are the sum of its
+transfers' bytes, local ones included.
 
 A consolidation runs each job alone once per placement shape (its
 machines relabelled by first use) and gives that report to every copy of
@@ -324,12 +331,24 @@ def _split_bytes(total: int, parts: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(parts)]
 
 
+def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
+    """Parameter bytes per PS shard.  PS frameworks place whole variables,
+    so shards are formed by assigning weighted layers round-robin.  Under
+    parameter skew one shard ends up carrying most of the model, which is
+    what makes the baseline's PS link the bottleneck."""
+    shards = [0] * ps_count
+    weighted = [l.param_count for l in model.layers if l.param_count > 0]
+    for pos, count in enumerate(weighted):
+        shards[pos % ps_count] += count * model.bytes_per_element
+    return shards
+
+
 class _Task(fairshare.Flow):
     """One node of a job's step graph: a delay of ``seconds`` (``src`` is
-    None) or a flow of ``nbytes`` from machine ``src`` to ``dst``.  It
-    starts once its ``waiting`` predecessors have finished; a ``serial``
-    task waits its turn in its job's FIFO queue; finishing a task with a
-    ``last`` worker index ends that worker's step."""
+    None) or a network flow of ``nbytes`` from machine ``src`` to another
+    machine ``dst``.  It starts once its ``waiting`` predecessors have
+    finished; a ``serial`` task waits its turn in its job's FIFO queue;
+    finishing a task with a ``last`` worker index ends that worker's step."""
 
     __slots__ = ("job", "seconds", "src", "dst", "nbytes", "key", "serial", "last",
                  "succ", "waiting", "remaining")
@@ -376,10 +395,6 @@ class _Env:
             job.serial_busy = True
         if task.src is None:
             self._finish_at(self.now + task.seconds, task)
-        elif task.nbytes <= 0:
-            self._finish_at(self.now, task)
-        elif task.src == task.dst:
-            self._finish_at(self.now + task.nbytes / self.cluster.intra_machine_bytes_per_sec, task)
         else:
             task.remaining = float(task.nbytes)
             self._flows[task] = None
@@ -459,53 +474,14 @@ class _JobRun:
         self.job_id = job_id
         self.name = name
         self.spec = spec
-        self.placement = placement
         self.total_steps = total_steps
         self.model = spec.model
         self.records: list[StepBreakdown] = []
-        self.wire_bytes: list[int] = []
         self.serial_queue: deque[_Task] = deque()
         self.serial_busy = False
-
-        cluster = env.cluster
-        model = self.model
-        kind = spec.strategy.kind
-        w = spec.worker_count
         self.worker_machines = [m for m, _ in placement.workers]
         self.ps_machines = [m for m, _ in placement.ps]
-
-        if kind is StrategyKind.RALP:
-            split = spec.strategy.split_index
-            worker_flops, ps_flops = compute_load(model, split, worker_count=1)
-            self.front_fwd_s = (worker_flops / 3) / cluster.gpu_flops_per_sec
-            self.front_bwd_s = 2 * self.front_fwd_s
-            self.back_batch_s = ps_flops / cluster.gpu_flops_per_sec
-            self.cut_bytes = model.output_bytes(split)
-            self.front_param_bytes = model.cumulative_param_bytes(split)
-            self.agg_s = model.total_param_count * w / cluster.gpu_flops_per_sec
-            self.ps_computation_s = self.back_batch_s + self.agg_s
-        else:
-            self.compute_s = compute_load(model)[0] / cluster.gpu_flops_per_sec
-            self.model_bytes = model.total_param_bytes
-            if kind is StrategyKind.BASELINE_PS:
-                # PS frameworks place whole variables, so shards are formed by
-                # assigning weighted layers round-robin.  Under parameter skew
-                # one shard ends up carrying most of the model, which is what
-                # makes the baseline's PS link the bottleneck.
-                self.shard_bytes = [0] * spec.ps_count
-                weighted = [l.param_count for l in model.layers if l.param_count > 0]
-                for pos, count in enumerate(weighted):
-                    self.shard_bytes[pos % spec.ps_count] += count * model.bytes_per_element
-                self.shard_agg_s = [
-                    (b // model.bytes_per_element) * w / cluster.gpu_flops_per_sec
-                    for b in self.shard_bytes
-                ]
-                self.ps_computation_s = max(self.shard_agg_s)
-            else:
-                self.ring_shares = _split_bytes(2 * self.model_bytes * (w - 1), w) if w > 0 else []
-                self.ps_computation_s = 0.0
-
-        self.memcopy_rate = cluster.memcopy_bytes_per_sec
+        self._build_step = _STEP_BUILDERS[spec.strategy.kind]
 
     # step graphs ----------------------------------------------------------
 
@@ -515,15 +491,9 @@ class _JobRun:
         self.compute_acc = [0.0] * w
         self.memcopy_acc = [0.0] * w
         self.worker_end = [0.0] * w
-        self.step_wire = 0
+        self.bytes_on_wire_per_step = 0
         self.done_count = 0
-        kind = self.spec.strategy.kind
-        if kind is StrategyKind.BASELINE_PS:
-            self._baseline_step()
-        elif kind is StrategyKind.RALP:
-            self._ralp_step()
-        else:
-            self._ring_step()
+        self.ps_computation_s = self._build_step(self)
 
     def _delay(self, after, seconds, bucket=None, worker=None, serial=False, last=None):
         """A delay task; ``bucket`` (compute_acc or memcopy_acc) charges its
@@ -538,58 +508,82 @@ class _JobRun:
         return task
 
     def _flow(self, after, src, dst, nbytes, key):
-        self.step_wire += nbytes
+        """A transfer of ``nbytes`` from machine ``src`` to ``dst``, counted
+        in the step's wire bytes: a network flow, or a delay when it is
+        empty or stays within one machine."""
+        self.bytes_on_wire_per_step += nbytes
+        if not nbytes:
+            return self._delay(after, 0.0)
+        if src == dst:
+            return self._delay(after, nbytes / self.env.cluster.intra_machine_bytes_per_sec)
         return _Task(self, after, src=src, dst=dst, nbytes=nbytes, key=(self.job_id, *key))
 
-    def _baseline_step(self):
-        rate = self.memcopy_rate
+    def _baseline_step(self) -> float:
+        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
+        rate, flops = cluster.memcopy_bytes_per_sec, cluster.gpu_flops_per_sec
+        compute_s = compute_load(model)[0] / flops
+        model_bytes = model.total_param_bytes
+        shard_bytes = _shard_bytes(model, self.spec.ps_count)
         pushes = [[] for _ in self.ps_machines]
         for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), self.compute_s, self.compute_acc, i)
-            d2h = self._delay([compute], self.model_bytes / rate, self.memcopy_acc, i)
+            compute = self._delay((), compute_s, self.compute_acc, i)
+            d2h = self._delay([compute], model_bytes / rate, self.memcopy_acc, i)
             for s, ps_machine in enumerate(self.ps_machines):
-                pushes[s].append(self._flow([d2h], me, ps_machine, self.shard_bytes[s],
-                                            (i, "push", s)))
+                pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s], (i, "push", s)))
         pulls = [[] for _ in self.worker_machines]
+        shard_agg_s = [(b // model.bytes_per_element) * w / flops for b in shard_bytes]
         for s, ps_machine in enumerate(self.ps_machines):
-            agg = self._delay(pushes[s], self.shard_agg_s[s])
+            agg = self._delay(pushes[s], shard_agg_s[s])
             for i, worker_machine in enumerate(self.worker_machines):
-                pulls[i].append(self._flow([agg], ps_machine, worker_machine, self.shard_bytes[s],
+                pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s],
                                            (i, "pull", s)))
         for i, after in enumerate(pulls):
-            self._delay(after, self.model_bytes / rate, self.memcopy_acc, i, last=i)
+            self._delay(after, model_bytes / rate, self.memcopy_acc, i, last=i)
+        return max(shard_agg_s)
 
-    def _ralp_step(self):
-        rate, ps_machine = self.memcopy_rate, self.ps_machines[0]
-        cut, params = self.cut_bytes, self.front_param_bytes
+    def _ralp_step(self) -> float:
+        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
+        rate, flops = cluster.memcopy_bytes_per_sec, cluster.gpu_flops_per_sec
+        split, ps_machine = self.spec.strategy.split_index, self.ps_machines[0]
+        worker_flops, ps_flops = compute_load(model, split, worker_count=1)
+        front_fwd_s = (worker_flops / 3) / flops
+        back_batch_s = ps_flops / flops
+        agg_s = model.total_param_count * w / flops
+        cut, params = model.output_bytes(split), model.cumulative_param_bytes(split)
         grads = []
         for i, me in enumerate(self.worker_machines):
-            fwd = self._delay((), self.front_fwd_s, self.compute_acc, i)
+            fwd = self._delay((), front_fwd_s, self.compute_acc, i)
             d2h = self._delay([fwd], cut / rate, self.memcopy_acc, i)
             act = self._flow([d2h], me, ps_machine, cut, (i, "act", 0))
             # The PS runs the back segment for one batch at a time, in the
             # order the activations arrive.
-            back = self._delay([act], self.back_batch_s, serial=True)
+            back = self._delay([act], back_batch_s, serial=True)
             actgrad = self._flow([back], ps_machine, me, cut, (i, "actgrad", 0))
             h2d = self._delay([actgrad], cut / rate, self.memcopy_acc, i)
-            bwd = self._delay([h2d], self.front_bwd_s, self.compute_acc, i)
+            bwd = self._delay([h2d], 2 * front_fwd_s, self.compute_acc, i)
             d2h = self._delay([bwd], params / rate, self.memcopy_acc, i)
             grads.append(self._flow([d2h], me, ps_machine, params, (i, "grad", 0)))
-        agg = self._delay(grads, self.agg_s)
+        agg = self._delay(grads, agg_s)
         for i, me in enumerate(self.worker_machines):
             pull = self._flow([agg], ps_machine, me, params, (i, "pull", 0))
             self._delay([pull], params / rate, self.memcopy_acc, i, last=i)
+        return back_batch_s + agg_s
 
-    def _ring_step(self):
-        rate, w = self.memcopy_rate, self.spec.worker_count
+    def _ring_step(self) -> float:
+        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
+        rate = cluster.memcopy_bytes_per_sec
+        compute_s = compute_load(model)[0] / cluster.gpu_flops_per_sec
+        model_bytes = model.total_param_bytes
+        shares = _split_bytes(2 * model_bytes * (w - 1), w)
         sends = []
         for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), self.compute_s, self.compute_acc, i)
-            d2h = self._delay([compute], self.model_bytes / rate, self.memcopy_acc, i)
+            compute = self._delay((), compute_s, self.compute_acc, i)
+            d2h = self._delay([compute], model_bytes / rate, self.memcopy_acc, i)
             peer = self.worker_machines[(i + 1) % w]
-            sends.append(self._flow([d2h], me, peer, self.ring_shares[i], (i, "ring", 0)))
+            sends.append(self._flow([d2h], me, peer, shares[i], (i, "ring", 0)))
         for i in range(w):
-            self._delay(sends, self.model_bytes / rate, self.memcopy_acc, i, last=i)
+            self._delay(sends, model_bytes / rate, self.memcopy_acc, i, last=i)
+        return 0.0
 
     def worker_done(self, i: int):
         self.worker_end[i] = self.env.now
@@ -598,24 +592,38 @@ class _JobRun:
             self._finalize_step()
 
     def _finalize_step(self):
-        w = self.spec.worker_count
+        w, step, ps_s = self.spec.worker_count, len(self.records) + 1, self.ps_computation_s
         comm = []
         for i in range(w):
-            span = self.worker_end[i] - self.step_start
-            residual = span - (self.compute_acc[i] + self.memcopy_acc[i] + self.ps_computation_s)
+            end = self.worker_end[i]
+            span = end - self.step_start
+            residual = span - (self.compute_acc[i] + self.memcopy_acc[i] + ps_s)
+            # Each clock advance along the worker's chain (at most 12 tasks)
+            # and each bucket addition rounds by at most half an ulp of the
+            # clock at the step's end, so honest buckets stay well within
+            # 16 of those ulps of the span.
+            if residual < -16 * math.ulp(end):
+                raise RuntimeError(f"job {self.name} step {step} worker {i}: buckets exceed "
+                                   f"the {span!r} s span by {-residual!r} s")
             comm.append(max(0.0, residual))
         record = StepBreakdown(
             job=self.name,
-            step=len(self.records) + 1,
+            step=step,
             worker_computation=tuple(self.compute_acc),
-            ps_computation=(self.ps_computation_s,) * w,
+            ps_computation=(ps_s,) * w,
             memcopy=tuple(self.memcopy_acc),
             communication=tuple(comm),
         )
         self.records.append(record)
-        self.wire_bytes.append(self.step_wire)
         if len(self.records) < self.total_steps:
             self.start_step()
+
+
+_STEP_BUILDERS = {
+    StrategyKind.BASELINE_PS: _JobRun._baseline_step,
+    StrategyKind.RALP: _JobRun._ralp_step,
+    StrategyKind.RING_ALLREDUCE: _JobRun._ring_step,
+}
 
 
 # -- public entry points ----------------------------------------------------
@@ -636,8 +644,6 @@ def simulate_run(scenario: Scenario) -> SimReport:
     for run in runs:
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant
             raise RuntimeError(f"job {run.name} finished {len(run.records)} of {scenario.steps} steps")
-        if len(set(run.wire_bytes)) != 1:  # pragma: no cover - engine invariant
-            raise RuntimeError(f"job {run.name} moved different byte counts across steps")
         reports.append(
             JobReport(
                 job=run.name,
@@ -645,7 +651,7 @@ def simulate_run(scenario: Scenario) -> SimReport:
                 worker_count=run.spec.worker_count,
                 batch_size=run.model.batch_size,
                 steps=tuple(run.records),
-                bytes_on_wire_per_step=run.wire_bytes[0],
+                bytes_on_wire_per_step=run.bytes_on_wire_per_step,
             )
         )
     return SimReport(jobs=tuple(reports))
@@ -868,8 +874,6 @@ def parse_scenario(
 
     if cluster is None:
         cluster = DEFAULT_CLUSTER
-    if not job_lines:
-        raise ScenarioError("scenario has no jobs")
 
     declared: dict[str, int] = {}
     for lineno, name, _ in job_lines:

@@ -160,6 +160,16 @@ class TestVolumesCommand:
         rows = dict(line.split(",", 1) for line in out.strip().split("\n")[1:])
         assert rows["vgg11"].endswith("6.93")
 
+    def test_reproduce_table3_resolves_its_model(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "volumes", "nosuchmodel", "--reproduce-table3")
+        assert (code, out) == (EXIT_UNKNOWN_CATALOG, "")
+        assert "nosuchmodel" in err
+        bad = tmp_path / "bad.model"
+        bad.write_text("model m batch=1 input=0x0x3\n")
+        code, out, err = run_cli(capsys, "volumes", str(bad), "--reproduce-table3")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "line 1, column 17: bad shape" in err
+
     def test_bad_workers_value(self, capsys):
         code, _, _ = run_cli(capsys, "volumes", "vgg11", "--workers", "eight")
         assert code == EXIT_BAD_FLAG

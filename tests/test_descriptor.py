@@ -134,6 +134,20 @@ class TestParse:
         with pytest.raises(DescriptorError, match=rf"line {line}, column {column}: {message}"):
             parse_model(text)
 
+    @pytest.mark.parametrize("text, line, column, message", [
+        # an explicit shape must hold out= elements, or the next layer is
+        # sized for a tensor the block does not produce
+        ("model m batch=1 input=4\nb block params=5 out=4 shape=2x2x10\nf fc out=2\n", 2, 24,
+         "bad shape '2x2x10' (40 elements, but out=4)"),
+        # a zero dimension is not a flat vector (the column test covers
+        # layer lines; these are header lines)
+        ("model m batch=1 input=0x0x3\nf fc out=2\n", 1, 17, "bad shape '0x0x3' (every dimension must be >= 1)"),
+        ("model m batch=1 input=0\nf fc out=2\n", 1, 17, "bad shape '0' (every dimension must be >= 1)"),
+    ])
+    def test_bad_shape_names_line_and_column(self, text, line, column, message):
+        with pytest.raises(DescriptorError, match=rf"^line {line}, column {column}: {re.escape(message)}"):
+            parse_model(text)
+
     def test_every_documented_key_is_accepted(self):
         text = (
             "model m batch=2 elem_bytes=4 input=8x8x3\n"
@@ -186,7 +200,9 @@ _WHOLE_LINE = [  # errors that point at a fixed word
     (["c"], 0, "layer line needs <name> <kind>"),
     (["k=3", "conv"], 0, "before key=value pairs"),
     (["c", "conv", "k=9", "cout=4"], 0, "does not fit"),
-    (["c", "block", "out=4", "shape=2x2"], 0, "bad shape"),
+    (["c", "block", "out=4", "shape=2x2"], 3, "bad shape '2x2' (expected HxWxC or N)"),
+    (["c", "block", "shape=2x2x10", "out=4"], 2, "bad shape '2x2x10' (40 elements, but out=4)"),
+    (["c", "block", "out=4", "shape=2x0x2"], 3, "bad shape '2x0x2' (every dimension must be >= 1)"),
 ]
 _SPACE = st.text(alphabet=" \t", min_size=1, max_size=3)
 

@@ -177,6 +177,24 @@ class TestReferenceEquivalence:
         assert [x.hex() for x in capacity] == [x.hex() for x in before]
 
 
+def apply_batch(state, present, batch):
+    """Apply one of ``event_batches``' batches to ``state``; ``present``
+    lists the flows in it, with their ends, in arrival order."""
+    for op in batch:
+        if isinstance(op, tuple):
+            flow = fairshare.Flow()
+            state.add(flow, tuple(l for l in op if l >= 0))
+            present.append((flow, op))
+        elif present:
+            flow, _ = present.pop(op % len(present))
+            state.remove(flow)
+
+
+def assert_matches_reference(present, capacity):
+    want = progressive_filling([a for _, (a, _) in present], [b for _, (_, b) in present], capacity)
+    assert [f.rate.hex() for f, _ in present] == [x.hex() for x in want]
+
+
 class TestWarmStart:
     """A FairShare solved after every batch of arrivals and departures
     must give each present flow the rate a cold solve of the same flows
@@ -197,15 +215,22 @@ class TestWarmStart:
         state = fairshare.FairShare(capacity)
         present = []
         for batch in batches:
-            for op in batch:
-                if isinstance(op, tuple):
-                    flow = fairshare.Flow()
-                    state.add(flow, tuple(l for l in op if l >= 0))
-                    present.append((flow, op))
-                elif present:
-                    flow, _ = present.pop(op % len(present))
-                    state.remove(flow)
+            apply_batch(state, present, batch)
             state.solve()
-            want = progressive_filling([a for _, (a, _) in present], [b for _, (_, b) in present],
-                                       capacity)
-            assert [f.rate.hex() for f, _ in present] == [x.hex() for x in want]
+            assert_matches_reference(present, capacity)
+
+    @given(case=event_batches())
+    # Before the first solve, link 0 gains three flow ends and loses all
+    # three, and link 1 gains two and loses one.
+    @example(case=([2.0, 5.0], [[(0, 1), (0, 0), 0, (-1, 1)], [0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_first_solve_counts_from_the_change_log(self, case):
+        # Every batch is applied before the first solve, so that cold
+        # solve takes each link's flow ends from the change log alone.
+        capacity, batches = case
+        state = fairshare.FairShare(capacity)
+        present = []
+        for batch in batches:
+            apply_batch(state, present, batch)
+        state.solve()
+        assert_matches_reference(present, capacity)

@@ -236,22 +236,19 @@ class TestSingleResourceCases:
         # PS shards hold whole weighted layers, assigned in order; with 8
         # shards, vgg11's dominant first fully connected layer lands with
         # conv1 on shard 0.
-        from ralp.simulator import _Env, _JobRun
+        from ralp.simulator import _shard_bytes
 
         model = catalog_lookup("vgg11")
-        cluster = small_cluster(machines=8, gpus_per_machine=2)
-        spec = JobSpec(model=model, strategy=Strategy.baseline(), worker_count=8, ps_count=8)
-        placement = spread_placement(cluster, [(8, 8)])[0]
-        run = _JobRun(_Env(cluster), 0, "j", spec, placement, 1)
+        shard_bytes = _shard_bytes(model, 8)
         weighted = [l.param_count * 4 for l in model.layers if l.param_count > 0]
         assert len(weighted) == 11
         expected = [0] * 8
         for pos, nbytes in enumerate(weighted):
             expected[pos % 8] += nbytes
-        assert run.shard_bytes == expected
-        assert sum(run.shard_bytes) == model.total_param_bytes
+        assert shard_bytes == expected
+        assert sum(shard_bytes) == model.total_param_bytes
         # the skew-dominant shard carries conv1 + fc1
-        assert max(run.shard_bytes) == weighted[0] + weighted[8]
+        assert max(shard_bytes) == weighted[0] + weighted[8]
 
 
 class TestDeterminismAndInvariants:
@@ -320,6 +317,23 @@ class TestDeterminismAndInvariants:
                         + step.communication[w]
                     )
                     assert total == step.step_duration(w)
+
+    def test_buckets_that_exceed_the_span_raise(self, monkeypatch):
+        # With every transfer on one machine, communication is shorter than
+        # a memcopy, so charging each memcopy twice leaves a negative
+        # residual that the clamp at zero would hide.
+        delay = simulator._JobRun._delay
+
+        def charge_memcopy_twice(run, after, seconds, bucket=None, worker=None, **kw):
+            if bucket is run.memcopy_acc:
+                bucket[worker] += seconds
+            return delay(run, after, seconds, bucket, worker, **kw)
+
+        monkeypatch.setattr(simulator._JobRun, "_delay", charge_memcopy_twice)
+        scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1,
+                                    cluster=small_cluster(machines=1, gpus_per_machine=3))
+        with pytest.raises(RuntimeError, match=r"^job job step 1 worker 0: buckets exceed the "):
+            simulate_run(scenario)
 
     def test_max_at_least_avg(self):
         rng = np.random.default_rng(77)

@@ -1,0 +1,39 @@
+"""The traced benchmark (perfbench/tracer.py) wraps ralp functions by
+module attribute.  These tests load it by path, so a change to ralp that
+drops or renames one of those attributes fails here and not only in the
+traced benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def current(points):
+    return [getattr(module, attr) for module, attr, _ in points]
+
+
+def test_every_patch_point_is_callable():
+    for module, attr, _ in load_tracer().PATCH_POINTS:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_uninstall_restores_the_originals():
+    tracer = load_tracer()
+    points = tracer.PATCH_POINTS
+    before = current(points)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        assert all(fn is not orig and fn.__wrapped__ is orig
+                   for fn, orig in zip(current(points), before))
+    finally:
+        traced.uninstall()
+    assert all(fn is orig for fn, orig in zip(current(points), before))
