@@ -190,6 +190,8 @@ def _cmd_simulate(args) -> int:
         report = simulate_run(scenario)
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, str(exc)) from exc
+    except ScenarioError as exc:
+        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
     for flag, dest, render in (("--out", args.out, lambda: report.to_json() + "\n"),
                                ("--timeline", args.timeline, report.timeline_csv)):

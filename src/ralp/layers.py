@@ -47,6 +47,11 @@ PARAMETERIZED_KINDS = frozenset(
 # Kinds the split planner must not cut between (compute-heavy layers).
 COMPUTE_DEMAND_KINDS = frozenset({LayerKind.CONVOLUTION, LayerKind.BLOCK})
 
+# Bound on a model's byte and flop totals.  The profiler and the simulator
+# turn them into floats and scale them by a few layer and worker counts;
+# the bound leaves those factors 2**64 of room below the float range.
+FLOAT_TOTAL_LIMIT = 2**960
+
 
 @dataclass(frozen=True)
 class TensorShape:
@@ -207,6 +212,18 @@ class ModelGraph:
             raise ModelError(f"model {self.name}: batch_size must be >= 1")
         if self.bytes_per_element < 1:
             raise ModelError(f"model {self.name}: bytes_per_element must be >= 1")
+        # A plain sum of flops: a planning pass never needs flops_prefix.
+        step_bytes = self.batch_size * self.bytes_per_element
+        for what, total in (
+            ("parameter bytes", self.total_param_bytes),
+            ("activation bytes per step",
+             max(l.output_elems_per_sample for l in self.layers) * step_bytes),
+            ("training flops per step",
+             3 * sum(l.compute_flops_per_sample for l in self.layers) * self.batch_size),
+        ):
+            if total >= FLOAT_TOTAL_LIMIT:
+                raise ModelError(f"model {self.name}: {what} reach 2**960, "
+                                 "too large for float arithmetic")
 
     @property
     def num_layers(self) -> int:

@@ -10,16 +10,21 @@ The event loop keeps one fairshare.FairShare per run: a flow joins it when
 it starts and leaves when it finishes, and each solve between events
 replays the previous solve's rounds that the change leaves alone.
 
-Each step of each job is a small task graph, built by one function per
-strategy and run by one event loop for all jobs.  A builder computes its
-strategy's constants from the model's cached sums and returns the step's
-per-worker PS computation.  A task is either a delay (compute, memcopy or
-PS work, or a transfer that needs no network) or a flow of bytes between
-two machines, and it starts once all its predecessors have finished.  A
-transfer within one machine is a delay at the intra-machine rate, and an
-empty transfer is a zero-second delay.  The split strategy's
-back-segment batches are serial tasks: the PS runs them one at a time,
-in the order they became ready.  A worker's step ends with its last task.
+A job's step is a small task graph, built once per job by one function
+per strategy, re-armed each step, and run by one event loop for all
+jobs.  A builder computes its strategy's constants from the model's
+cached sums and returns the step's per-worker PS computation.  A task is
+either a delay (compute, memcopy or PS work, or a transfer that needs no
+network) or a flow of bytes between two machines, and it starts once all
+its predecessors have finished.  A transfer within one machine is a
+delay at the intra-machine rate, and an empty transfer is a zero-second
+delay.  A delay or flow that a cluster rate would make endless is
+rejected when the graph is built.  The split strategy's back-segment
+batches are serial tasks: the PS runs them one at a time, in the order
+they became ready.  A worker's step ends with its last task.  Re-arming
+resets each task's count of unfinished predecessors and starts the
+graph's roots in the order they were built, so every step makes the
+event loop the same calls, in the same order, as a freshly built graph.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
@@ -346,12 +351,13 @@ def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
 class _Task(fairshare.Flow):
     """One node of a job's step graph: a delay of ``seconds`` (``src`` is
     None) or a network flow of ``nbytes`` from machine ``src`` to another
-    machine ``dst``.  It starts once its ``waiting`` predecessors have
-    finished; a ``serial`` task waits its turn in its job's FIFO queue;
-    finishing a task with a ``last`` worker index ends that worker's step."""
+    machine ``dst``.  Each step it starts once its ``preds`` predecessors
+    have finished (``waiting`` counts those still running); a ``serial``
+    task waits its turn in its job's FIFO queue; finishing a task with a
+    ``last`` worker index ends that worker's step."""
 
     __slots__ = ("job", "seconds", "src", "dst", "nbytes", "key", "serial", "last",
-                 "succ", "waiting", "remaining")
+                 "succ", "preds", "waiting", "remaining")
 
     def __init__(self, job, after, seconds=0.0, src=None, dst=None, nbytes=0, key=None,
                  serial=False, last=None):
@@ -364,9 +370,10 @@ class _Task(fairshare.Flow):
         self.serial = serial
         self.last = last
         self.succ = []
-        self.waiting = len(after)
+        self.preds = len(after)
         for pred in after:
             pred.succ.append(self)
+        job.tasks.append(self)
 
 
 class _Env:
@@ -466,8 +473,11 @@ class _Env:
 
 # -- per-job runtime -------------------------------------------------------
 
-
 class _JobRun:
+    """One job of a run.  Its step graph is built once, here, and re-armed
+    by each ``start_step``: the per-worker bucket sums, the PS computation
+    time and the wire bytes are the same every step."""
+
     def __init__(self, env: _Env, job_id: int, name: str, spec: JobSpec, placement: Placement,
                  total_steps: int):
         self.env = env
@@ -481,108 +491,133 @@ class _JobRun:
         self.serial_busy = False
         self.worker_machines = [m for m, _ in placement.workers]
         self.ps_machines = [m for m, _ in placement.ps]
-        self._build_step = _STEP_BUILDERS[spec.strategy.kind]
+        w = spec.worker_count
+        self.compute_acc = [0.0] * w
+        self.memcopy_acc = [0.0] * w
+        self.bytes_on_wire_per_step = 0
+        self.tasks: list[_Task] = []  # in build order
+        self.ps_computation_s = _STEP_BUILDERS[spec.strategy.kind](self)
 
     # step graphs ----------------------------------------------------------
 
     def start_step(self):
-        w = self.spec.worker_count
+        """Re-arm the step graph and start its roots in build order.  A
+        start only schedules a task, so the roots can start while later
+        tasks are re-armed."""
         self.step_start = self.env.now
-        self.compute_acc = [0.0] * w
-        self.memcopy_acc = [0.0] * w
-        self.worker_end = [0.0] * w
-        self.bytes_on_wire_per_step = 0
+        self.worker_end = [0.0] * self.spec.worker_count
         self.done_count = 0
-        self.ps_computation_s = self._build_step(self)
+        for task in self.tasks:
+            task.waiting = task.preds
+            if not task.preds:
+                self.env.start(task)
 
-    def _delay(self, after, seconds, bucket=None, worker=None, serial=False, last=None):
-        """A delay task; ``bucket`` (compute_acc or memcopy_acc) charges its
-        seconds to ``worker``, in the order the worker's tasks are built.
-        A task with nothing to wait for starts at once: tasks finish only
-        inside the event loop, so the rest of the graph is built by then."""
+    def release(self):
+        """Drop the run's step graph and event loop.  Each task points back
+        at its run, and the fair-share log keeps the last solve's flows, so
+        until then they form reference cycles that only the cyclic
+        collector frees."""
+        self.tasks = ()
+        self.env = None
+
+    def _seconds(self, amount, rate) -> float:
+        """``amount`` flops or bytes at the cluster rate named ``rate`` (a
+        ``ClusterSpec`` field), in seconds.  A rate so small that the task
+        would never end is a ScenarioError: the event loop could not finish
+        it."""
+        value = getattr(self.env.cluster, rate)
+        seconds = amount / value
+        if not math.isfinite(seconds):
+            raise ScenarioError(f"job {self.name!r}: cluster rate {rate}={value!r} makes a "
+                                f"task take {seconds!r} s")
+        return seconds
+
+    def _delay(self, after, amount, rate, bucket=None, worker=None, serial=False, last=None):
+        """A delay task of ``amount`` flops or bytes at the cluster rate
+        named ``rate``; ``bucket`` (compute_acc or memcopy_acc) charges its
+        seconds to ``worker``, in the order the worker's tasks are built."""
+        seconds = self._seconds(amount, rate)
         if bucket is not None:
             bucket[worker] += seconds
-        task = _Task(self, after, seconds, serial=serial, last=last)
-        if not after:
-            self.env.start(task)
-        return task
+        return _Task(self, after, seconds, serial=serial, last=last)
 
     def _flow(self, after, src, dst, nbytes, key):
         """A transfer of ``nbytes`` from machine ``src`` to ``dst``, counted
-        in the step's wire bytes: a network flow, or a delay when it is
-        empty or stays within one machine."""
+        in the step's wire bytes: a network flow, or a delay at the
+        intra-machine rate when it is empty or stays within one machine."""
         self.bytes_on_wire_per_step += nbytes
-        if not nbytes:
-            return self._delay(after, 0.0)
-        if src == dst:
-            return self._delay(after, nbytes / self.env.cluster.intra_machine_bytes_per_sec)
+        if not nbytes or src == dst:
+            return self._delay(after, nbytes, "intra_machine_bytes_per_sec")
+        self._seconds(nbytes, "link_bytes_per_sec")
         return _Task(self, after, src=src, dst=dst, nbytes=nbytes, key=(self.job_id, *key))
 
     def _baseline_step(self) -> float:
-        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
-        rate, flops = cluster.memcopy_bytes_per_sec, cluster.gpu_flops_per_sec
-        compute_s = compute_load(model)[0] / flops
+        model, w = self.model, self.spec.worker_count
+        compute_flops = compute_load(model)[0]
         model_bytes = model.total_param_bytes
         shard_bytes = _shard_bytes(model, self.spec.ps_count)
         pushes = [[] for _ in self.ps_machines]
         for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), compute_s, self.compute_acc, i)
-            d2h = self._delay([compute], model_bytes / rate, self.memcopy_acc, i)
+            compute = self._delay((), compute_flops, "gpu_flops_per_sec", self.compute_acc, i)
+            d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
+                              self.memcopy_acc, i)
             for s, ps_machine in enumerate(self.ps_machines):
                 pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s], (i, "push", s)))
         pulls = [[] for _ in self.worker_machines]
-        shard_agg_s = [(b // model.bytes_per_element) * w / flops for b in shard_bytes]
+        aggs = []
         for s, ps_machine in enumerate(self.ps_machines):
-            agg = self._delay(pushes[s], shard_agg_s[s])
+            agg = self._delay(pushes[s], (shard_bytes[s] // model.bytes_per_element) * w,
+                              "gpu_flops_per_sec")
+            aggs.append(agg)
             for i, worker_machine in enumerate(self.worker_machines):
                 pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s],
                                            (i, "pull", s)))
         for i, after in enumerate(pulls):
-            self._delay(after, model_bytes / rate, self.memcopy_acc, i, last=i)
-        return max(shard_agg_s)
+            self._delay(after, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
+                        last=i)
+        return max(agg.seconds for agg in aggs)
 
     def _ralp_step(self) -> float:
-        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
-        rate, flops = cluster.memcopy_bytes_per_sec, cluster.gpu_flops_per_sec
+        model, w = self.model, self.spec.worker_count
         split, ps_machine = self.spec.strategy.split_index, self.ps_machines[0]
         worker_flops, ps_flops = compute_load(model, split, worker_count=1)
-        front_fwd_s = (worker_flops / 3) / flops
-        back_batch_s = ps_flops / flops
-        agg_s = model.total_param_count * w / flops
+        front_fwd_flops = worker_flops / 3
         cut, params = model.output_bytes(split), model.cumulative_param_bytes(split)
         grads = []
         for i, me in enumerate(self.worker_machines):
-            fwd = self._delay((), front_fwd_s, self.compute_acc, i)
-            d2h = self._delay([fwd], cut / rate, self.memcopy_acc, i)
+            fwd = self._delay((), front_fwd_flops, "gpu_flops_per_sec", self.compute_acc, i)
+            d2h = self._delay([fwd], cut, "memcopy_bytes_per_sec", self.memcopy_acc, i)
             act = self._flow([d2h], me, ps_machine, cut, (i, "act", 0))
             # The PS runs the back segment for one batch at a time, in the
             # order the activations arrive.
-            back = self._delay([act], back_batch_s, serial=True)
+            back = self._delay([act], ps_flops, "gpu_flops_per_sec", serial=True)
             actgrad = self._flow([back], ps_machine, me, cut, (i, "actgrad", 0))
-            h2d = self._delay([actgrad], cut / rate, self.memcopy_acc, i)
-            bwd = self._delay([h2d], 2 * front_fwd_s, self.compute_acc, i)
-            d2h = self._delay([bwd], params / rate, self.memcopy_acc, i)
+            h2d = self._delay([actgrad], cut, "memcopy_bytes_per_sec", self.memcopy_acc, i)
+            bwd = self._delay([h2d], 2 * front_fwd_flops, "gpu_flops_per_sec",
+                              self.compute_acc, i)
+            d2h = self._delay([bwd], params, "memcopy_bytes_per_sec", self.memcopy_acc, i)
             grads.append(self._flow([d2h], me, ps_machine, params, (i, "grad", 0)))
-        agg = self._delay(grads, agg_s)
+        agg = self._delay(grads, model.total_param_count * w, "gpu_flops_per_sec")
         for i, me in enumerate(self.worker_machines):
             pull = self._flow([agg], ps_machine, me, params, (i, "pull", 0))
-            self._delay([pull], params / rate, self.memcopy_acc, i, last=i)
-        return back_batch_s + agg_s
+            self._delay([pull], params, "memcopy_bytes_per_sec", self.memcopy_acc, i, last=i)
+        return back.seconds + agg.seconds  # every worker's back batch takes as long
 
     def _ring_step(self) -> float:
-        cluster, model, w = self.env.cluster, self.model, self.spec.worker_count
-        rate = cluster.memcopy_bytes_per_sec
-        compute_s = compute_load(model)[0] / cluster.gpu_flops_per_sec
+        model, w = self.model, self.spec.worker_count
+        compute_flops = compute_load(model)[0]
         model_bytes = model.total_param_bytes
         shares = _split_bytes(2 * model_bytes * (w - 1), w)
         sends = []
         for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), compute_s, self.compute_acc, i)
-            d2h = self._delay([compute], model_bytes / rate, self.memcopy_acc, i)
+            compute = self._delay((), compute_flops, "gpu_flops_per_sec", self.compute_acc, i)
+            d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
+                              self.memcopy_acc, i)
             peer = self.worker_machines[(i + 1) % w]
             sends.append(self._flow([d2h], me, peer, shares[i], (i, "ring", 0)))
         for i in range(w):
-            self._delay(sends, model_bytes / rate, self.memcopy_acc, i, last=i)
+            self._delay(sends, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
+                        last=i)
         return 0.0
 
     def worker_done(self, i: int):
@@ -633,12 +668,15 @@ def simulate_run(scenario: Scenario) -> SimReport:
     """Run every job for scenario.steps synchronous steps and report."""
     env = _Env(scenario.cluster)
     runs = []
-    for job_id, (name, spec, placement) in enumerate(scenario.jobs):
-        run = _JobRun(env, job_id, name, spec, placement, scenario.steps)
-        runs.append(run)
-    for run in runs:
-        run.start_step()
-    env.run()
+    try:
+        for job_id, (name, spec, placement) in enumerate(scenario.jobs):
+            runs.append(_JobRun(env, job_id, name, spec, placement, scenario.steps))
+        for run in runs:
+            run.start_step()
+        env.run()
+    finally:
+        for run in runs:
+            run.release()
 
     reports = []
     for run in runs:

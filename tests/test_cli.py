@@ -84,6 +84,17 @@ class TestProfileCommand:
         assert code == EXIT_PARSE
         assert "line 2" in err
 
+    @pytest.mark.parametrize("command", ["profile", "volumes"])
+    def test_sizes_beyond_float_range_are_parse_errors(self, capsys, tmp_path, command):
+        huge = tmp_path / "huge.model"
+        huge.write_text("\nmodel huge batch=1\na fc params=1" + "0" * 400 + " out=10\n"
+                        "b fc params=5 out=2\n")
+        code, out, err = run_cli(capsys, command, str(huge))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (f"error: {huge}: line 2, column 1: model huge: parameter bytes reach "
+                       "2**960, too large for float arithmetic\n")
+
     def test_bad_mode_flag(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--mode", "sideways")
         assert code == EXIT_BAD_FLAG
@@ -245,6 +256,34 @@ class TestSimulateCommand:
         assert code == EXIT_BAD_FLAG
         assert out == ""
         assert err.startswith(f"error: {flag}: cannot write {str(dest)!r}: ")
+
+    def test_batch_beyond_float_range_names_the_job_line(self, capsys, tmp_path):
+        scn = tmp_path / "e.scn"
+        scn.write_text("steps 1\njob a model=vgg11 strategy=baseline workers=2 ps=1 batch=1"
+                       + "0" * 320 + "\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: {scn}: line 2: job 'a': model vgg11: activation bytes "
+                              "per step reach 2**960")
+
+    @pytest.mark.parametrize("key, rate, cluster", [
+        ("flops", "gpu_flops_per_sec", "machines=8"),
+        ("memcopy", "memcopy_bytes_per_sec", "machines=8"),
+        ("link", "link_bytes_per_sec", "machines=8"),
+        # One machine, so the transfers stay on it.
+        ("intra", "intra_machine_bytes_per_sec", "machines=1"),
+    ])
+    def test_rate_that_makes_a_task_endless_is_parse_error(self, capsys, tmp_path, key, rate,
+                                                          cluster):
+        scn = tmp_path / "e.scn"
+        scn.write_text(f"cluster {cluster} gpus=4 {key}=1e-320\n"
+                       "job a model=vgg11 strategy=baseline workers=2 ps=1\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (f"error: {scn}: job 'a': cluster rate {rate}=1e-320 makes a task take "
+                       "inf s\n")
 
     def test_capacity_exceeded(self, capsys, tmp_path):
         scn = tmp_path / "big.scn"

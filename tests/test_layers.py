@@ -96,6 +96,20 @@ class TestModelGraph:
         with pytest.raises(ModelError, match="empty"):
             ModelGraph(name="bad", layers=(), batch_size=1)
 
+    @pytest.mark.parametrize("what, params, out, flops", [
+        ("parameter bytes", 2**958, 10, 0),  # times 4 bytes
+        ("activation bytes per step", 1, 2**957, 0),  # times 4 bytes and batch 2
+        ("training flops per step", 1, 10, 2**959 // 3 + 1),  # times 3 and batch 2
+    ], ids=["params", "activations", "flops"])
+    def test_totals_beyond_float_range_rejected(self, what, params, out, flops):
+        def model(params, batch):
+            layer = make_layer(1, LayerKind.FULLY_CONNECTED, params, out, flops)
+            return ModelGraph(name="m", layers=(layer,), batch_size=batch)
+
+        with pytest.raises(ModelError, match=f"^model m: {what} reach 2\\*\\*960, too large"):
+            model(params, 2)
+        model(params // 2, 1)  # every total halved fits
+
     def test_params_only_on_weighted_kinds(self):
         with pytest.raises(ModelError, match="cannot carry parameters"):
             make_layer(1, LayerKind.POOLING, params=5, out=10)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 
@@ -324,10 +325,11 @@ class TestDeterminismAndInvariants:
         # residual that the clamp at zero would hide.
         delay = simulator._JobRun._delay
 
-        def charge_memcopy_twice(run, after, seconds, bucket=None, worker=None, **kw):
+        def charge_memcopy_twice(run, after, amount, rate, bucket=None, worker=None, **kw):
+            task = delay(run, after, amount, rate, bucket, worker, **kw)
             if bucket is run.memcopy_acc:
-                bucket[worker] += seconds
-            return delay(run, after, seconds, bucket, worker, **kw)
+                bucket[worker] += task.seconds
+            return task
 
         monkeypatch.setattr(simulator._JobRun, "_delay", charge_memcopy_twice)
         scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1,
@@ -563,6 +565,52 @@ class TestPlacementAndScenarios:
         for step in report.jobs[0].steps[1:]:
             for a, b in zip(step.step_durations, first.step_durations):
                 assert a == pytest.approx(b, rel=1e-9)
+
+
+class TestStepGraphReuse:
+    """Each job's step graph is built once per run and re-armed each step."""
+
+    @staticmethod
+    def scenario(steps):
+        text = ("cluster machines=3 gpus=4\n"
+                "job a model=lenet strategy=baseline workers=3 ps=2\n"
+                "job b model=vgg11 strategy=ralp workers=2 ps=1\n"
+                "job c model=alexnet strategy=ring workers=3\n"
+                f"steps {steps}\n")
+        return parse_scenario(text, catalog_lookup)
+
+    def test_later_steps_build_no_tasks(self, monkeypatch):
+        built = []
+
+        class CountedTask(simulator._Task):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(None)
+
+        monkeypatch.setattr(simulator, "_Task", CountedTask)
+        counts = []
+        for steps in (1, 3):
+            built.clear()
+            assert len(simulate_run(self.scenario(steps)).jobs[0].steps) == steps
+            counts.append(len(built))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
+    def test_no_task_outlives_the_run(self):
+        scenario = self.scenario(3)
+
+        def live_tasks():
+            return {id(o) for o in gc.get_objects() if isinstance(o, simulator._Task)}
+
+        gc.collect()
+        gc.disable()  # only reference counting may free the graphs
+        try:
+            before = live_tasks()
+            simulate_run(scenario)
+            after = live_tasks()
+        finally:
+            gc.enable()
+        assert after <= before
 
 
 def _report_bytes(report) -> bytes:

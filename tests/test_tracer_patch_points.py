@@ -1,10 +1,12 @@
 """The traced benchmark (perfbench/tracer.py) wraps ralp functions by
 module attribute.  These tests load it by path, so a change to ralp that
-drops or renames one of those attributes fails here and not only in the
-traced benchmark."""
+drops or renames one of those attributes, or stops calling through one,
+fails here and not only in the traced benchmark."""
 
 import importlib.util
 from pathlib import Path
+
+import ralp
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,3 +39,20 @@ def test_uninstall_restores_the_originals():
     finally:
         traced.uninstall()
     assert all(fn is orig for fn, orig in zip(current(points), before))
+
+
+def test_every_catalog_lookup_reaches_the_traced_parser():
+    traced = load_tracer().Tracer()
+    traced.install()
+    try:
+        model = ralp.catalog_lookup("lenet")
+        ralp.catalog_lookup("lenet")
+    finally:
+        traced.uninstall()
+    assert [(name, parent) for name, parent, *_ in traced.spans] == [
+        ("catalog.catalog_lookup", -1),
+        ("descriptor.parse_model", 0),
+        ("catalog.catalog_lookup", -1),
+        ("descriptor.parse_model", 2),
+    ]
+    assert traced.counts["descriptor.layers"] == 2 * model.num_layers
