@@ -25,7 +25,7 @@ from .costmodel import (
     rows_to_json,
     volume_ring,
 )
-from .descriptor import DescriptorError, parse_model
+from .descriptor import DescriptorError, file_error, parse_model
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, ProfilerError, SkewnessMode, profile
 from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
@@ -56,11 +56,6 @@ def _resolve_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
     return catalog_lookup(ref)
 
 
-def _file_error(exc: Exception) -> str:
-    """Why a file could not be read or written, without its path."""
-    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
-
-
 def _load_model(ref: str) -> ModelGraph:
     try:
         return _resolve_model(ref)
@@ -70,7 +65,7 @@ def _load_model(ref: str) -> ModelGraph:
         raise _CliError(EXIT_PARSE, f"{ref}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read model descriptor {ref!r}: "
-                                    f"{_file_error(exc)}") from exc
+                                    f"{file_error(exc)}") from exc
 
 
 def _profiler_config(args) -> ProfilerConfig:
@@ -176,22 +171,17 @@ def _cmd_simulate(args) -> int:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"cannot read scenario {args.scenario!r}: "
-                                    f"{_file_error(exc)}") from exc
+                                    f"{file_error(exc)}") from exc
     try:
         scenario = parse_scenario(text, lambda ref: _resolve_model(ref, path.parent))
+        if args.steps is not None:
+            scenario = dataclasses.replace(scenario, steps=args.steps)
+        report = simulate_run(scenario)
     except CapacityError as exc:
-        raise _CliError(EXIT_CAPACITY, str(exc)) from exc
+        raise _CliError(EXIT_CAPACITY, f"{path}: {exc}") from exc
     except ScenarioError as exc:
         unknown = isinstance(exc.__cause__, UnknownModelError)
         raise _CliError(EXIT_UNKNOWN_CATALOG if unknown else EXIT_PARSE, f"{path}: {exc}") from exc
-    if args.steps is not None:
-        scenario = dataclasses.replace(scenario, steps=args.steps)
-    try:
-        report = simulate_run(scenario)
-    except CapacityError as exc:
-        raise _CliError(EXIT_CAPACITY, str(exc)) from exc
-    except ScenarioError as exc:
-        raise _CliError(EXIT_PARSE, f"{path}: {exc}") from exc
 
     for flag, dest, render in (("--out", args.out, lambda: report.to_json() + "\n"),
                                ("--timeline", args.timeline, report.timeline_csv)):
@@ -200,7 +190,7 @@ def _cmd_simulate(args) -> int:
                 Path(dest).write_text(render())
             except OSError as exc:
                 raise _CliError(EXIT_BAD_FLAG, f"{flag}: cannot write {dest!r}: "
-                                               f"{_file_error(exc)}") from exc
+                                               f"{file_error(exc)}") from exc
     for job in report.jobs:
         print(
             f"{job.job}: strategy={job.strategy} workers={job.worker_count} "

@@ -11,6 +11,7 @@ elements).  Every dimension of a shape is at least 1.  A key the header
 or the layer's kind does not take is an error, and so are ``flops=`` and
 ``shape=`` on a derived layer, whose flops and shape are inferred, and a
 kind's hyperparameters on an explicit layer, whose counts are given.
+Scenario files read their ``key=value`` pairs through ``parse_pairs`` too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from math import prod
-from typing import Optional
+from typing import Callable, Optional
 
 from .layers import (
     LayerKind,
@@ -52,6 +53,7 @@ class DescriptorError(ValueError):
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.reason = message
         self.line = line
         self.column = column
 
@@ -90,11 +92,12 @@ def _parse_shape(
     raise DescriptorError(f"bad shape {text!r} ({problem})", line, _column(code, at))
 
 
-def _parse_kv(
-    tokens: list[str], first: int, allowed: dict[str, type], line: int, code: str
+def parse_pairs(
+    tokens: list[str], first: int, allowed: dict[str, Callable], line: int, code: str
 ) -> dict[str, object]:
     """The ``key=value`` pairs of ``tokens[first:]``, split from ``code``,
-    each value converted to ``allowed[key]``."""
+    each value converted by ``allowed[key]``.  A value its converter rejects
+    with ValueError needs a number if that is ``float``, else an integer."""
     pairs: dict[str, object] = {}
     for i, token in enumerate(tokens[first:], first):
         key, _, value = token.partition("=")
@@ -109,11 +112,17 @@ def _parse_kv(
             raise DescriptorError(f"duplicate key {key!r}", line, _column(code, i))
         try:
             pairs[key] = convert(value)
-        except ValueError:  # only int() raises
+        except ValueError:
+            expected = "a number" if convert is float else "an integer"
             raise DescriptorError(
-                f"key {key!r} needs an integer, got {value!r}", line, _column(code, i)
+                f"key {key!r} needs {expected}, got {value!r}", line, _column(code, i)
             ) from None
     return pairs
+
+
+def file_error(exc: Exception) -> str:
+    """Why a file could not be read or written, without its path."""
+    return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
 def parse_model(text: str) -> ModelGraph:
@@ -136,7 +145,7 @@ def parse_model(text: str) -> ModelGraph:
             if len(tokens) < 2 or "=" in tokens[1]:
                 raise DescriptorError("model header needs a name", lineno, _column(code, 0))
             header = {"name": tokens[1]}
-            header.update(_parse_kv(tokens, 2, _HEADER_KEYS, lineno, code))
+            header.update(parse_pairs(tokens, 2, _HEADER_KEYS, lineno, code))
             if "batch" not in header:
                 raise DescriptorError("model header needs batch=<n>", lineno, _column(code, 0))
             if "input" in header:
@@ -160,7 +169,7 @@ def parse_model(text: str) -> ModelGraph:
         keys = {token.partition("=")[0] for token in tokens[2:]}
         explicit = "params" in keys or ("out" in keys and kind is not LayerKind.FULLY_CONNECTED)
         layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS[kind]
-        kv = _parse_kv(tokens, 2, layer_keys, lineno, code)
+        kv = parse_pairs(tokens, 2, layer_keys, lineno, code)
         try:
             if explicit:
                 if "out" not in kv:

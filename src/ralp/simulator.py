@@ -19,7 +19,8 @@ network) or a flow of bytes between two machines, and it starts once all
 its predecessors have finished.  A transfer within one machine is a
 delay at the intra-machine rate, and an empty transfer is a zero-second
 delay.  A delay or flow that a cluster rate would make endless is
-rejected when the graph is built.  The split strategy's back-segment
+rejected when the graph is built, and a run whose clock would pass the
+float range stops with a ScenarioError naming the job.  The split strategy's back-segment
 batches are serial tasks: the PS runs them one at a time, in the order
 they became ready.  A worker's step ends with its last task.  Re-arming
 resets each task's count of unfinished predecessors and starts the
@@ -57,7 +58,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import fairshare
 from .catalog import UnknownModelError
 from .costmodel import JobSpec, Strategy, StrategyKind, compute_load
-from .descriptor import DescriptorError
+from .descriptor import DescriptorError, file_error, parse_pairs
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, profile
 
@@ -443,7 +444,13 @@ class _Env:
 
             t_next = min(next_heap, next_flow)
             if t_next == inf:
-                raise RuntimeError("simulation deadlock: pending work cannot progress")
+                # A delay at the heap's head or a flow with a rate would end
+                # past the float range; a flow at rate 0 is an engine fault.
+                late = heap[0][2] if heap else next((f for f in flows if f.rate > 0), None)
+                if late is None:
+                    raise RuntimeError("simulation deadlock: pending work cannot progress")
+                raise ScenarioError(f"job {late.job.name!r}: the simulated clock passes the "
+                                    f"float range after {now!r} s")
 
             dt = t_next - now
             if dt > 0 and flows:
@@ -766,44 +773,44 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
 # -- scenario files ----------------------------------------------------------
 
 
-_CLUSTER_KEYS = ("machines", "gpus", "flops", "memcopy", "link", "intra")
-_JOB_KEYS = ("model", "strategy", "workers", "ps", "batch", "split")
+def _split_value(text: str):
+    """A job's ``split=``: ``auto`` or a layer index."""
+    return text if text == "auto" else int(text)
 
 
-def _job_spec(model: ModelGraph, kv: dict[str, str]) -> JobSpec:
-    """JobSpec for one job line's key=value pairs; bad values raise ValueError."""
+# The keys of a cluster line, each naming a ClusterSpec field and taking
+# the type of its default, and of a job line, each with its value's type.
+_CLUSTER_FIELDS = {"machines": "machines", "gpus": "gpus_per_machine", "flops": "gpu_flops_per_sec",
+                   "memcopy": "memcopy_bytes_per_sec", "link": "link_bytes_per_sec",
+                   "intra": "intra_machine_bytes_per_sec"}
+_CLUSTER_KEYS = {key: type(getattr(DEFAULT_CLUSTER, field)) for key, field in _CLUSTER_FIELDS.items()}
+_JOB_KEYS = {"model": str, "strategy": str, "workers": int, "ps": int, "batch": int,
+             "split": _split_value}
 
-    def integer(key: str, default: Optional[int] = None) -> Optional[int]:
-        token = kv.get(key)
-        if token is None:
-            return default
-        try:
-            return int(token)
-        except ValueError:
-            raise ScenarioError(f"{key} must be an integer, got {token!r}") from None
 
+def _job_spec(model: ModelGraph, kv: dict[str, object]) -> JobSpec:
+    """JobSpec for one job line's converted key=value pairs; bad values
+    raise ValueError."""
     if "batch" in kv:
-        model = model.with_batch_size(integer("batch"))
+        model = model.with_batch_size(kv["batch"])
     try:
         kind = StrategyKind(kv["strategy"])
     except ValueError:
         raise ScenarioError(f"unknown strategy {kv['strategy']!r}") from None
-    split = None
+    split = kv.get("split")
     if kind is StrategyKind.RALP:
-        if kv.get("split", "auto") == "auto":
+        if split in (None, "auto"):
             split = profile(model, ProfilerConfig()).split_index
             if split is None:
                 raise ScenarioError(
                     f"model {model.name} is not partitionable "
                     "(skewness gate failed); use strategy=baseline"
                 )
-        else:
-            split = integer("split")
-    elif "split" in kv:
+    elif split is not None:
         raise ScenarioError("split= applies only to strategy=ralp")
     ps_default = 0 if kind is StrategyKind.RING_ALLREDUCE else 1
-    return JobSpec(model=model, strategy=Strategy(kind, split), worker_count=integer("workers"),
-                   ps_count=integer("ps", ps_default))
+    return JobSpec(model=model, strategy=Strategy(kind, split), worker_count=kv["workers"],
+                   ps_count=kv.get("ps", ps_default))
 
 
 def parse_scenario(
@@ -815,19 +822,25 @@ def parse_scenario(
     Lines: ``cluster machines= gpus= flops= memcopy= link= intra=``,
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
-    and ``steps <n>``.  Jobs without explicit slots get the spread policy.
-    A malformed line, an unknown key, a bad value, a second cluster or
-    steps line, a duplicate job name or a place line for an undeclared job
-    raises ScenarioError naming the line; an explicit slot outside the
-    cluster or already taken raises CapacityError naming the line.  A
-    model the resolver rejects with UnknownModelError or DescriptorError,
-    or cannot read (OSError, UnicodeDecodeError), raises ScenarioError
-    naming the job line, caused by that error.
+    and ``steps <n>``.  ``machines``, ``gpus``, ``workers``, ``ps`` and
+    ``batch`` take integers, the four rates numbers, ``split`` an integer
+    or ``auto``.
+
+    The first error found is raised, as a ScenarioError naming its line.
+    Lines are read in file order: a malformed line, a bad key or value, a
+    second cluster or steps line or a duplicate job name fails there.
+    Then a place line for an undeclared job fails, and (CapacityError) an
+    explicit slot outside the cluster or already taken.  Last, each job in
+    file order resolves its model (UnknownModelError, DescriptorError,
+    OSError or UnicodeDecodeError from the resolver is the cause), builds
+    its spec, and is placed: by its explicit slots, which must cover every
+    replica, or spread around every explicit slot and the earlier spread
+    jobs' slots (CapacityError when the cluster is full).
     """
-    cluster: Optional[ClusterSpec] = None
+    cluster = DEFAULT_CLUSTER
     steps = 1
     directive_lines: dict[str, int] = {}  # cluster/steps -> the line that set it
-    job_lines: list[tuple[int, str, dict]] = []
+    job_lines: dict[str, tuple[int, dict]] = {}  # job name -> its line and pairs
     place_lines: dict[str, int] = {}  # job name -> its first place line
     explicit: dict[str, dict[str, dict[int, tuple[int, int]]]] = {}
     slot_lines: list[tuple[int, tuple[int, int]]] = []
@@ -835,51 +848,40 @@ def parse_scenario(
     def fail(lineno, msg):
         raise ScenarioError(f"line {lineno}: {msg}")
 
-    def pairs(lineno, tokens, keys):
-        kv = {}
-        for token in tokens:
-            key, sep, value = token.partition("=")
-            if not sep:
-                fail(lineno, f"expected key=value, got {token!r}")
-            if key not in keys:
-                fail(lineno, f"unknown key {key!r}; expected one of {', '.join(keys)}")
-            if key in kv:
-                fail(lineno, f"duplicate key {key!r}")
-            kv[key] = value
-        return kv
+    def pairs(lineno, code, tokens, first, keys):
+        try:
+            return parse_pairs(tokens, first, keys, lineno, code)
+        except DescriptorError as exc:
+            fail(lineno, exc.reason)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        code = raw.partition("#")[0]
+        tokens = code.split()
+        if not tokens:
             continue
-        tokens = stripped.split()
         head = tokens[0]
         if head in ("cluster", "steps"):
             if head in directive_lines:
                 fail(lineno, f"second {head} line (first on line {directive_lines[head]})")
             directive_lines[head] = lineno
         if head == "cluster":
-            kv = pairs(lineno, tokens[1:], _CLUSTER_KEYS)
+            kv = pairs(lineno, code, tokens, 1, _CLUSTER_KEYS)
             try:
-                cluster = ClusterSpec(
-                    machines=int(kv.get("machines", DEFAULT_CLUSTER.machines)),
-                    gpus_per_machine=int(kv.get("gpus", DEFAULT_CLUSTER.gpus_per_machine)),
-                    gpu_flops_per_sec=float(kv.get("flops", DEFAULT_CLUSTER.gpu_flops_per_sec)),
-                    memcopy_bytes_per_sec=float(kv.get("memcopy", DEFAULT_CLUSTER.memcopy_bytes_per_sec)),
-                    link_bytes_per_sec=float(kv.get("link", DEFAULT_CLUSTER.link_bytes_per_sec)),
-                    intra_machine_bytes_per_sec=float(kv.get("intra", DEFAULT_CLUSTER.intra_machine_bytes_per_sec)),
-                )
-            except (ValueError, ScenarioError) as exc:
+                cluster = replace(DEFAULT_CLUSTER, **{_CLUSTER_FIELDS[k]: v for k, v in kv.items()})
+            except ScenarioError as exc:
                 fail(lineno, f"bad cluster spec: {exc}")
         elif head == "job":
             if len(tokens) < 3:
                 fail(lineno, "job line needs a name and key=value pairs")
             name = tokens[1]
-            kv = pairs(lineno, tokens[2:], _JOB_KEYS)
+            if name in job_lines:
+                fail(lineno, f"duplicate job name {name!r} "
+                             f"(first declared on line {job_lines[name][0]})")
+            kv = pairs(lineno, code, tokens, 2, _JOB_KEYS)
             for required in ("model", "strategy", "workers"):
                 if required not in kv:
                     fail(lineno, f"job {name!r} needs {required}=")
-            job_lines.append((lineno, name, kv))
+            job_lines[name] = (lineno, kv)
         elif head == "place":
             if len(tokens) < 3:
                 fail(lineno, "place line needs a job name")
@@ -910,16 +912,8 @@ def parse_scenario(
         else:
             fail(lineno, f"unknown directive {head!r}")
 
-    if cluster is None:
-        cluster = DEFAULT_CLUSTER
-
-    declared: dict[str, int] = {}
-    for lineno, name, _ in job_lines:
-        if name in declared:
-            fail(lineno, f"duplicate job name {name!r} (first declared on line {declared[name]})")
-        declared[name] = lineno
     for name, lineno in place_lines.items():
-        if name not in declared:
+        if name not in job_lines:
             fail(lineno, f"place line for undeclared job {name!r}")
     booked: dict[tuple[int, int], int] = {}
     for lineno, (machine, gpu) in slot_lines:
@@ -934,21 +928,20 @@ def parse_scenario(
                                 f"on line {booked[machine, gpu]}")
         booked[machine, gpu] = lineno
 
-    specs: list[tuple[str, JobSpec, Optional[Placement]]] = []
-    for lineno, name, kv in job_lines:
+    taken = set(booked)
+    jobs = []
+    for name, (lineno, kv) in job_lines.items():
         ref = kv["model"]
         try:
             model = resolve_model(ref)
         except UnknownModelError as exc:
             raise ScenarioError(f"line {lineno}: job {name!r}: {exc.args[0]}") from exc
         except (DescriptorError, OSError, UnicodeDecodeError) as exc:
-            why = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-            raise ScenarioError(f"line {lineno}: job {name!r}: {ref}: {why}") from exc
+            raise ScenarioError(f"line {lineno}: job {name!r}: {ref}: {file_error(exc)}") from exc
         try:
             spec = _job_spec(model, kv)
         except ValueError as exc:
             fail(lineno, f"job {name!r}: {exc}")
-        placement = None
         if name in explicit:
             groups = explicit[name]
             for kind, count in (("worker", spec.worker_count), ("ps", spec.ps_count)):
@@ -958,14 +951,11 @@ def parse_scenario(
                 workers=tuple(groups["worker"][i] for i in range(spec.worker_count)),
                 ps=tuple(groups["ps"][i] for i in range(spec.ps_count)),
             )
-        specs.append((name, spec, placement))
-
-    auto = [spec for _, spec, placement in specs if placement is None]
-    spread = iter(spread_placement(
-        cluster, [(s.worker_count, s.ps_count) for s in auto], taken=booked
-    ))
-    jobs = tuple(
-        (name, spec, next(spread) if placement is None else placement)
-        for name, spec, placement in specs
-    )
-    return Scenario(cluster=cluster, jobs=jobs, steps=steps)
+        else:
+            try:
+                placement, = spread_placement(cluster, [(spec.worker_count, spec.ps_count)], taken)
+            except CapacityError as exc:
+                raise CapacityError(f"line {lineno}: job {name!r}: {exc}") from None
+            taken.update(placement.workers, placement.ps)
+        jobs.append((name, spec, placement))
+    return Scenario(cluster=cluster, jobs=tuple(jobs), steps=steps)

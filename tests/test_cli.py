@@ -291,11 +291,36 @@ class TestSimulateCommand:
             "cluster machines=1 gpus=2\n"
             "job a model=lenet strategy=baseline workers=4 ps=1\n"
         )
-        code, _, err = run_cli(capsys, "simulate", str(scn))
+        code, out, err = run_cli(capsys, "simulate", str(scn))
         assert code == EXIT_CAPACITY
+        assert out == ""
+        assert err == (f"error: {scn}: line 2: job 'a': cluster is full: 2 slots cannot host "
+                       "the requested replicas\n")
+
+    @pytest.mark.parametrize("text", [
+        "cluster machines=8 gpus=4 flops=2.921890578432e-296\n"
+        "job a model=vgg11 strategy=baseline workers=2 ps=1\nsteps 2\n",
+        # One push alone ends within the float range; eight sharing the PS
+        # downlink do not.
+        "cluster machines=16 gpus=1 link=2.1258133759999999e-299\n"
+        "job a model=vgg11 strategy=baseline workers=8 ps=1\n",
+    ], ids=["delay", "shared-flow"])
+    def test_clock_past_the_float_range_is_parse_error(self, capsys, tmp_path, text):
+        scn = tmp_path / "late.scn"
+        scn.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: {scn}: job 'a': the simulated clock passes the float "
+                              "range after ")
+        assert err.endswith(" s\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("line, message", [
-        ("job a model=lenet strategy=baseline workers=x ps=1", "workers must be an integer"),
+        ("job a model=lenet strategy=baseline workers=x ps=1",
+         "key 'workers' needs an integer, got 'x'"),
+        ("job a model=lenet strategy=baseline workers= ps=1", "expected key=value, got 'workers='"),
+        ("cluster flops=x", "line 2: key 'flops' needs a number, got 'x'"),
+        ("cluster machines=2.5", "line 2: key 'machines' needs an integer, got '2.5'"),
         ("job a model=lenet strategy=baseline workers=0 ps=1", "worker_count must be >= 1"),
         ("job a model=vgg11 strategy=ralp workers=2 ps=1 split=99", "split_index 99 out of range"),
         ("job a model=lenet strategy=baseline workers=2 ps=1 batch=0", "batch_size must be >= 1"),
@@ -311,8 +336,25 @@ class TestSimulateCommand:
         scn.write_text(f"# line 1\n{line}\njob b model=lenet strategy=ring workers=2\n")
         code, _, err = run_cli(capsys, "simulate", str(scn))
         assert code == EXIT_PARSE
-        assert "line 2: " in err
+        assert err.startswith(f"error: {scn}: line 2: ")
         assert message in err
+
+    @pytest.mark.parametrize("text, code, message", [
+        ("job a model=lenet strategy=ring workers=2\njob a model=lenet strategy=ring workers=2\n"
+         "bogus x\n", EXIT_PARSE, "line 2: duplicate job name 'a' (first declared on line 1)"),
+        ("job a model=nosuch strategy=baseline workers=x ps=1\n",
+         EXIT_PARSE, "line 1: key 'workers' needs an integer, got 'x'"),
+        ("cluster machines=1 gpus=2\njob a model=lenet strategy=baseline workers=4 ps=1\n"
+         "job b model=nosuch strategy=baseline workers=1 ps=1\n",
+         EXIT_CAPACITY, "line 2: job 'a': cluster is full"),
+    ], ids=["duplicate-job-before-unknown-directive", "bad-value-before-unknown-model",
+            "full-cluster-before-later-unknown-model"])
+    def test_problems_are_reported_in_file_order(self, capsys, tmp_path, text, code, message):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        got, _, err = run_cli(capsys, "simulate", str(scn))
+        assert got == code
+        assert err.startswith(f"error: {scn}: {message}")
 
     @pytest.mark.parametrize("text, code, line, message", [
         ("job a model=lenet strategy=baseline workers=2 ps=1\nplace ghost worker 0 3 1\n",
@@ -336,14 +378,18 @@ class TestSimulateCommand:
          EXIT_PARSE, 1, "ps placements must cover 0..0"),
         ("job a model=lenet strategy=ring workers=2\njob a model=lenet strategy=ring workers=2\n",
          EXIT_PARSE, 2, "duplicate job name 'a'"),
+        ("cluster machines=2 gpus=2\njob a model=lenet strategy=baseline workers=2 ps=1\n"
+         "job b model=lenet strategy=ring workers=2\n",
+         EXIT_CAPACITY, 3, "job 'b': cluster is full: 4 slots cannot host"),
     ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
-            "double-booked", "workers-uncovered", "ps-uncovered", "duplicate-job"])
+            "double-booked", "workers-uncovered", "ps-uncovered", "duplicate-job",
+            "spread-job-past-full"])
     def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
         got, _, err = run_cli(capsys, "simulate", str(scn))
         assert got == code
-        assert f"line {line}: " in err
+        assert err.startswith(f"error: {scn}: line {line}: ")
         assert message in err
 
     @pytest.mark.parametrize("text, message", [

@@ -148,6 +148,12 @@ class TestParse:
         with pytest.raises(DescriptorError, match=rf"^line {line}, column {column}: {re.escape(message)}"):
             parse_model(text)
 
+    def test_error_keeps_its_bare_reason(self):
+        with pytest.raises(DescriptorError) as err:
+            parse_model("model m batch=x input=4\nf fc out=2\n")
+        assert err.value.reason == "key 'batch' needs an integer, got 'x'"
+        assert str(err.value) == "line 1, column 9: " + err.value.reason
+
     def test_every_documented_key_is_accepted(self):
         text = (
             "model m batch=2 elem_bytes=4 input=8x8x3\n"

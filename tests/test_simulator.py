@@ -337,6 +337,21 @@ class TestDeterminismAndInvariants:
         with pytest.raises(RuntimeError, match=r"^job job step 1 worker 0: buckets exceed the "):
             simulate_run(scenario)
 
+    def test_a_flow_stuck_at_rate_zero_is_an_engine_fault(self, monkeypatch):
+        # Unlike a finish time past the float range, which is the scenario's.
+        solve = simulator.fairshare.FairShare.solve
+
+        def stall(share):
+            solve(share)
+            for flows in share._flows_on:
+                for flow in flows:
+                    flow.rate = 0.0
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", stall)
+        scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1)
+        with pytest.raises(RuntimeError, match="^simulation deadlock: pending work cannot progress"):
+            simulate_run(scenario)
+
     def test_max_at_least_avg(self):
         rng = np.random.default_rng(77)
         for _ in range(10):
@@ -512,7 +527,7 @@ class TestPlacementAndScenarios:
         """
         scenario = parse_scenario(text, catalog_lookup)
         assert scenario.steps == 2
-        assert scenario.cluster.machines == 2
+        assert scenario.cluster == ClusterSpec(2, 2, 1e12, 1e10, 1e9, 1e11)
         name, spec, placement = scenario.jobs[0]
         assert name == "a"
         assert spec.worker_count == 2
@@ -551,6 +566,19 @@ class TestPlacementAndScenarios:
             "job a model=lenet strategy=baseline workers=1 batch=7\n", catalog_lookup
         )
         assert scenario.jobs[0][1].model.batch_size == 7
+
+    def test_spreading_job_by_job_matches_one_spread_of_all_jobs(self):
+        # Explicit slots of a later job are avoided by the spread jobs before it.
+        text = ("cluster machines=4 gpus=3\n"
+                "job a model=lenet strategy=baseline workers=3 ps=2\n"
+                "job b model=lenet strategy=ring workers=2\n"
+                "place b worker 0 0 0\nplace b worker 1 2 2\n"
+                "job c model=lenet strategy=baseline workers=2 ps=1\n")
+        scenario = parse_scenario(text, catalog_lookup)
+        (a, _, got_a), _, (c, _, got_c) = scenario.jobs
+        want_a, want_c = spread_placement(scenario.cluster, [(3, 2), (2, 1)],
+                                          taken=[(0, 0), (2, 2)])
+        assert (a, got_a, c, got_c) == ("a", want_a, "c", want_c)
 
     def test_multi_step_runs_accumulate_records(self):
         scenario = parse_scenario(

@@ -56,3 +56,23 @@ def test_every_catalog_lookup_reaches_the_traced_parser():
         ("descriptor.parse_model", 2),
     ]
     assert traced.counts["descriptor.layers"] == 2 * model.num_layers
+
+
+def parent_names(spans, name):
+    return [spans[parent][0] if parent >= 0 else None
+            for span_name, parent, *_ in spans if span_name == name]
+
+
+def test_every_profile_call_reaches_the_traced_profiler():
+    traced = load_tracer().Tracer()
+    traced.install()
+    try:
+        ralp.parse_scenario("job v model=vgg11 strategy=ralp workers=2 split=auto\n",
+                            ralp.catalog_lookup)
+        ralp.compare_strategies(ralp.catalog_lookup("vgg11"), [8])
+    finally:
+        traced.uninstall()
+    assert parent_names(traced.spans, "profiler.profile") == [
+        "simulator.parse_scenario",
+        "costmodel.compare_strategies",
+    ]
