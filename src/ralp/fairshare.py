@@ -8,8 +8,8 @@ times.  It is progressive filling (Bertsekas & Gallager, *Data Networks*,
 Each flow occupies up to two directed links (source uplink, destination
 downlink); a link id of -1 means "no constraint on that side".
 
-``FairShare`` keeps the flow sets and the previous solve's round log
-across events, so a solve after a few arrivals and departures starts
+``FairShare`` keeps the flows in flight and the previous solve's round
+log across events, so a solve after a few arrivals and departures starts
 from the first round they can change (a warm start) rather than from
 round 0.  The rounds it keeps are the ones the new flow set would run
 identically, so every rate is bit-identical to a cold solve.
@@ -56,41 +56,45 @@ class FairShare:
     counts moved by the added and departed flow ends, leaves the flows they
     froze untouched, and refills from the first round that may differ.
 
-    The flow-end counts come from one change log, the flow ends added
-    minus removed per link since the last solve.  The first solve is cold:
-    it starts every link at zero, so the log alone gives its counts.  Both
-    kinds of solve apply the log to their starting counts in the same way.
+    The flow-end counts come from one change log, ``changes``: the flow
+    ends added minus removed per link since the last solve.  A new
+    ``FairShare`` logs one round with no flow ends at full capacity, so its
+    first solve refills from round 0 on the same path as any later one.
     """
 
     def __init__(self, capacity: Sequence[float]):
-        self._capacity = [float(c) for c in capacity]
-        self._flows_on: list[dict[Flow, None]] = [{} for _ in self._capacity]
-        # Flow ends added minus removed per link since the last solve (since
-        # construction before the first solve).
-        self._delta: dict[int, int] = {}
+        # The flows in flight, in arrival order.
+        self.flows: dict[Flow, None] = {}
+        self._flows_on: list[dict[Flow, None]] = [{} for _ in capacity]
+        # The change log, cleared in place: the event loop holds it.
+        self.changes: dict[int, int] = {}
         self._cut = _UNFROZEN  # earliest round in which a departed flow froze
         # One entry per round of the last solve: its level, each link's
         # remainder and unfrozen flow ends at its start, and the flows it
         # froze.  The last round is the one whose level is infinite.
-        self._log: list[tuple[float, list[float], list[int], list[Flow]]] = []
+        self._log: list[tuple[float, list[float], list[int], list[Flow]]] = [
+            (math.inf, [float(c) for c in capacity], [0] * len(capacity), [])
+        ]
 
     def add(self, flow: Flow, links: tuple[int, ...]) -> None:
         """Add ``flow`` over ``links``, one id per constrained end."""
         flow.links = links
         flow.rate = math.inf
         flow.frozen_in = _UNFROZEN
-        flows_on, delta = self._flows_on, self._delta
+        self.flows[flow] = None
+        flows_on, changes = self._flows_on, self.changes
         for l in links:
             flows_on[l][flow] = None
-            delta[l] = delta.get(l, 0) + 1
+            changes[l] = changes.get(l, 0) + 1
 
     def remove(self, flow: Flow) -> None:
-        """Remove ``flow``: the next solve refills from the round that froze
-        it, if not from an earlier one."""
-        flows_on, delta = self._flows_on, self._delta
+        """Remove ``flow`` (``KeyError`` if it is not in flight): the next
+        solve refills from the round that froze it, if not an earlier one."""
+        del self.flows[flow]
+        flows_on, changes = self._flows_on, self.changes
         for l in flow.links:
             flows_on[l].pop(flow, None)  # listed once when both ends share a link
-            delta[l] = delta.get(l, 0) - 1
+            changes[l] = changes.get(l, 0) - 1
         if flow.frozen_in < self._cut:
             self._cut = flow.frozen_in
 
@@ -98,19 +102,16 @@ class FairShare:
         """Set ``rate`` on every flow whose rate the changes since the last
         solve can move."""
         log = self._log
-        changed = [(l, d) for l, d in self._delta.items() if d]
-        if log:
-            keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
-            _, rem, cnt, _ = log[keep]
-            for _, _, _, flows in log[keep:]:
-                for f in flows:
-                    f.frozen_in = _UNFROZEN
-            del log[keep:]
-        else:
-            keep, rem, cnt = 0, self._capacity[:], [0] * len(self._capacity)
+        changed = [(l, d) for l, d in self.changes.items() if d]
+        keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
+        _, rem, cnt, _ = log[keep]
+        for _, _, _, flows in log[keep:]:
+            for f in flows:
+                f.frozen_in = _UNFROZEN
+        del log[keep:]
         for l, d in changed:
             cnt[l] += d
-        self._delta.clear()
+        self.changes.clear()
         self._cut = _UNFROZEN
         self._fill(keep, rem, cnt)
 

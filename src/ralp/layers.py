@@ -49,7 +49,8 @@ COMPUTE_DEMAND_KINDS = frozenset({LayerKind.CONVOLUTION, LayerKind.BLOCK})
 
 # Bound on a model's byte and flop totals.  The profiler and the simulator
 # turn them into floats and scale them by a few layer and worker counts;
-# the bound leaves those factors 2**64 of room below the float range.
+# the bound leaves those factors 2**64 of room below the float range, but
+# not powers: the literal skewness scales sizes below 1 before cubing them.
 FLOAT_TOTAL_LIMIT = 2**960
 
 

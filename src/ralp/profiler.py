@@ -79,8 +79,10 @@ def compute_skewness(
 
     mode = SkewnessMode(mode)
     if mode is SkewnessMode.LITERAL_VALUES:
-        mean = total / n
-        dev = [x - mean for x in p]
+        # Scaled exactly below 1 (skewness is scale-free), sizes cube in range.
+        scale = 2.0 ** -math.frexp(max(p))[1]
+        mean = total * scale / n
+        dev = [x * scale - mean for x in p]
         sq = [d * d for d in dev]
         m2 = math.fsum(sq) / n
         m3 = math.fsum(map(operator.mul, sq, dev)) / n

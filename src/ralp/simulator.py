@@ -378,17 +378,15 @@ class _Task(fairshare.Flow):
 
 
 class _Env:
-    """Event loop: a time-ordered heap of finishing tasks plus the
-    in-flight inter-machine flows, in start order, whose rates come from
-    the fair-share state."""
+    """Event loop: a time-ordered heap of finishing tasks, and the
+    fair-share state, the one record of the in-flight inter-machine flows
+    and of whether any started or finished since the last solve."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
         self.now = 0.0
         self._heap = []
         self._seq = itertools.count()
-        self._flows: dict[_Task, None] = {}
-        self._rates_dirty = False
         self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * cluster.machines))
 
     def _finish_at(self, time, task):
@@ -405,9 +403,7 @@ class _Env:
             self._finish_at(self.now + task.seconds, task)
         else:
             task.remaining = float(task.nbytes)
-            self._flows[task] = None
             self._share.add(task, (task.src, self.cluster.machines + task.dst))
-            self._rates_dirty = True
 
     def _finish(self, task: _Task):
         job = task.job
@@ -423,23 +419,19 @@ class _Env:
             job.worker_done(task.last)
 
     def run(self):
-        heap, flows, inf = self._heap, self._flows, math.inf
+        heap, share, inf = self._heap, self._share, math.inf
+        flows, changes = share.flows, share.changes
         while heap or flows:
-            if flows and self._rates_dirty:
-                self._share.solve()
-                self._rates_dirty = False
+            if flows and changes:
+                share.solve()
 
             now = self.now
             next_heap = heap[0][0] if heap else inf
             next_flow = inf
-            finish_times = None
             if flows:
-                finish_times = [
-                    now + (flow.remaining / flow.rate if flow.rate > 0 else inf)
-                    if flow.rate != inf
-                    else now
-                    for flow in flows
-                ]
+                # remaining / inf == 0.0: an infinite-rate flow ends now.
+                finish_times = [now + flow.remaining / flow.rate if flow.rate > 0 else inf
+                                for flow in flows]
                 next_flow = min(finish_times)
 
             t_next = min(next_heap, next_flow)
@@ -458,21 +450,19 @@ class _Env:
                     flow.remaining -= flow.rate * dt
             self.now = t_next
 
-            if finish_times is not None and next_flow == t_next:
+            if next_flow == t_next:
                 done = [f for f, t in zip(flows, finish_times) if t == t_next]
                 done.sort(key=lambda f: f.key)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
                     # float sums, and of the finish time to the clock's
-                    # resolution.  An infinite-rate flow finishes at once.
+                    # resolution.  An infinite rate makes the slack infinite.
                     slack = 1e-9 * flow.nbytes + flow.rate * math.ulp(t_next)
-                    if flow.rate != inf and abs(flow.remaining) > slack:
+                    if abs(flow.remaining) > slack:
                         raise RuntimeError(f"flow {flow.key} finished with {flow.remaining!r} "
                                            f"of {flow.nbytes} bytes undelivered")
-                    del flows[flow]
-                    self._share.remove(flow)
+                    share.remove(flow)
                     self._finish_at(t_next, flow)
-                self._rates_dirty = True
 
             while heap and heap[0][0] == t_next:
                 self._finish(heapq.heappop(heap)[2])

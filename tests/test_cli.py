@@ -95,6 +95,19 @@ class TestProfileCommand:
         assert err == (f"error: {huge}: line 2, column 1: model huge: parameter bytes reach "
                        "2**960, too large for float arithmetic\n")
 
+    def test_literal_skewness_of_sizes_that_cube_past_the_float_range(self, capsys, tmp_path):
+        # 2**345 parameter bytes is below the 2**960 bound on totals, but
+        # its cube is not.  One large layer and two equal small ones give a
+        # skewness of 1 / sqrt(2).
+        big = tmp_path / "big.model"
+        big.write_text(f"model big batch=1\na fc params={2**343} out=10\n"
+                       "b fc params=5 out=4\nc fc params=5 out=2\n")
+        code, out, err = run_cli(capsys, "profile", str(big), "--mode", "literal_values")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["layers"][0]["param_bytes"] == 2**345
+        assert payload["skewness"] == pytest.approx(2**-0.5)
+
     def test_bad_mode_flag(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--mode", "sideways")
         assert code == EXIT_BAD_FLAG

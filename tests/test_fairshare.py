@@ -190,7 +190,8 @@ def apply_batch(state, present, batch):
             state.remove(flow)
 
 
-def assert_matches_reference(present, capacity):
+def assert_matches_reference(state, present, capacity):
+    assert list(state.flows) == [f for f, _ in present]
     want = progressive_filling([a for _, (a, _) in present], [b for _, (_, b) in present], capacity)
     assert [f.rate.hex() for f, _ in present] == [x.hex() for x in want]
 
@@ -217,7 +218,7 @@ class TestWarmStart:
         for batch in batches:
             apply_batch(state, present, batch)
             state.solve()
-            assert_matches_reference(present, capacity)
+            assert_matches_reference(state, present, capacity)
 
     @given(case=event_batches())
     # Before the first solve, link 0 gains three flow ends and loses all
@@ -225,12 +226,31 @@ class TestWarmStart:
     @example(case=([2.0, 5.0], [[(0, 1), (0, 0), 0, (-1, 1)], [0]]))
     @settings(max_examples=300, deadline=None)
     def test_first_solve_counts_from_the_change_log(self, case):
-        # Every batch is applied before the first solve, so that cold
-        # solve takes each link's flow ends from the change log alone.
+        # Every batch is applied before the first solve, so that solve
+        # takes each link's flow ends from the change log alone.
         capacity, batches = case
         state = fairshare.FairShare(capacity)
         present = []
         for batch in batches:
             apply_batch(state, present, batch)
         state.solve()
-        assert_matches_reference(present, capacity)
+        assert_matches_reference(state, present, capacity)
+
+    def test_removing_a_flow_not_in_flight_raises(self):
+        # A second removal would take the flow's ends off its links' counts
+        # again; a flow never added has no links.  Either leaves the state
+        # as it was.
+        capacity = [4.0, 6.0]
+        state = fairshare.FairShare(capacity)
+        present = []
+        apply_batch(state, present, [(0, 1), (0, -1), 0])
+        state.solve()
+        gone, stranger = fairshare.Flow(), fairshare.Flow()
+        state.add(gone, (1,))
+        state.remove(gone)
+        for flow in (gone, stranger):
+            with pytest.raises(KeyError):
+                state.remove(flow)
+        apply_batch(state, present, [(-1, 1)])
+        state.solve()
+        assert_matches_reference(state, present, capacity)

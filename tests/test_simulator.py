@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -343,9 +344,8 @@ class TestDeterminismAndInvariants:
 
         def stall(share):
             solve(share)
-            for flows in share._flows_on:
-                for flow in flows:
-                    flow.rate = 0.0
+            for flow in share.flows:
+                flow.rate = 0.0
 
         monkeypatch.setattr(simulator.fairshare.FairShare, "solve", stall)
         scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1)
@@ -639,6 +639,29 @@ class TestStepGraphReuse:
         finally:
             gc.enable()
         assert after <= before
+
+
+class TestSolveCounts:
+    """The event loop solves the fair-share kernel only when a flow
+    started or finished since the last solve, and only with flows in
+    flight."""
+
+    @pytest.mark.parametrize("name, solves", [("vgg11_16gpu_baseline", 96),
+                                              ("vgg11_16gpu_ralp", 129)])
+    def test_bundled_scenarios(self, monkeypatch, name, solves):
+        text = (resources.files("ralp") / "scenarios" / f"{name}.scn").read_text()
+        scenario = parse_scenario(text, catalog_lookup)
+        assert scenario.steps == 3
+        solve = simulator.fairshare.FairShare.solve
+        calls = []
+
+        def counted(share):
+            calls.append(None)
+            solve(share)
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", counted)
+        simulate_run(scenario)
+        assert len(calls) == solves
 
 
 def _report_bytes(report) -> bytes:
