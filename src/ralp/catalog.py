@@ -21,16 +21,15 @@ class UnknownModelError(KeyError):
         super().__init__(f"unknown benchmark {name!r}; available: {', '.join(available)}")
 
 
-def _catalog_dir() -> Path:
-    return Path(str(resources.files(__package__) / "catalog_data"))
+_CATALOG_DIR = Path(str(resources.files(__package__) / "catalog_data"))
 
 
 def catalog_names() -> list[str]:
-    return sorted(p.name[: -len(_SUFFIX)] for p in _catalog_dir().iterdir() if p.name.endswith(_SUFFIX))
+    return sorted(p.name[: -len(_SUFFIX)] for p in _CATALOG_DIR.iterdir() if p.name.endswith(_SUFFIX))
 
 
 def catalog_lookup(name: str) -> ModelGraph:
-    path = _catalog_dir() / f"{name}{_SUFFIX}"
+    path = _CATALOG_DIR / f"{name}{_SUFFIX}"
     if not path.is_file():
         raise UnknownModelError(name, catalog_names())
     return parse_model(path.read_text())

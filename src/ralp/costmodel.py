@@ -37,6 +37,12 @@ class StrategyKind(str, enum.Enum):
     RING_ALLREDUCE = "ring"
 
 
+# Module constants for the per-row tests: reading a member through its
+# enum class takes about ten times as long as reading a module global.
+_RALP = StrategyKind.RALP
+_RING = StrategyKind.RING_ALLREDUCE
+
+
 @dataclass(frozen=True)
 class Strategy:
     kind: StrategyKind
@@ -148,9 +154,9 @@ def _volumes(
     """Volumes of one strategy.  A split plan without a split (the model is
     not partitionable) degenerates to the baseline, which is what the
     runtime would fall back to."""
-    if kind is StrategyKind.RING_ALLREDUCE:
+    if kind is _RING:
         return volume_ring(model, worker_count)
-    if kind is StrategyKind.RALP and split_index is not None:
+    if kind is _RALP and split_index is not None:
         return volume_ralp(model, split_index, worker_count)
     return volume_baseline(model, worker_count)
 
@@ -199,7 +205,9 @@ def compare_strategies(
 ) -> list[VolumeRow]:
     """Tabulate volumes for each (strategy, W).
 
-    For the split strategy, the split defaults to the profiler's choice.
+    For the split strategy, the split defaults to the profiler's choice
+    under the default ``ProfilerConfig``; the model caches that choice, so
+    a model already profiled is not searched again.
     """
     if not worker_counts:
         raise CostModelError("worker_counts must be nonempty")
@@ -208,7 +216,7 @@ def compare_strategies(
         report = profile(model, ProfilerConfig())
         split_index = report.split_index
     return [
-        VolumeRow(model.name, kind.value, w, _volumes(model, kind, split_index, w))
+        VolumeRow(model.name, kind._value_, w, _volumes(model, kind, split_index, w))
         for kind in kinds
         for w in worker_counts
     ]

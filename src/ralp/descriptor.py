@@ -22,6 +22,9 @@ from math import prod
 from typing import Callable, Optional
 
 from .layers import (
+    BLOCK,
+    CONVOLUTION,
+    FULLY_CONNECTED,
     LayerKind,
     LayerSpec,
     ModelError,
@@ -167,7 +170,7 @@ def parse_model(text: str) -> ModelGraph:
                 _column(code, 1),
             )
         keys = {token.partition("=")[0] for token in tokens[2:]}
-        explicit = "params" in keys or ("out" in keys and kind is not LayerKind.FULLY_CONNECTED)
+        explicit = "params" in keys or ("out" in keys and kind is not FULLY_CONNECTED)
         layer_keys = _EXPLICIT_KEYS if explicit else _DERIVED_KEYS[kind]
         kv = parse_pairs(tokens, 2, layer_keys, lineno, code)
         try:
@@ -181,7 +184,7 @@ def parse_model(text: str) -> ModelGraph:
                 else:
                     new_shape = TensorShape.flat(out_elems)
             else:
-                if kind is LayerKind.BLOCK:
+                if kind is BLOCK:
                     raise DescriptorError(
                         f"block layer {name!r} needs explicit params= out= flops=", lineno, _column(code, 0)
                     )
@@ -192,7 +195,7 @@ def parse_model(text: str) -> ModelGraph:
                         lineno,
                         _column(code, 0),
                     )
-                if kind is LayerKind.CONVOLUTION and "cin" in kv:
+                if kind is CONVOLUTION and "cin" in kv:
                     declared = int(kv["cin"])
                     if shape.is_flat or declared != shape.c:
                         raise ShapeMismatchError(
@@ -201,7 +204,7 @@ def parse_model(text: str) -> ModelGraph:
                             lineno,
                             _column(code, 0),
                         )
-                if kind is LayerKind.FULLY_CONNECTED and "in" in kv:
+                if kind is FULLY_CONNECTED and "in" in kv:
                     declared = int(kv["in"])
                     if declared != shape.elems:
                         raise ShapeMismatchError(

@@ -39,13 +39,26 @@ class LayerKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# The members as module constants, for code that runs once per layer:
+# reading a member through its enum class takes about ten times as long
+# as reading a module global.
+CONVOLUTION = LayerKind.CONVOLUTION
+POOLING = LayerKind.POOLING
+FULLY_CONNECTED = LayerKind.FULLY_CONNECTED
+FLATTEN = LayerKind.FLATTEN
+LOSS = LayerKind.LOSS
+BLOCK = LayerKind.BLOCK
+
 # Kinds that may carry parameters.
-PARAMETERIZED_KINDS = frozenset(
-    {LayerKind.CONVOLUTION, LayerKind.FULLY_CONNECTED, LayerKind.BLOCK}
-)
+PARAMETERIZED_KINDS = frozenset({CONVOLUTION, FULLY_CONNECTED, BLOCK})
 
 # Kinds the split planner must not cut between (compute-heavy layers).
-COMPUTE_DEMAND_KINDS = frozenset({LayerKind.CONVOLUTION, LayerKind.BLOCK})
+COMPUTE_DEMAND_KINDS = frozenset({CONVOLUTION, BLOCK})
+
+# Kinds whose output is their input, unchanged in shape.
+PASS_THROUGH_KINDS = frozenset(
+    {LayerKind.NORMALIZATION, LayerKind.ACTIVATION, LayerKind.CONCAT, LayerKind.RESIDUAL_ADD}
+)
 
 # Bound on a model's byte and flop totals.  The profiler and the simulator
 # turn them into floats and scale them by a few layer and worker counts;
@@ -143,12 +156,12 @@ def infer_layer(
     carry zero parameters; their compute is treated as negligible next to
     convolutions and fully-connected layers.
     """
-    if kind is LayerKind.CONVOLUTION:
+    if kind is CONVOLUTION:
         params, shape, flops = infer_conv(
             input_shape, settings["k"], settings["cout"], settings.get("stride", 1), settings.get("pad", 0)
         )
         return params, shape.elems, flops, shape
-    if kind is LayerKind.POOLING:
+    if kind is POOLING:
         _, shape, _ = infer_pool(
             input_shape,
             window=settings["window"],
@@ -156,16 +169,16 @@ def infer_layer(
             pad=settings.get("pad", 0),
         )
         return 0, shape.elems, 0, shape
-    if kind is LayerKind.FULLY_CONNECTED:
+    if kind is FULLY_CONNECTED:
         in_elems = settings.get("in", input_shape.elems)
         params, shape, flops = infer_fc(in_elems, settings["out"])
         return params, shape.elems, flops, shape
-    if kind is LayerKind.FLATTEN:
+    if kind is FLATTEN:
         shape = TensorShape.flat(input_shape.elems)
         return 0, shape.elems, 0, shape
-    if kind in (LayerKind.NORMALIZATION, LayerKind.ACTIVATION, LayerKind.CONCAT, LayerKind.RESIDUAL_ADD):
+    if kind in PASS_THROUGH_KINDS:
         return 0, input_shape.elems, 0, input_shape
-    if kind is LayerKind.LOSS:
+    if kind is LOSS:
         # A loss layer terminates the chain; nothing flows forward.
         return 0, 0, 0, TensorShape.flat(0)
     raise ModelError(f"layer kind {kind.value} has no derivation rule; give explicit totals")
@@ -193,7 +206,7 @@ class LayerSpec:
             raise ModelError(
                 f"layer {self.name}: kind {self.kind.value} cannot carry parameters"
             )
-        if self.output_elems_per_sample == 0 and self.kind is not LayerKind.LOSS:
+        if self.output_elems_per_sample == 0 and self.kind is not LOSS:
             raise ModelError(f"layer {self.name}: empty output on a non-loss layer")
 
 
@@ -230,9 +243,10 @@ class ModelGraph:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    # Prefix sums over the chain, computed once per instance: entry i covers
-    # layers 1..i, so entry 0 is 0 and the last entry is the whole model.
-    # ``replace`` builds a new instance, which starts without them.
+    # Prefix sums over the chain and the planning state, computed once per
+    # instance: prefix entry i covers layers 1..i, so entry 0 is 0 and the
+    # last entry is the whole model.  ``replace`` builds a new instance,
+    # which starts without them.
     @cached_property
     def param_count_prefix(self) -> tuple[int, ...]:
         return tuple(accumulate((l.param_count for l in self.layers), initial=0))
@@ -240,6 +254,10 @@ class ModelGraph:
     @cached_property
     def flops_prefix(self) -> tuple[int, ...]:
         return tuple(accumulate((l.compute_flops_per_sample for l in self.layers), initial=0))
+
+    @cached_property
+    def planning(self) -> "PlanningState":
+        return PlanningState(self)
 
     @property
     def total_param_count(self) -> int:
@@ -279,3 +297,26 @@ class ModelGraph:
 
     def with_batch_size(self, batch_size: int) -> "ModelGraph":
         return replace(self, batch_size=batch_size)
+
+
+class PlanningState:
+    """What a planning pass reads of one model, built once per ModelGraph
+    instance (``ModelGraph.planning``): the layers' names and kinds, their
+    sizes in bytes at the model's batch size and element width, and
+    ``derived``, where the profiler keeps what it computes from these
+    columns on first use (the split search, and the skewness of each mode)."""
+
+    __slots__ = ("names", "kinds", "kind_values", "param_bytes", "output_bytes",
+                 "cumulative_param_bytes", "derived")
+
+    def __init__(self, model: ModelGraph) -> None:
+        layers = model.layers
+        elem = model.bytes_per_element
+        step = model.batch_size * elem
+        self.names = tuple([l.name for l in layers])
+        self.kinds = tuple([l.kind for l in layers])
+        self.kind_values = tuple([k._value_ for k in self.kinds])  # .value is a Python-level property
+        self.param_bytes = tuple([l.param_count * elem for l in layers])
+        self.output_bytes = tuple([l.output_elems_per_sample * step for l in layers])
+        self.cumulative_param_bytes = tuple([c * elem for c in model.param_count_prefix[1:]])
+        self.derived: dict[object, object] = {}

@@ -13,7 +13,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
@@ -44,6 +43,12 @@ class ProfilerConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.threshold):
             raise ProfilerError(f"threshold must be finite, got {self.threshold!r}")
+        try:
+            mode = SkewnessMode(self.mode)
+        except ValueError:
+            raise ProfilerError(f"unknown skewness mode {self.mode!r}; "
+                                "expected index_weighted or literal_values") from None
+        object.__setattr__(self, "mode", mode)  # a mode given by its name
         if self.threshold >= 0:
             # A non-negative threshold admits right-skewed models, which the
             # partitioning rationale does not cover.  Warn, never alter.
@@ -199,23 +204,30 @@ class ProfileReport:
 
 
 def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> ProfileReport:
-    """Run the full static profile: skewness, gate, split choice."""
-    layers = model.layers
-    elem = model.bytes_per_element
-    p_bytes = tuple(l.param_count * elem for l in layers)
-    o_bytes = tuple(l.output_elems_per_sample * model.batch_size * elem for l in layers)
+    """Run the full static profile: skewness, gate, split choice.
 
-    kinds = tuple(l.kind for l in layers)
-    degenerate = len(layers) < 2 or model.total_param_count == 0
+    The per-layer columns, the split search and each mode's skewness are
+    computed once per model instance (``ModelGraph.planning``), so profiling
+    a model again, at any threshold or mode, only re-applies the gate."""
+    plan = model.planning
+    derived = plan.derived
+    mode = config.mode
+    degenerate = model.num_layers < 2 or model.total_param_count == 0
     if degenerate:
         skew = 0.0
         passed_gate = False
     else:
-        skew = compute_skewness(p_bytes, config.mode)
+        skew = derived.get(mode)
+        if skew is None:
+            skew = derived[mode] = compute_skewness(plan.param_bytes, mode)
         passed_gate = gate_eligibility(skew, config)
 
-    split = find_split(p_bytes, o_bytes, kinds) if passed_gate else None
-    eligible = passed_gate and split is not None
+    split = None
+    if passed_gate:
+        if "split" not in derived:
+            derived["split"] = find_split(plan.param_bytes, plan.output_bytes, plan.kinds)
+        split = derived["split"]
+    eligible = split is not None
     if eligible:
         recommendation = f"partition after layer {split.index}; back segment runs in the PS machine"
     else:
@@ -223,14 +235,14 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
 
     return ProfileReport(
         model_name=model.name,
-        layer_names=tuple(l.name for l in layers),
-        layer_kinds=tuple(k._value_ for k in kinds),  # .value is a Python-level property
-        param_bytes=p_bytes,
-        output_bytes=o_bytes,
-        cumulative_param_bytes=tuple(accumulate(p_bytes)),
+        layer_names=plan.names,
+        layer_kinds=plan.kind_values,
+        param_bytes=plan.param_bytes,
+        output_bytes=plan.output_bytes,
+        cumulative_param_bytes=plan.cumulative_param_bytes,
         skewness=skew,
         threshold=config.threshold,
-        mode=SkewnessMode(config.mode).value,
+        mode=mode._value_,
         eligible=eligible,
         split_index=split.index if eligible else None,
         split_cost_bytes=split.cost_bytes if eligible else None,

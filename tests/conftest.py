@@ -1,6 +1,9 @@
-"""Shared builders for synthetic models and scenarios."""
+"""Shared builders for synthetic models and scenarios, and the input
+mutator that the fuzz and the parse-outcome digest share."""
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -70,3 +73,62 @@ def fc_tail_model(
         )
         idx += 1
     return ModelGraph(name=name, layers=tuple(layers), batch_size=int(rng.integers(1, 33)))
+
+
+# Replacement words for mutated inputs: small integers only, so no input
+# asks for a huge cluster, plus tokens that are valid somewhere else in the
+# two formats, among them every explicit-layer and derived-layer key.
+JUNK_INTEGERS = (-2, 64)
+JUNK_WORDS = (
+    "x", "=", "", "0x0x3", "4x4", "1e3", "nan", "inf", "-0", "#", "auto",
+    "ring", "ralp", "baseline", "conv", "fc", "block", "pool", "model",
+    "job", "place", "spread", "steps", "cluster", "k=3", "out=", "=3",
+    "params=5", "flops=7", "shape=2x2x3", "cin=3", "cout=8", "window=2",
+    "stride=2", "pad=1", "in=4",
+)
+MUTATION_OPS = ("drop", "duplicate", "swap", "insert", "value", "drop-line", "copy-line")
+
+
+def random_mutations(rng: random.Random) -> list[tuple[str, int, int, str]]:
+    """One to three mutations drawn from ``rng``, in ``mutate``'s form."""
+    lo, hi = JUNK_INTEGERS
+    return [
+        (rng.choice(MUTATION_OPS), rng.randint(0, 1 << 16), rng.randint(0, 1 << 16),
+         rng.choice(JUNK_WORDS) if rng.random() < 0.5 else str(rng.randint(lo, hi)))
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def mutate(text: str, mutations) -> str:
+    """``text`` with each ``(op, a, b, junk)`` applied in turn: ``a`` picks
+    the line, ``b`` the word, and ``junk`` is the word put in."""
+    lines = text.splitlines()
+    for op, a, b, junk in mutations:
+        if not lines:
+            lines.append(junk)
+            continue
+        row = a % len(lines)
+        if op == "drop-line":
+            del lines[row]
+            continue
+        if op == "copy-line":
+            lines.insert(b % (len(lines) + 1), lines[row])
+            continue
+        tokens = lines[row].split()
+        i = b % (len(tokens) + 1)
+        if op == "insert" or not tokens:
+            tokens.insert(i, junk)
+        elif op == "drop":
+            del tokens[i % len(tokens)]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i % len(tokens)])
+        elif op == "swap":
+            j = a % len(tokens)
+            i %= len(tokens)
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:  # value: replace what follows '=' (or the whole token)
+            i %= len(tokens)
+            key, sep, _ = tokens[i].partition("=")
+            tokens[i] = f"{key}={junk}" if sep else junk
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"

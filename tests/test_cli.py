@@ -19,6 +19,7 @@ from ralp.cli import (
     EXIT_UNKNOWN_CATALOG,
     main,
 )
+from conftest import JUNK_INTEGERS, JUNK_WORDS, MUTATION_OPS, mutate
 
 GIB = 1 << 30
 DATA = Path(__file__).parent / "data"
@@ -536,57 +537,12 @@ class TestPlanDigest:
 
 _PACKAGE = Path(str(resources.files("ralp")))
 _FUZZ_SOURCES = sorted(_PACKAGE.glob("scenarios/*.scn")) + sorted(_PACKAGE.glob("catalog_data/*.model"))
-# Replacement words: small integers only, so no input asks for a huge
-# cluster, plus tokens that are valid somewhere else in the two formats.
-_JUNK = st.one_of(
-    st.integers(-2, 64).map(str),
-    st.sampled_from(["x", "=", "", "0x0x3", "4x4", "1e3", "nan", "inf", "-0", "#", "auto",
-                     "ring", "ralp", "baseline", "conv", "fc", "block", "pool", "model",
-                     "job", "place", "spread", "steps", "cluster", "k=3", "out=", "=3"]),
-)
+_JUNK = st.one_of(st.integers(*JUNK_INTEGERS).map(str), st.sampled_from(JUNK_WORDS))
 _MUTATIONS = st.lists(
-    st.tuples(
-        st.sampled_from(["drop", "duplicate", "swap", "insert", "value", "drop-line", "copy-line"]),
-        st.integers(0, 1 << 16),
-        st.integers(0, 1 << 16),
-        _JUNK,
-    ),
+    st.tuples(st.sampled_from(MUTATION_OPS), st.integers(0, 1 << 16), st.integers(0, 1 << 16), _JUNK),
     min_size=1,
     max_size=3,
 )
-
-
-def _mutate(text: str, mutations) -> str:
-    lines = text.splitlines()
-    for op, a, b, junk in mutations:
-        if not lines:
-            lines.append(junk)
-            continue
-        row = a % len(lines)
-        if op == "drop-line":
-            del lines[row]
-            continue
-        if op == "copy-line":
-            lines.insert(b % (len(lines) + 1), lines[row])
-            continue
-        tokens = lines[row].split()
-        i = b % (len(tokens) + 1)
-        if op == "insert" or not tokens:
-            tokens.insert(i, junk)
-        elif op == "drop":
-            del tokens[i % len(tokens)]
-        elif op == "duplicate":
-            tokens.insert(i, tokens[i % len(tokens)])
-        elif op == "swap":
-            j = a % len(tokens)
-            i %= len(tokens)
-            tokens[i], tokens[j] = tokens[j], tokens[i]
-        else:  # value: replace what follows '=' (or the whole token)
-            i %= len(tokens)
-            key, sep, _ = tokens[i].partition("=")
-            tokens[i] = f"{key}={junk}" if sep else junk
-        lines[row] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
 
 
 class TestFuzzedInputs:
@@ -595,7 +551,7 @@ class TestFuzzedInputs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_mutated_file_exits_with_a_documented_code(self, capsys, tmp_path, source, mutations, steps):
         path = tmp_path / source.name
-        path.write_text(_mutate(source.read_text(), mutations))
+        path.write_text(mutate(source.read_text(), mutations))
         if path.suffix == ".scn":
             runs = [("simulate", str(path), "--steps", str(steps))]
         else:

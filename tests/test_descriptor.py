@@ -1,4 +1,8 @@
+import hashlib
+import random
 import re
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +10,7 @@ from hypothesis import strategies as st
 
 from ralp.descriptor import DescriptorError, ShapeMismatchError, parse_model
 from ralp.layers import LayerKind, ModelGraph
-from conftest import make_layer
+from conftest import make_layer, mutate, random_mutations
 
 _WEIGHTED = (LayerKind.CONVOLUTION, LayerKind.FULLY_CONNECTED, LayerKind.BLOCK)
 
@@ -246,3 +250,44 @@ class TestErrorColumns:
         starts = [m.start() + 1 for m in re.finditer(r"\S+", line)]
         assert (err.value.line, err.value.column) == (1 if header else 2, starts[at])
         assert message in str(err.value)
+
+
+# Small chains that between them use every kind and every layer key.
+_DIGEST_CHAINS = (
+    "model c1 batch=4 elem_bytes=2 input=16x16x3\n"
+    "a conv k=3 cout=8 pad=1 cin=3\nb act\nc pool window=2 stride=2 pad=0\n"
+    "d norm\ne block params=50 out=256 flops=90 shape=8x8x4\nf flatten\n"
+    "g fc in=256 out=10\nh loss\n",
+    "model c2 batch=2 input=12\nf1 fc out=6\nr add\nj concat\nf2 fc out=3\n",
+    "model c3 batch=1\nb1 block params=5 out=12 flops=7 shape=2x2x3\n"
+    "c conv k=2 cout=4 stride=2\np pool window=1\nx flatten\nf fc out=2\n",
+)
+
+
+class TestParseDigest:
+    """sha256 of what ``parse_model`` makes of 3,000 mutated descriptors
+    (the catalog and the chains above, mutated by ``mutate``): the layers,
+    batch and element width of each model, or the type and message of each
+    error.  Recorded before the per-layer path of the parser was tuned, it
+    pins which error each broken line reports, and every message."""
+
+    def test_mutated_descriptors(self):
+        catalog = Path(str(resources.files("ralp"))) / "catalog_data"
+        sources = [p.read_text() for p in sorted(catalog.glob("*.model"))] + list(_DIGEST_CHAINS)
+        digest = hashlib.sha256()
+        parsed = 0
+        for i in range(3000):
+            text = mutate(sources[i % len(sources)], random_mutations(random.Random(i)))
+            try:
+                model = parse_model(text)
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                parsed += 1
+                outcome = repr((model.name, model.batch_size, model.bytes_per_element, [
+                    (l.name, l.kind.value, l.param_count, l.output_elems_per_sample,
+                     l.compute_flops_per_sample) for l in model.layers
+                ]))
+            digest.update(f"{i}\n{outcome}\n".encode())
+        assert parsed == 635
+        assert digest.hexdigest() == "0bc68d5513cbbd3332b7c2f9ff1611761d6b53b7e851f9531b3f0b207c65b714"

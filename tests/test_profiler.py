@@ -1,12 +1,18 @@
+import dataclasses
 import math
 import warnings
+from collections import Counter
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ralp.profiler
 from ralp.catalog import catalog_lookup
+from ralp.costmodel import compare_strategies
+from ralp.descriptor import parse_model
 from ralp.layers import LayerKind
 from ralp.profiler import (
     ProfilerConfig,
@@ -171,6 +177,14 @@ class TestGate:
         with pytest.raises(ProfilerError, match="finite"):
             ProfilerConfig(threshold=threshold)
 
+    def test_unknown_mode_rejected_at_construction(self):
+        with pytest.raises(ProfilerError, match="unknown skewness mode 'bogus'; "
+                                                "expected index_weighted or literal_values"):
+            ProfilerConfig(mode="bogus")
+
+    def test_mode_given_by_name_is_the_member(self):
+        assert ProfilerConfig(mode="literal_values").mode is SkewnessMode.LITERAL_VALUES
+
     def test_nonnegative_threshold_warns_but_keeps_value(self):
         with pytest.warns(UserWarning, match="non-negative"):
             config = ProfilerConfig(threshold=0.25)
@@ -290,3 +304,48 @@ class TestProfile:
         payload = json.loads(profile(catalog_lookup("lenet")).to_json())
         assert [l["name"] for l in payload["layers"]][:2] == ["conv1", "pool1"]
         assert payload["eligible"] is True
+
+
+class TestPlanningCache:
+    """``profile`` computes a model's columns, split search and skewness per
+    mode once per ModelGraph instance, and a replaced model starts afresh."""
+
+    def test_split_search_and_skewness_run_once_per_model(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name if name == "split" else SkewnessMode(args[1]).value] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(ralp.profiler, "find_split", counted("split", find_split))
+        monkeypatch.setattr(ralp.profiler, "compute_skewness", counted("skew", compute_skewness))
+        model = catalog_lookup("vgg11")
+        configs = [ProfilerConfig(), ProfilerConfig(threshold=-0.1, mode="literal_values"),
+                   ProfilerConfig(threshold=-1.5), ProfilerConfig(mode=SkewnessMode.LITERAL_VALUES)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [profile(model, config) for config in configs + configs]
+        compare_strategies(model, [2, 8])
+        assert calls == {"split": 1, "index_weighted": 1, "literal_values": 1}
+        monkeypatch.undo()
+        assert reports == [profile(catalog_lookup("vgg11"), c) for c in configs + configs]
+        assert reports[0].eligible and not reports[1].eligible
+
+    @pytest.mark.parametrize("old, new", [
+        ("fc1 fc out=4096", "fc1 fc out=64"),
+        ("elem_bytes=4", "elem_bytes=2"),
+        ("batch=64", "batch=3"),
+    ])
+    def test_replaced_model_reports_as_a_fresh_parse(self, old, new):
+        text = (resources.files("ralp") / "catalog_data" / "vgg11.model").read_text()
+        model = parse_model(text)
+        before = [profile(model, ProfilerConfig(mode=mode)) for mode in SkewnessMode]
+        fresh = parse_model(text.replace(old, new))
+        changed = dataclasses.replace(model, layers=fresh.layers, batch_size=fresh.batch_size,
+                                      bytes_per_element=fresh.bytes_per_element)
+        for mode, report in zip(SkewnessMode, before):
+            config = ProfilerConfig(mode=mode)
+            assert profile(changed, config) == profile(fresh, config) != report
+            assert profile(model, config) == report
