@@ -27,7 +27,7 @@ from .costmodel import (
 )
 from .descriptor import DescriptorError, file_error, parse_model
 from .layers import ModelGraph
-from .profiler import ProfilerConfig, ProfilerError, SkewnessMode, profile
+from .profiler import ProfilerConfig, ProfilerError, profile
 from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
 
 EXIT_OK = 0
@@ -70,13 +70,9 @@ def _load_model(ref: str) -> ModelGraph:
 
 def _profiler_config(args) -> ProfilerConfig:
     try:
-        mode = SkewnessMode(args.mode)
-    except ValueError:
-        raise _CliError(EXIT_BAD_FLAG, f"unknown skewness mode {args.mode!r}") from None
-    try:
-        return ProfilerConfig(threshold=args.threshold, mode=mode)
+        return ProfilerConfig(threshold=args.threshold, mode=args.mode)
     except ProfilerError as exc:
-        raise _CliError(EXIT_BAD_FLAG, f"--threshold: {exc}") from None
+        raise _CliError(EXIT_BAD_FLAG, str(exc)) from None
 
 
 def _cmd_profile(args) -> int:

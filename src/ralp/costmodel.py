@@ -16,7 +16,9 @@ one endpoint is treated as free.
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -242,14 +244,14 @@ def gpu_assignments(total_gpus: int) -> dict[str, dict[str, int]]:
 
 
 def rows_to_csv(rows: Sequence[VolumeRow]) -> str:
-    lines = [CSV_HEADER]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for row in rows:
         v = row.volumes
-        lines.append(
-            f"{row.model},{row.strategy},{row.worker_count},"
-            f"{v.total_bytes_per_step},{v.parameter_sync_bytes},{v.activation_bytes}"
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow((row.model, row.strategy, row.worker_count,
+                         v.total_bytes_per_step, v.parameter_sync_bytes, v.activation_bytes))
+    return out.getvalue()
 
 
 def rows_to_json(rows: Sequence[VolumeRow]) -> str:

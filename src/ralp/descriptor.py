@@ -12,6 +12,12 @@ or the layer's kind does not take is an error, and so are ``flops=`` and
 ``shape=`` on a derived layer, whose flops and shape are inferred, and a
 kind's hyperparameters on an explicit layer, whose counts are given.
 Scenario files read their ``key=value`` pairs through ``parse_pairs`` too.
+
+This module owns the shape format, the settings each kind takes
+(``_KIND_KEYS``) and the counting rules that derive a layer's parameter
+count, output shape and flops from them (``_derive_layer``).  Shapes live
+only while a descriptor is parsed, as tuples of dims; the ModelGraph it
+returns holds element counts.
 """
 
 from __future__ import annotations
@@ -19,19 +25,24 @@ from __future__ import annotations
 import re
 from itertools import islice
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .layers import (
     BLOCK,
     CONVOLUTION,
+    FLATTEN,
     FULLY_CONNECTED,
+    LOSS,
+    PASS_THROUGH_KINDS,
+    POOLING,
     LayerKind,
     LayerSpec,
     ModelError,
     ModelGraph,
-    TensorShape,
-    infer_layer,
 )
+
+# (h, w, c) for a spatial shape, (n,) for a flat one.
+Shape = tuple[int, ...]
 
 _KIND_TOKENS = {kind.value: kind for kind in LayerKind}
 _TOKEN = re.compile(r"\S+")
@@ -49,6 +60,58 @@ _KIND_KEYS = {
 _DERIVED_KEYS = {
     kind: dict.fromkeys(("params", "out") + _KIND_KEYS.get(kind, ()), int) for kind in LayerKind
 }
+
+
+def conv_output_hw(h: int, w: int, kernel: int, stride: int, pad: int) -> tuple[int, int]:
+    """Spatial output dims for a conv/pool window with explicit padding."""
+    if kernel <= 0 or stride <= 0 or pad < 0:
+        raise ModelError(f"nonpositive window geometry: kernel={kernel} stride={stride} pad={pad}")
+    h_out = (h + 2 * pad - kernel) // stride + 1
+    w_out = (w + 2 * pad - kernel) // stride + 1
+    if h_out <= 0 or w_out <= 0:
+        raise ModelError(
+            f"window {kernel}x{kernel} stride {stride} does not fit padded input {h}x{w} (pad {pad})"
+        )
+    return h_out, w_out
+
+
+def _derive_layer(kind: LayerKind, settings: Mapping[str, int], shape: Shape) -> tuple[int, Shape, int]:
+    """(param_count, output shape, forward flops) of a derived layer of
+    ``kind`` that reads ``shape``.  A missing setting raises KeyError.
+
+    conv: params = K*K*C_in*C_out + C_out, flops = 2*K*K*C_in*C_out*H_out*W_out;
+    fc: params = I*U + U, flops = 2*I*U (bias included, multiply-add counted
+    as 2).  Every other kind carries no parameters and its compute is treated
+    as negligible; a loss layer ends the chain, so nothing flows forward.
+    """
+    if kind is CONVOLUTION:
+        k, c_out = settings["k"], settings["cout"]
+        if len(shape) != 3:
+            raise ModelError("convolution requires a spatial input shape")
+        if c_out <= 0:
+            raise ModelError(f"nonpositive output channels: {c_out}")
+        h, w, c_in = shape
+        h, w = conv_output_hw(h, w, k, settings.get("stride", 1), settings.get("pad", 0))
+        return k * k * c_in * c_out + c_out, (h, w, c_out), 2 * k * k * c_in * c_out * h * w
+    if kind is POOLING:
+        window = settings["window"]
+        if len(shape) != 3:
+            raise ModelError("pooling requires a spatial input shape")
+        h, w, c = shape
+        h, w = conv_output_hw(h, w, window, settings.get("stride", window), settings.get("pad", 0))
+        return 0, (h, w, c), 0
+    if kind is FULLY_CONNECTED:
+        out, n = settings["out"], prod(shape)
+        if n <= 0 or out <= 0:
+            raise ModelError(f"nonpositive fully-connected dims: in={n} out={out}")
+        return n * out + out, (out,), 2 * n * out
+    if kind is FLATTEN:
+        return 0, (prod(shape),), 0
+    if kind in PASS_THROUGH_KINDS:
+        return 0, shape, 0
+    if kind is LOSS:
+        return 0, (0,), 0
+    raise ModelError(f"layer kind {kind.value} has no derivation rule; give explicit totals")
 
 
 class DescriptorError(ValueError):
@@ -74,7 +137,7 @@ def _column(code: str, token: int) -> int:
 
 def _parse_shape(
     text: str, elems: Optional[int], key: str, tokens: list[str], line: int, code: str
-) -> TensorShape:
+) -> Shape:
     """The shape ``text`` of the ``key=`` word among ``tokens``, split from
     ``code``, with ``elems`` elements unless that is None.  Its errors point
     at that word."""
@@ -90,7 +153,7 @@ def _parse_shape(
     elif elems is not None and prod(dims) != elems:
         problem = f"{prod(dims)} elements, but out={elems}"
     else:
-        return TensorShape.flat(dims[0]) if len(dims) == 1 else TensorShape(*dims)
+        return tuple(dims)
     at = next(i for i, token in enumerate(tokens) if token.startswith(key + "="))
     raise DescriptorError(f"bad shape {text!r} ({problem})", line, _column(code, at))
 
@@ -133,7 +196,7 @@ def parse_model(text: str) -> ModelGraph:
     header: Optional[dict[str, object]] = None
     header_line = 0
     layers: list[LayerSpec] = []
-    shape: Optional[TensorShape] = None
+    shape: Optional[Shape] = None
     prev_name = "<input>"
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -182,7 +245,7 @@ def parse_model(text: str) -> ModelGraph:
                 if "shape" in kv:
                     new_shape = _parse_shape(str(kv["shape"]), out_elems, "shape", tokens, lineno, code)
                 else:
-                    new_shape = TensorShape.flat(out_elems)
+                    new_shape = (out_elems,)
             else:
                 if kind is BLOCK:
                     raise DescriptorError(
@@ -197,27 +260,28 @@ def parse_model(text: str) -> ModelGraph:
                     )
                 if kind is CONVOLUTION and "cin" in kv:
                     declared = int(kv["cin"])
-                    if shape.is_flat or declared != shape.c:
+                    if len(shape) != 3 or declared != shape[2]:
                         raise ShapeMismatchError(
                             f"layer {name!r} declares cin={declared} but {prev_name!r} "
-                            f"produces {shape}",
+                            f"produces {'x'.join(map(str, shape))}",
                             lineno,
                             _column(code, 0),
                         )
                 if kind is FULLY_CONNECTED and "in" in kv:
                     declared = int(kv["in"])
-                    if declared != shape.elems:
+                    if declared != prod(shape):
                         raise ShapeMismatchError(
                             f"layer {name!r} declares in={declared} but {prev_name!r} "
-                            f"produces {shape.elems} elements",
+                            f"produces {prod(shape)} elements",
                             lineno,
                             _column(code, 0),
                         )
                 try:
-                    params, out_elems, flops, new_shape = infer_layer(kind, kv, shape)
+                    params, new_shape, flops = _derive_layer(kind, kv, shape)
                 except KeyError as exc:  # a required hyperparameter is missing
                     raise DescriptorError(f"{kind.value} layer {name!r} needs {exc.args[0]}=",
                                           lineno, _column(code, 0)) from None
+                out_elems = prod(new_shape)
             layers.append(LayerSpec(name, kind, params, out_elems, flops))
         except ModelError as exc:
             raise DescriptorError(str(exc), lineno, _column(code, 0)) from None

@@ -3,8 +3,8 @@
 A model is an ordered chain of layers.  Everything downstream (the split
 planner, the communication cost model, the simulator) consumes only three
 numbers per layer: parameter count, per-sample output size, and forward
-multiply-add flops.  This module defines the layer chain types and the
-closed-form counting rules that populate those numbers.
+multiply-add flops.  This module defines the layer kinds and the chain
+types that hold those numbers; the descriptor parser derives them.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Optional
+from typing import Optional
 
 
 class ModelError(ValueError):
@@ -65,123 +65,6 @@ PASS_THROUGH_KINDS = frozenset(
 # the bound leaves those factors 2**64 of room below the float range, but
 # not powers: the literal skewness scales sizes below 1 before cubing them.
 FLOAT_TOTAL_LIMIT = 2**960
-
-
-@dataclass(frozen=True)
-class TensorShape:
-    """Activation shape: spatial (h, w, c), or a flat vector when h == w == 0."""
-
-    h: int
-    w: int
-    c: int
-
-    @classmethod
-    def flat(cls, n: int) -> "TensorShape":
-        return cls(0, 0, n)
-
-    @property
-    def is_flat(self) -> bool:
-        return self.h == 0 and self.w == 0
-
-    @property
-    def elems(self) -> int:
-        if self.is_flat:
-            return self.c
-        return self.h * self.w * self.c
-
-    def __str__(self) -> str:
-        if self.is_flat:
-            return str(self.c)
-        return f"{self.h}x{self.w}x{self.c}"
-
-
-def conv_output_hw(h: int, w: int, kernel: int, stride: int, pad: int) -> tuple[int, int]:
-    """Spatial output dims for a conv/pool window with explicit padding."""
-    if kernel <= 0 or stride <= 0 or pad < 0:
-        raise ModelError(f"nonpositive window geometry: kernel={kernel} stride={stride} pad={pad}")
-    h_out = (h + 2 * pad - kernel) // stride + 1
-    w_out = (w + 2 * pad - kernel) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ModelError(
-            f"window {kernel}x{kernel} stride {stride} does not fit padded input {h}x{w} (pad {pad})"
-        )
-    return h_out, w_out
-
-
-def infer_conv(
-    in_shape: TensorShape, kernel: int, c_out: int, stride: int = 1, pad: int = 0
-) -> tuple[int, TensorShape, int]:
-    """Parameter count, output shape, and forward flops of a convolution.
-
-    params = K*K*C_in*C_out + C_out (bias included);
-    flops = 2*K*K*C_in*C_out*H_out*W_out (multiply-add counted as 2).
-    """
-    if in_shape.is_flat:
-        raise ModelError("convolution requires a spatial input shape")
-    if c_out <= 0:
-        raise ModelError(f"nonpositive output channels: {c_out}")
-    h_out, w_out = conv_output_hw(in_shape.h, in_shape.w, kernel, stride, pad)
-    c_in = in_shape.c
-    params = kernel * kernel * c_in * c_out + c_out
-    flops = 2 * kernel * kernel * c_in * c_out * h_out * w_out
-    return params, TensorShape(h_out, w_out, c_out), flops
-
-
-def infer_pool(
-    in_shape: TensorShape, window: int, stride: Optional[int] = None, pad: int = 0
-) -> tuple[int, TensorShape, int]:
-    if in_shape.is_flat:
-        raise ModelError("pooling requires a spatial input shape")
-    if stride is None:
-        stride = window
-    h_out, w_out = conv_output_hw(in_shape.h, in_shape.w, window, stride, pad)
-    return 0, TensorShape(h_out, w_out, in_shape.c), 0
-
-
-def infer_fc(in_elems: int, out_width: int) -> tuple[int, TensorShape, int]:
-    """params = I*U + U (bias included); flops = 2*I*U."""
-    if in_elems <= 0 or out_width <= 0:
-        raise ModelError(f"nonpositive fully-connected dims: in={in_elems} out={out_width}")
-    params = in_elems * out_width + out_width
-    flops = 2 * in_elems * out_width
-    return params, TensorShape.flat(out_width), flops
-
-
-def infer_layer(
-    kind: LayerKind, settings: Mapping[str, int], input_shape: TensorShape
-) -> tuple[int, int, int, TensorShape]:
-    """Derive (param_count, output_elems_per_sample, flops, shape).
-
-    Pooling, normalization, activation, flatten, concat and residual-add
-    carry zero parameters; their compute is treated as negligible next to
-    convolutions and fully-connected layers.
-    """
-    if kind is CONVOLUTION:
-        params, shape, flops = infer_conv(
-            input_shape, settings["k"], settings["cout"], settings.get("stride", 1), settings.get("pad", 0)
-        )
-        return params, shape.elems, flops, shape
-    if kind is POOLING:
-        _, shape, _ = infer_pool(
-            input_shape,
-            window=settings["window"],
-            stride=settings.get("stride"),
-            pad=settings.get("pad", 0),
-        )
-        return 0, shape.elems, 0, shape
-    if kind is FULLY_CONNECTED:
-        in_elems = settings.get("in", input_shape.elems)
-        params, shape, flops = infer_fc(in_elems, settings["out"])
-        return params, shape.elems, flops, shape
-    if kind is FLATTEN:
-        shape = TensorShape.flat(input_shape.elems)
-        return 0, shape.elems, 0, shape
-    if kind in PASS_THROUGH_KINDS:
-        return 0, input_shape.elems, 0, input_shape
-    if kind is LOSS:
-        # A loss layer terminates the chain; nothing flows forward.
-        return 0, 0, 0, TensorShape.flat(0)
-    raise ModelError(f"layer kind {kind.value} has no derivation rule; give explicit totals")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ the job with the same shape.
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import itertools
 import json
 import math
@@ -297,20 +299,17 @@ class SimReport:
 
     def timeline_csv(self) -> str:
         """Per-worker per-step category table."""
-        lines = [
-            "job,step,worker,worker_computation,ps_computation,memcopy,"
-            "communication,step_duration"
-        ]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("job", "step", "worker", "worker_computation", "ps_computation",
+                         "memcopy", "communication", "step_duration"))
         for job in self.jobs:
             for step in job.steps:
                 for w in range(len(step.worker_computation)):
-                    lines.append(
-                        f"{job.job},{step.step},{w},"
-                        f"{step.worker_computation[w]!r},{step.ps_computation[w]!r},"
-                        f"{step.memcopy[w]!r},{step.communication[w]!r},"
-                        f"{step.step_duration(w)!r}"
-                    )
-        return "\n".join(lines) + "\n"
+                    writer.writerow((job.job, step.step, w, step.worker_computation[w],
+                                     step.ps_computation[w], step.memcopy[w],
+                                     step.communication[w], step.step_duration(w)))
+        return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -935,6 +934,8 @@ def parse_scenario(
         if name in explicit:
             groups = explicit[name]
             for kind, count in (("worker", spec.worker_count), ("ps", spec.ps_count)):
+                if groups[kind] and not count:
+                    fail(lineno, f"job {name!r} has no {kind} processes to place")
                 if sorted(groups[kind]) != list(range(count)):
                     fail(lineno, f"job {name!r}: {kind} placements must cover 0..{count - 1}")
             placement = Placement(

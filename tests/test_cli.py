@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -112,6 +114,12 @@ class TestProfileCommand:
     def test_bad_mode_flag(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--mode", "sideways")
         assert code == EXIT_BAD_FLAG
+        assert err == ("error: unknown skewness mode 'sideways'; "
+                       "expected index_weighted or literal_values\n")
+
+    def test_bad_threshold_reported_before_bad_mode(self, capsys):
+        code, _, err = run_cli(capsys, "profile", "vgg11", "--threshold=nan", "--mode", "sideways")
+        assert (code, err) == (EXIT_BAD_FLAG, "error: threshold must be finite, got nan\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, capsys, value):
@@ -166,6 +174,15 @@ class TestVolumesCommand:
         assert len(lines) == 3
         totals = {line.split(",")[1]: int(line.split(",")[3]) for line in lines}
         assert totals["ralp"] == min(totals.values())
+
+    def test_csv_quotes_a_comma_in_the_model_name(self, capsys, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("model le,net batch=1 input=8x8x3\nc conv k=3 cout=4\nf fc out=10\n")
+        code, out, _ = run_cli(capsys, "volumes", str(path))
+        assert code == EXIT_OK
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(rows) == 3
+        assert all(len(row) == len(header) == 6 and row[0] == "le,net" for row in rows)
 
     def test_invalid_strategy_name(self, capsys):
         code, _, err = run_cli(capsys, "volumes", "vgg11", "--strategies", "gossip")
@@ -390,13 +407,16 @@ class TestSimulateCommand:
          EXIT_PARSE, 1, "worker placements must cover 0..1"),
         ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a worker 0 0 0\n",
          EXIT_PARSE, 1, "ps placements must cover 0..0"),
+        ("cluster machines=2 gpus=2\njob g model=lenet strategy=ring workers=2\n"
+         "place g worker 0 0 0\nplace g worker 1 1 0\nplace g ps 0 0 1\n",
+         EXIT_PARSE, 2, "job 'g' has no ps processes to place"),
         ("job a model=lenet strategy=ring workers=2\njob a model=lenet strategy=ring workers=2\n",
          EXIT_PARSE, 2, "duplicate job name 'a'"),
         ("cluster machines=2 gpus=2\njob a model=lenet strategy=baseline workers=2 ps=1\n"
          "job b model=lenet strategy=ring workers=2\n",
          EXIT_CAPACITY, 3, "job 'b': cluster is full: 4 slots cannot host"),
     ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
-            "double-booked", "workers-uncovered", "ps-uncovered", "duplicate-job",
+            "double-booked", "workers-uncovered", "ps-uncovered", "ps-on-ring", "duplicate-job",
             "spread-job-past-full"])
     def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
         scn = tmp_path / "bad.scn"
@@ -499,6 +519,16 @@ class TestSimulateCommand:
         fields = lines[1].split(",")
         categories = [float(x) for x in fields[3:7]]
         assert sum(categories) == float(fields[7])
+
+    def test_timeline_csv_quotes_a_comma_in_the_job_name(self, capsys, tmp_path):
+        scn, timeline = tmp_path / "c.scn", tmp_path / "steps.csv"
+        scn.write_text("job a,b model=lenet strategy=ring workers=2\n")
+        code, _, _ = run_cli(capsys, "simulate", str(scn), "--timeline", str(timeline))
+        assert code == EXIT_OK
+        with timeline.open(newline="") as f:
+            header, *rows = csv.reader(f)
+        assert len(rows) == 2
+        assert all(len(row) == len(header) == 8 and row[0] == "a,b" for row in rows)
 
 
 class TestCatalogCommand:

@@ -49,20 +49,18 @@ class TestParse:
         assert model.total_param_bytes == 0
         assert model.layers[0].output_elems_per_sample == 4 * 4 * 4
 
-    def test_conv_chain_shape_mismatch(self):
-        text = (
-            "model bad batch=1 input=8x8x3\n"
-            "c1 conv k=3 cout=16 pad=1\n"
-            "c2 conv k=3 cin=8 cout=32 pad=1\n"
-        )
+    @pytest.mark.parametrize("text, reason", [
+        ("model bad batch=1 input=8x8x3\nc1 conv k=3 cout=16 pad=1\nc2 conv k=3 cin=8 cout=32 pad=1\n",
+         "layer 'c2' declares cin=8 but 'c1' produces 8x8x16"),
+        ("model m batch=1 input=16\nc conv k=1 cin=16 cout=2\n",
+         "layer 'c' declares cin=16 but '<input>' produces 16"),
+        ("model bad batch=1 input=4x4x2\nf1 fc in=33 out=2\n",
+         "layer 'f1' declares in=33 but '<input>' produces 32 elements"),
+    ])
+    def test_shape_mismatch_names_both_layers_and_the_shape(self, text, reason):
         with pytest.raises(ShapeMismatchError) as err:
             parse_model(text)
-        assert "c1" in str(err.value) and "c2" in str(err.value)
-
-    def test_fc_input_width_mismatch_names_both_layers(self):
-        text = "model bad batch=1 input=4x4x2\nf1 fc in=33 out=2\n"
-        with pytest.raises(ShapeMismatchError, match="f1"):
-            parse_model(text)
+        assert err.value.reason == reason
 
     def test_unknown_kind(self):
         with pytest.raises(DescriptorError, match="unknown layer kind"):
@@ -174,6 +172,55 @@ class TestParse:
     def test_missing_hyperparameter_names_line(self, line, key):
         with pytest.raises(DescriptorError, match=rf"line 2, column 1: .* needs {key}="):
             parse_model(f"model m batch=1 input=4x4x3\n{line}\n")
+
+
+class TestInference:
+    """The counting rules on one- or two-layer descriptors, worked by hand."""
+
+    def test_conv_params_3x3x3_to_64(self):
+        # 9*3*64 + 64
+        (conv,) = parse_model("model m batch=1 input=32x32x3\nc conv k=3 cout=64 pad=1\n").layers
+        assert conv.param_count == 1792
+        assert conv.output_elems_per_sample == 32 * 32 * 64
+        assert conv.compute_flops_per_sample == 2 * 9 * 3 * 64 * 32 * 32
+
+    def test_fc_params_4096_to_1000(self):
+        (fc,) = parse_model("model m batch=1 input=4096\nf fc out=1000\n").layers
+        assert fc.param_count == 4_097_000
+        assert fc.output_elems_per_sample == 1000
+        assert fc.compute_flops_per_sample == 2 * 4096 * 1000
+
+    def test_maxpool_halves_spatial_dims(self):
+        # a 4x4 window fits the pool's 4x4x16 output exactly, once
+        pool, conv = parse_model("model m batch=1 input=8x8x16\np pool window=2\nc conv k=4 cin=16 cout=1\n").layers
+        assert (pool.param_count, pool.output_elems_per_sample, pool.compute_flops_per_sample) == (0, 4 * 4 * 16, 0)
+        assert (conv.output_elems_per_sample, conv.compute_flops_per_sample) == (1, 2 * 16 * 16)
+
+    def test_flatten_to_256(self):
+        flat, fc = parse_model("model m batch=1 input=4x4x16\nf flatten\no fc out=10\n").layers
+        assert (flat.param_count, flat.output_elems_per_sample) == (0, 256)
+        assert fc.param_count == 256 * 10 + 10
+
+    def test_stride_and_valid_padding(self):
+        # (227 - 11)/4 + 1 = 55
+        (conv,) = parse_model("model m batch=1 input=227x227x3\nc conv k=11 cout=64 stride=4\n").layers
+        assert conv.output_elems_per_sample == 55 * 55 * 64
+
+    def test_window_larger_than_padded_input(self):
+        with pytest.raises(DescriptorError) as err:
+            parse_model("model m batch=1 input=2x2x4\np pool window=5\n")
+        assert err.value.reason == "window 5x5 stride 5 does not fit padded input 2x2 (pad 0)"
+
+    @pytest.mark.parametrize("layers, reason", [
+        # a loss layer passes nothing forward
+        ("l loss\nf fc out=10", "nonpositive fully-connected dims: in=0 out=10"),
+        ("f fc out=0", "nonpositive fully-connected dims: in=192 out=0"),
+        ("c conv k=3 cout=-1", "nonpositive output channels: -1"),
+    ])
+    def test_nonpositive_dimensions(self, layers, reason):
+        with pytest.raises(DescriptorError) as err:
+            parse_model(f"model m batch=1 input=8x8x3\n{layers}\n")
+        assert err.value.reason == reason
 
 
 class TestExplicitTotals:

@@ -9,57 +9,8 @@ from ralp.layers import (
     LayerKind,
     ModelError,
     ModelGraph,
-    TensorShape,
-    infer_conv,
-    infer_fc,
-    infer_layer,
-    infer_pool,
 )
 from conftest import make_layer
-
-
-class TestInference:
-    def test_conv_params_3x3x3_to_64(self):
-        # 9*3*64 + 64, worked by hand
-        params, shape, flops = infer_conv(TensorShape(32, 32, 3), kernel=3, c_out=64, pad=1)
-        assert params == 1792
-        assert shape == TensorShape(32, 32, 64)
-        assert flops == 2 * 9 * 3 * 64 * 32 * 32
-
-    def test_fc_params_4096_to_1000(self):
-        params, shape, flops = infer_fc(4096, 1000)
-        assert params == 4_097_000
-        assert shape.elems == 1000
-        assert flops == 2 * 4096 * 1000
-
-    def test_maxpool_halves_spatial_dims(self):
-        params, shape, flops = infer_pool(TensorShape(8, 8, 16), window=2)
-        assert params == 0
-        assert shape == TensorShape(4, 4, 16)
-        assert shape.elems == 4 * 4 * 16
-        assert flops == 0
-
-    def test_infer_layer_dispatch(self):
-        params, out, flops, shape = infer_layer(LayerKind.CONVOLUTION, {"k": 3, "cout": 64, "pad": 1},
-                                                TensorShape(32, 32, 3))
-        assert (params, out) == (1792, 32 * 32 * 64)
-        params, out, _, _ = infer_layer(LayerKind.FLATTEN, {}, TensorShape(4, 4, 16))
-        assert (params, out) == (0, 256)
-
-    def test_window_larger_than_padded_input(self):
-        with pytest.raises(ModelError, match="does not fit"):
-            infer_pool(TensorShape(2, 2, 4), window=5)
-
-    def test_nonpositive_dimensions(self):
-        with pytest.raises(ModelError):
-            infer_fc(0, 10)
-        with pytest.raises(ModelError):
-            infer_conv(TensorShape(8, 8, 3), kernel=3, c_out=-1)
-
-    def test_stride_and_valid_padding(self):
-        # (227 - 11)/4 + 1 = 55
-        _, shape, _ = infer_conv(TensorShape(227, 227, 3), kernel=11, c_out=64, stride=4)
-        assert (shape.h, shape.w) == (55, 55)
 
 
 class TestModelGraph:
