@@ -17,7 +17,9 @@ This module owns the shape format, the settings each kind takes
 (``_KIND_KEYS``) and the counting rules that derive a layer's parameter
 count, output shape and flops from them (``_derive_layer``).  Shapes live
 only while a descriptor is parsed, as tuples of dims; the ModelGraph it
-returns holds element counts.
+returns holds element counts.  One parse derives each repeated layer body
+once: a line whose words after its name, and the shape it reads, match an
+earlier line's reuses what that line made.
 """
 
 from __future__ import annotations
@@ -198,6 +200,11 @@ def parse_model(text: str) -> ModelGraph:
     layers: list[LayerSpec] = []
     shape: Optional[Shape] = None
     prev_name = "<input>"
+    # What each layer line made, keyed by the shape it read and its words
+    # after the name.  Past the name checks those alone decide the line's
+    # outcome (its name and number appear only in errors, which are never
+    # stored), so a line that repeats them reuses what the first one made.
+    made: dict[tuple, tuple[LayerKind, int, int, int, Shape]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.partition("#")[0]
@@ -225,6 +232,13 @@ def parse_model(text: str) -> ModelGraph:
         if "=" in name or "=" in kind_token:
             raise DescriptorError("layer line needs <name> <kind> before key=value pairs",
                                   lineno, _column(code, 0))
+        body = (shape, *tokens[1:])
+        seen = made.get(body)
+        if seen is not None:
+            kind, params, out_elems, flops, shape = seen
+            layers.append(LayerSpec(name, kind, params, out_elems, flops))
+            prev_name = name
+            continue
         kind = _KIND_TOKENS.get(kind_token)
         if kind is None:
             raise DescriptorError(
@@ -285,6 +299,7 @@ def parse_model(text: str) -> ModelGraph:
             layers.append(LayerSpec(name, kind, params, out_elems, flops))
         except ModelError as exc:
             raise DescriptorError(str(exc), lineno, _column(code, 0)) from None
+        made[body] = (kind, params, out_elems, flops, new_shape)
         shape = new_shape
         prev_name = name
 

@@ -779,7 +779,11 @@ _JOB_KEYS = {"model": str, "strategy": str, "workers": int, "ps": int, "batch": 
 
 def _job_spec(model: ModelGraph, kv: dict[str, object]) -> JobSpec:
     """JobSpec for one job line's converted key=value pairs; bad values
-    raise ValueError."""
+    raise ValueError, and so does a model with no parameters and no flops,
+    whose steps would take no time."""
+    if not model.total_param_count and not model.forward_flops_per_sample():
+        raise ScenarioError(f"model {model.name} has no parameters and no flops, "
+                            "so its steps would take no time")
     if "batch" in kv:
         model = model.with_batch_size(kv["batch"])
     try:
@@ -812,8 +816,8 @@ def parse_scenario(
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
     and ``steps <n>``.  ``machines``, ``gpus``, ``workers``, ``ps`` and
-    ``batch`` take integers, the four rates numbers, ``split`` an integer
-    or ``auto``.
+    ``batch`` take integers, the four rates finite numbers, ``split`` an
+    integer or ``auto``.
 
     The first error found is raised, as a ScenarioError naming its line.
     Lines are read in file order: a malformed line, a bad key or value, a
@@ -855,6 +859,11 @@ def parse_scenario(
             directive_lines[head] = lineno
         if head == "cluster":
             kv = pairs(lineno, code, tokens, 1, _CLUSTER_KEYS)
+            # An infinite rate makes work free: with all four infinite a
+            # step would take no time.
+            for key, value in kv.items():
+                if not math.isfinite(value):
+                    fail(lineno, f"key {key!r} needs a finite number, got {value!r}")
             try:
                 cluster = replace(DEFAULT_CLUSTER, **{_CLUSTER_FIELDS[k]: v for k, v in kv.items()})
             except ScenarioError as exc:

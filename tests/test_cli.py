@@ -298,6 +298,26 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {scn}: line 2: job 'a': model vgg11: activation bytes "
                               "per step reach 2**960")
 
+    @pytest.mark.parametrize("strategy", ["baseline", "ring"])
+    def test_model_without_work_names_the_job_line(self, capsys, tmp_path, strategy):
+        # Every task of its step would take 0 s.
+        (tmp_path / "pool.model").write_text("model p batch=2 input=8x8x4\np1 pool window=2\n")
+        scn = tmp_path / "e.scn"
+        ps = 1 if strategy == "baseline" else 0
+        scn.write_text(f"steps 1\njob a model=pool.model strategy={strategy} workers=2 ps={ps}\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (f"error: {scn}: line 2: job 'a': model p has no parameters and no flops, "
+                       "so its steps would take no time\n")
+
+    def test_infinite_cluster_rates_name_the_cluster_line(self, capsys, tmp_path):
+        scn = tmp_path / "e.scn"
+        scn.write_text("steps 1\ncluster flops=inf memcopy=inf link=inf intra=inf\n"
+                       "job a model=vgg11 strategy=baseline workers=2 ps=1\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {scn}: line 2: key 'flops' needs a finite number, got inf\n"
+
     @pytest.mark.parametrize("key, rate, cluster", [
         ("flops", "gpu_flops_per_sec", "machines=8"),
         ("memcopy", "memcopy_bytes_per_sec", "machines=8"),

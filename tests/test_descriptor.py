@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ralp import descriptor
 from ralp.descriptor import DescriptorError, ShapeMismatchError, parse_model
 from ralp.layers import LayerKind, ModelGraph
 from conftest import make_layer, mutate, random_mutations
@@ -311,30 +312,111 @@ _DIGEST_CHAINS = (
 )
 
 
+def _parse_digest(sources: list[str], count: int) -> tuple[int, str]:
+    """How many of ``count`` mutated copies of ``sources`` (``mutate``d with
+    seeds 0, 1, ...) parse, and the sha256 of what ``parse_model`` makes of
+    each: the layers, batch and element width of each model, or the type
+    and message of each error."""
+    digest = hashlib.sha256()
+    parsed = 0
+    for i in range(count):
+        text = mutate(sources[i % len(sources)], random_mutations(random.Random(i)))
+        try:
+            model = parse_model(text)
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        else:
+            parsed += 1
+            outcome = repr((model.name, model.batch_size, model.bytes_per_element, [
+                (l.name, l.kind.value, l.param_count, l.output_elems_per_sample,
+                 l.compute_flops_per_sample) for l in model.layers
+            ]))
+        digest.update(f"{i}\n{outcome}\n".encode())
+    return parsed, digest.hexdigest()
+
+
 class TestParseDigest:
     """sha256 of what ``parse_model`` makes of 3,000 mutated descriptors
-    (the catalog and the chains above, mutated by ``mutate``): the layers,
-    batch and element width of each model, or the type and message of each
-    error.  Recorded before the per-layer path of the parser was tuned, it
-    pins which error each broken line reports, and every message."""
+    (the catalog and the chains above, mutated by ``mutate``).  Recorded
+    before the per-layer path of the parser was tuned, it pins which error
+    each broken line reports, and every message."""
 
     def test_mutated_descriptors(self):
         catalog = Path(str(resources.files("ralp"))) / "catalog_data"
         sources = [p.read_text() for p in sorted(catalog.glob("*.model"))] + list(_DIGEST_CHAINS)
-        digest = hashlib.sha256()
-        parsed = 0
-        for i in range(3000):
-            text = mutate(sources[i % len(sources)], random_mutations(random.Random(i)))
-            try:
-                model = parse_model(text)
-            except Exception as exc:
-                outcome = f"{type(exc).__name__}: {exc}"
-            else:
-                parsed += 1
-                outcome = repr((model.name, model.batch_size, model.bytes_per_element, [
-                    (l.name, l.kind.value, l.param_count, l.output_elems_per_sample,
-                     l.compute_flops_per_sample) for l in model.layers
-                ]))
-            digest.update(f"{i}\n{outcome}\n".encode())
+        parsed, digest = _parse_digest(sources, 3000)
         assert parsed == 635
-        assert digest.hexdigest() == "0bc68d5513cbbd3332b7c2f9ff1611761d6b53b7e851f9531b3f0b207c65b714"
+        assert digest == "0bc68d5513cbbd3332b7c2f9ff1611761d6b53b7e851f9531b3f0b207c65b714"
+
+
+def _repeated_blocks(side: int, width: int, convs: int) -> list[str]:
+    """A VGG-like descriptor of repeated blocks: stages of ``convs``
+    conv/act/norm blocks at ``width`` channels, each stage followed by a
+    2x2 pool, with the width doubled, while a pool still fits."""
+    lines = [f"model v{side} batch=2 input={side}x{side}x3"]
+    n = 0
+    while True:
+        for _ in range(convs):
+            n += 1
+            lines += [f"c{n} conv k=3 cout={width} pad=1", f"a{n} act", f"b{n} norm"]
+        if side < 2:
+            return lines
+        lines.append(f"p{n} pool window=2")
+        side //= 2
+        width *= 2
+
+
+def _with(lines: list[str], at: int, *extra: str) -> str:
+    """``lines`` as a descriptor, with ``extra`` put before ``lines[at]``,
+    or after the last line when ``at`` is past it."""
+    return "\n".join(lines[:at] + list(extra) + lines[at:]) + "\n"
+
+
+# Descriptors in which most layer lines repeat an earlier line's words at
+# the same input shape.
+_BLOCK_SOURCES = (
+    _with(_repeated_blocks(16, 4, 2), 99, "f flatten", "o fc out=10", "l loss"),
+    _with(_repeated_blocks(8, 2, 3), 99, "f flatten", "o fc out=6"),
+    # a loss mid-chain, then an act whose words earlier lines had at another
+    # shape
+    _with(_repeated_blocks(8, 4, 2), 10, "l loss", "x act"),
+    # a cin= mismatch right after b2, which repeats b1
+    _with(_repeated_blocks(8, 8, 2), 7, "x conv k=3 cout=8 pad=1 cin=4"),
+    # one pool more than fits
+    _with(_repeated_blocks(4, 2, 2), 99, "x pool window=2"),
+)
+
+
+class TestRepeatedBlockDigest:
+    """``TestParseDigest`` over mutated descriptors of repeated blocks,
+    recorded before the parser derived each repeated layer once: what a
+    line makes must not depend on whether an earlier line had its words at
+    its input shape."""
+
+    def test_mutated_repeated_blocks(self):
+        parsed, digest = _parse_digest(list(_BLOCK_SOURCES), 3000)
+        assert parsed == 260
+        assert digest == "b749ac48ebf07887f7cf37713734c17acd00cb594471e1871f6633e21b84a120"
+
+
+class TestRepeatedLayers:
+    def test_each_repeated_body_is_derived_once(self, monkeypatch):
+        # Derived: c0 at the input shape; a0 and c1 at c0's output, which
+        # a1..a3 and c2, c3 repeat; p0; c4 and a4 at the pooled shape, which
+        # the 4-channel convs keep, so c5, c6 and a5, a6 repeat them; p1,
+        # f and o.
+        calls = []
+
+        def counted(kind, settings, shape):
+            calls.append((shape, kind, tuple(sorted(settings.items()))))
+            return derive(kind, settings, shape)
+
+        derive = descriptor._derive_layer
+        monkeypatch.setattr(descriptor, "_derive_layer", counted)
+        blocks = "c{0} conv k=3 cout=4 pad=1\na{0} act\n"
+        model = parse_model("model m batch=1 input=8x8x3\n"
+                            + "".join(blocks.format(i) for i in range(4)) + "p0 pool window=2\n"
+                            + "".join(blocks.format(i) for i in range(4, 7)) + "p1 pool window=2\n"
+                            "f flatten\no fc out=10\n")
+        assert model.num_layers == 18
+        assert len(calls) == 9 and len(set(calls)) == 9
