@@ -18,8 +18,9 @@ This module owns the shape format, the settings each kind takes
 count, output shape and flops from them (``_derive_layer``).  Shapes live
 only while a descriptor is parsed, as tuples of dims; the ModelGraph it
 returns holds element counts.  One parse derives each repeated layer body
-once: a line whose words after its name, and the shape it reads, match an
-earlier line's reuses what that line made.
+once: a line whose text after its name (spacing included), and the shape
+it reads, match an earlier line's reuses what that line made, without
+splitting its words or reading its settings again.
 """
 
 from __future__ import annotations
@@ -200,19 +201,21 @@ def parse_model(text: str) -> ModelGraph:
     layers: list[LayerSpec] = []
     shape: Optional[Shape] = None
     prev_name = "<input>"
-    # What each layer line made, keyed by the shape it read and its words
-    # after the name.  Past the name checks those alone decide the line's
-    # outcome (its name and number appear only in errors, which are never
-    # stored), so a line that repeats them reuses what the first one made.
+    # What each layer line made, keyed by the shape it read and its text
+    # after the name, spacing included.  Past the name checks those alone
+    # decide the line's outcome (its name and number appear only in errors,
+    # which are never stored), so a line that repeats them reuses what the
+    # first one made without splitting its words.
     made: dict[tuple, tuple[LayerKind, int, int, int, Shape]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.partition("#")[0]
-        tokens = code.split()
-        if not tokens:
+        name_rest = code.split(None, 1)
+        if not name_rest:
             continue
 
         if header is None:
+            tokens = code.split()
             if tokens[0] != "model":
                 raise DescriptorError(f"expected 'model' header, got {tokens[0]!r}", lineno, _column(code, 0))
             if len(tokens) < 2 or "=" in tokens[1]:
@@ -226,19 +229,21 @@ def parse_model(text: str) -> ModelGraph:
             header_line = lineno
             continue
 
-        if len(tokens) < 2:
+        if len(name_rest) < 2:
             raise DescriptorError("layer line needs <name> <kind> [key=value ...]", lineno, _column(code, 0))
-        name, kind_token = tokens[0], tokens[1]
-        if "=" in name or "=" in kind_token:
-            raise DescriptorError("layer line needs <name> <kind> before key=value pairs",
-                                  lineno, _column(code, 0))
-        body = (shape, *tokens[1:])
+        name, rest = name_rest
+        body = (shape, rest)
         seen = made.get(body)
-        if seen is not None:
+        if seen is not None and "=" not in name:
             kind, params, out_elems, flops, shape = seen
             layers.append(LayerSpec(name, kind, params, out_elems, flops))
             prev_name = name
             continue
+        tokens = code.split()
+        kind_token = tokens[1]
+        if "=" in name or "=" in kind_token:
+            raise DescriptorError("layer line needs <name> <kind> before key=value pairs",
+                                  lineno, _column(code, 0))
         kind = _KIND_TOKENS.get(kind_token)
         if kind is None:
             raise DescriptorError(

@@ -4,7 +4,9 @@ A model is an ordered chain of layers.  Everything downstream (the split
 planner, the communication cost model, the simulator) consumes only three
 numbers per layer: parameter count, per-sample output size, and forward
 multiply-add flops.  This module defines the layer kinds and the chain
-types that hold those numbers; the descriptor parser derives them.
+types that hold those numbers; the descriptor parser derives them.  A
+layer is a checked tuple record, and a model reads its per-layer columns
+from one transposition of its layers.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, repeat
+from typing import Iterable, NamedTuple, Optional
 
 
 class ModelError(ValueError):
@@ -67,30 +69,43 @@ PASS_THROUGH_KINDS = frozenset(
 FLOAT_TOTAL_LIMIT = 2**960
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """One forward-pass layer.
-
-    Its 1-based index is its position in the owning ModelGraph.  ``param_count``
-    and ``output_elems_per_sample`` are element counts; byte sizes come from
-    the owning ModelGraph's element width and batch size.
-    """
-
+# LayerSpec's fields.  A NamedTuple may not define __new__ in its own body,
+# so the checks live in the subclass.
+class _LayerFields(NamedTuple):
     name: str
     kind: LayerKind
     param_count: int
     output_elems_per_sample: int
     compute_flops_per_sample: int
 
-    def __post_init__(self) -> None:
-        if self.param_count < 0 or self.output_elems_per_sample < 0 or self.compute_flops_per_sample < 0:
-            raise ModelError(f"layer {self.name}: negative derived quantity")
-        if self.param_count > 0 and self.kind not in PARAMETERIZED_KINDS:
-            raise ModelError(
-                f"layer {self.name}: kind {self.kind.value} cannot carry parameters"
-            )
-        if self.output_elems_per_sample == 0 and self.kind is not LOSS:
-            raise ModelError(f"layer {self.name}: empty output on a non-loss layer")
+
+class LayerSpec(_LayerFields):
+    """One forward-pass layer: an immutable tuple record of its five fields.
+
+    Its 1-based index is its position in the owning ModelGraph.  ``param_count``
+    and ``output_elems_per_sample`` are element counts; byte sizes come from
+    the owning ModelGraph's element width and batch size.  Every way of
+    building one (the constructor, ``_make``, ``_replace``, pickle and
+    ``copy``) goes through the checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: LayerKind, param_count: int,
+                output_elems_per_sample: int, compute_flops_per_sample: int) -> "LayerSpec":
+        if param_count < 0 or output_elems_per_sample < 0 or compute_flops_per_sample < 0:
+            raise ModelError(f"layer {name}: negative derived quantity")
+        if param_count > 0 and kind not in PARAMETERIZED_KINDS:
+            raise ModelError(f"layer {name}: kind {kind.value} cannot carry parameters")
+        if output_elems_per_sample == 0 and kind is not LOSS:
+            raise ModelError(f"layer {name}: empty output on a non-loss layer")
+        return tuple.__new__(cls, (name, kind, param_count, output_elems_per_sample,
+                                   compute_flops_per_sample))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "LayerSpec":
+        # NamedTuple's own _make skips __new__, and _replace calls _make.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -105,18 +120,21 @@ class ModelGraph:
     def __post_init__(self) -> None:
         if not self.layers:
             raise ModelError(f"model {self.name}: empty layer chain")
+        if not all(map(isinstance, self.layers, repeat(LayerSpec))):
+            bad = next(l for l in self.layers if not isinstance(l, LayerSpec))
+            raise ModelError(f"model {self.name}: layers must be LayerSpec records, "
+                             f"got {type(bad).__name__}")
         if self.batch_size < 1:
             raise ModelError(f"model {self.name}: batch_size must be >= 1")
         if self.bytes_per_element < 1:
             raise ModelError(f"model {self.name}: bytes_per_element must be >= 1")
         # A plain sum of flops: a planning pass never needs flops_prefix.
+        _, _, _, outputs, flops = self.columns
         step_bytes = self.batch_size * self.bytes_per_element
         for what, total in (
             ("parameter bytes", self.total_param_bytes),
-            ("activation bytes per step",
-             max(l.output_elems_per_sample for l in self.layers) * step_bytes),
-            ("training flops per step",
-             3 * sum(l.compute_flops_per_sample for l in self.layers) * self.batch_size),
+            ("activation bytes per step", max(outputs) * step_bytes),
+            ("training flops per step", 3 * sum(flops) * self.batch_size),
         ):
             if total >= FLOAT_TOTAL_LIMIT:
                 raise ModelError(f"model {self.name}: {what} reach 2**960, "
@@ -126,17 +144,25 @@ class ModelGraph:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    # Prefix sums over the chain and the planning state, computed once per
-    # instance: prefix entry i covers layers 1..i, so entry 0 is 0 and the
-    # last entry is the whole model.  ``replace`` builds a new instance,
-    # which starts without them.
+    # The columns, prefix sums and planning state are computed once per
+    # instance.  ``replace`` builds a new instance, which starts without them.
+    @cached_property
+    def columns(self) -> tuple[tuple, ...]:
+        """The layers transposed, one tuple per LayerSpec field: names, kinds,
+        parameter counts, output elements and flops."""
+        return tuple(zip(*self.layers))
+
+    # Prefix entry i covers layers 1..i, so entry 0 is 0 and the last entry
+    # is the whole model.
     @cached_property
     def param_count_prefix(self) -> tuple[int, ...]:
-        return tuple(accumulate((l.param_count for l in self.layers), initial=0))
+        _, _, param_counts, _, _ = self.columns
+        return tuple(accumulate(param_counts, initial=0))
 
     @cached_property
     def flops_prefix(self) -> tuple[int, ...]:
-        return tuple(accumulate((l.compute_flops_per_sample for l in self.layers), initial=0))
+        _, _, _, _, flops = self.columns
+        return tuple(accumulate(flops, initial=0))
 
     @cached_property
     def planning(self) -> "PlanningState":
@@ -193,13 +219,13 @@ class PlanningState:
                  "cumulative_param_bytes", "derived")
 
     def __init__(self, model: ModelGraph) -> None:
-        layers = model.layers
+        names, kinds, params, outputs, _ = model.columns
         elem = model.bytes_per_element
         step = model.batch_size * elem
-        self.names = tuple([l.name for l in layers])
-        self.kinds = tuple([l.kind for l in layers])
-        self.kind_values = tuple([k._value_ for k in self.kinds])  # .value is a Python-level property
-        self.param_bytes = tuple([l.param_count * elem for l in layers])
-        self.output_bytes = tuple([l.output_elems_per_sample * step for l in layers])
+        self.names = names
+        self.kinds = kinds
+        self.kind_values = tuple([k._value_ for k in kinds])  # .value is a Python-level property
+        self.param_bytes = tuple([p * elem for p in params])
+        self.output_bytes = tuple([o * step for o in outputs])
         self.cumulative_param_bytes = tuple([c * elem for c in model.param_count_prefix[1:]])
         self.derived: dict[object, object] = {}

@@ -83,7 +83,11 @@ def compute_skewness(
         raise ProfilerError("all layers carry zero parameters")
 
     mode = SkewnessMode(mode)
+    # The second moment of these two distributions is exactly zero, but the
+    # float mean can miss by an ulp and leave m3 / m2**1.5 at +-1.
     if mode is SkewnessMode.LITERAL_VALUES:
+        if min(p) == max(p):
+            return 0.0
         # Scaled exactly below 1 (skewness is scale-free), sizes cube in range.
         scale = 2.0 ** -math.frexp(max(p))[1]
         mean = total * scale / n
@@ -92,6 +96,8 @@ def compute_skewness(
         m2 = math.fsum(sq) / n
         m3 = math.fsum(map(operator.mul, sq, dev)) / n
     else:
+        if n - p.count(0.0) == 1:
+            return 0.0
         # Moments of the layer index under the weights p / total.
         idx = range(1, n + 1)
         mu = math.fsum(map(operator.mul, p, idx)) / total

@@ -20,12 +20,14 @@ its predecessors have finished.  A transfer within one machine is a
 delay at the intra-machine rate, and an empty transfer is a zero-second
 delay.  A delay or flow that a cluster rate would make endless is
 rejected when the graph is built, and a run whose clock would pass the
-float range stops with a ScenarioError naming the job.  The split strategy's back-segment
-batches are serial tasks: the PS runs them one at a time, in the order
-they became ready.  A worker's step ends with its last task.  Re-arming
-resets each task's count of unfinished predecessors and starts the
-graph's roots in the order they were built, so every step makes the
-event loop the same calls, in the same order, as a freshly built graph.
+float range stops with a ScenarioError naming the job.  So does a run in
+which a job's steps take no time, whose throughput would be undefined.
+The split strategy's back-segment batches are serial tasks: the PS runs
+them one at a time, in the order they became ready.  A worker's step
+ends with its last task.  Re-arming resets each task's count of
+unfinished predecessors and starts the graph's roots in the order they
+were built, so every step makes the event loop the same calls, in the
+same order, as a freshly built graph.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
@@ -342,7 +344,8 @@ def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
     parameter skew one shard ends up carrying most of the model, which is
     what makes the baseline's PS link the bottleneck."""
     shards = [0] * ps_count
-    weighted = [l.param_count for l in model.layers if l.param_count > 0]
+    _, _, param_counts, _, _ = model.columns
+    weighted = [count for count in param_counts if count > 0]
     for pos, count in enumerate(weighted):
         shards[pos % ps_count] += count * model.bytes_per_element
     return shards
@@ -678,16 +681,19 @@ def simulate_run(scenario: Scenario) -> SimReport:
     for run in runs:
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant
             raise RuntimeError(f"job {run.name} finished {len(run.records)} of {scenario.steps} steps")
-        reports.append(
-            JobReport(
-                job=run.name,
-                strategy=run.spec.strategy.kind.value,
-                worker_count=run.spec.worker_count,
-                batch_size=run.model.batch_size,
-                steps=tuple(run.records),
-                bytes_on_wire_per_step=run.bytes_on_wire_per_step,
-            )
+        report = JobReport(
+            job=run.name,
+            strategy=run.spec.strategy.kind.value,
+            worker_count=run.spec.worker_count,
+            batch_size=run.model.batch_size,
+            steps=tuple(run.records),
+            bytes_on_wire_per_step=run.bytes_on_wire_per_step,
         )
+        if not report.avg_step_time:
+            raise ScenarioError(f"job {run.name!r}: its steps take no time, so it has no "
+                                "throughput (a model with no parameters and no flops, or "
+                                "cluster rates that make every task free)")
+        reports.append(report)
     return SimReport(jobs=tuple(reports))
 
 

@@ -171,8 +171,8 @@ def test_criterion_6_ralp_back_segment_invariance():
         target = int(rng.integers(split, model.num_layers))
         delta = int(rng.integers(1, 10**7))
         layers = list(model.layers)
-        layers[target] = dataclasses.replace(
-            layers[target], param_count=layers[target].param_count + delta
+        layers[target] = layers[target]._replace(
+            param_count=layers[target].param_count + delta
         )
         mutated = dataclasses.replace(model, layers=tuple(layers))
         if volume_ralp(mutated, split, w) != before[0]:

@@ -114,8 +114,8 @@ class TestVolumeProperties:
             )
             target = int(rng.integers(split, model.num_layers))  # 0-based back layer
             delta = int(rng.integers(1, 10**6))
-            mutated_layer = dataclasses.replace(
-                model.layers[target], param_count=model.layers[target].param_count + delta
+            mutated_layer = model.layers[target]._replace(
+                param_count=model.layers[target].param_count + delta
             )
             layers = list(model.layers)
             layers[target] = mutated_layer
@@ -162,7 +162,7 @@ class TestComputeLoad:
         model = flat_model([0, 4096 * 1000 + 1000], [4096, 1000],
                            [LayerKind.POOLING, LayerKind.FULLY_CONNECTED], batch=1)
         layers = list(model.layers)
-        layers[1] = dataclasses.replace(layers[1], compute_flops_per_sample=2 * 4096 * 1000)
+        layers[1] = layers[1]._replace(compute_flops_per_sample=2 * 4096 * 1000)
         model = dataclasses.replace(model, layers=tuple(layers))
         worker, ps = compute_load(model, split_index=1, worker_count=1)
         assert ps == 3 * (2 * 4096 * 1000)

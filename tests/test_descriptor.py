@@ -420,3 +420,27 @@ class TestRepeatedLayers:
                             "f flatten\no fc out=10\n")
         assert model.num_layers == 18
         assert len(calls) == 9 and len(set(calls)) == 9
+
+    def test_lines_differing_in_spacing_are_separate_bodies(self, monkeypatch):
+        # The memo keys on the text after the name, spacing included: c2
+        # and c4 put two spaces before cout= (the spaces after c2's name are
+        # not part of its text), and a2 has spaces before its comment.  So
+        # c1, c2, a1 and a2 are each derived, c3 and c4 reuse c1 and c2, and
+        # every line gives what an evenly spaced line gives.
+        calls = []
+
+        def counted(kind, settings, shape):
+            calls.append(kind)
+            return derive(kind, settings, shape)
+
+        derive = descriptor._derive_layer
+        monkeypatch.setattr(descriptor, "_derive_layer", counted)
+        uneven = parse_model("model m batch=1 input=8x8x4\n"
+                             "c1 conv k=3 cout=4 pad=1\nc2   conv k=3  cout=4 pad=1\n"
+                             "c3 conv k=3 cout=4 pad=1\nc4 conv k=3  cout=4 pad=1\n"
+                             "a1 act\na2 act  # comment\n")
+        assert len(calls) == 4
+        even = parse_model("model m batch=1 input=8x8x4\n"
+                           + "".join(f"c{i} conv k=3 cout=4 pad=1\n" for i in range(1, 5))
+                           + "a1 act\na2 act\n")
+        assert uneven == even and uneven.layers == even.layers

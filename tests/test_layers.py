@@ -1,15 +1,20 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ralp.catalog import catalog_lookup
 from ralp.layers import (
     PARAMETERIZED_KINDS,
     LayerKind,
+    LayerSpec,
     ModelError,
     ModelGraph,
 )
+from ralp.profiler import profile
 from conftest import make_layer
 
 
@@ -70,6 +75,47 @@ class TestModelGraph:
             make_layer(1, LayerKind.CONVOLUTION, params=5, out=0)
         # loss may produce nothing
         make_layer(1, LayerKind.LOSS, params=0, out=0)
+
+
+class TestLayerSpecRecord:
+    GOOD = LayerSpec("c1", LayerKind.CONVOLUTION, 100, 1000, 5000)
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.GOOD.param_count = 1  # type: ignore[misc]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"param_count": -1}, "layer c1: negative derived quantity"),
+        ({"output_elems_per_sample": -1}, "layer c1: negative derived quantity"),
+        ({"compute_flops_per_sample": -1}, "layer c1: negative derived quantity"),
+        ({"kind": LayerKind.POOLING}, "layer c1: kind pool cannot carry parameters"),
+        ({"output_elems_per_sample": 0}, "layer c1: empty output on a non-loss layer"),
+    ])
+    def test_every_way_of_building_checks_the_fields(self, changes, message):
+        fields = {**self.GOOD._asdict(), **changes}
+        for build in (lambda: LayerSpec(**fields),
+                      lambda: self.GOOD._replace(**changes),
+                      lambda: LayerSpec._make(fields.values())):
+            with pytest.raises(ModelError) as err:
+                build()
+            assert str(err.value) == message
+
+    def test_hash_is_the_field_tuple_hash(self):
+        layer = self.GOOD
+        assert hash(layer) == hash((layer.name, layer.kind, layer.param_count,
+                                    layer.output_elems_per_sample, layer.compute_flops_per_sample))
+
+    def test_pickle_and_copy_round_trip_a_catalog_model(self):
+        model = catalog_lookup("resnet-50")
+        profile(model)  # the copies also carry the cached planning state
+        for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert twin == model and twin.layers == model.layers
+            assert all(type(layer) is LayerSpec for layer in twin.layers)
+            assert twin.columns == model.columns
+
+    def test_plain_tuples_are_not_layers(self):
+        with pytest.raises(ModelError, match="^model m: layers must be LayerSpec records, got tuple$"):
+            ModelGraph(name="m", layers=(tuple(self.GOOD),), batch_size=1)
 
 
 _layer_specs = st.lists(

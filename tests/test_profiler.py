@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import random
 import warnings
 from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ralp.profiler
@@ -35,6 +36,19 @@ class TestSkewness:
     def test_uniform_mass_is_symmetric(self):
         for mode in SkewnessMode:
             assert compute_skewness([5, 5, 5, 5], mode) == 0.0
+
+    def test_degenerate_distributions_read_exactly_zero(self):
+        # Equal sizes (literal_values) and all the mass on one layer
+        # (index_weighted) have no second moment at any scale, though the
+        # float mean can miss it by an ulp.
+        rng = random.Random(0)
+        for _ in range(500):
+            n = rng.randint(2, 64)
+            size = rng.randint(1, 10**9) * rng.uniform(1e-3, 1e6)
+            assert compute_skewness([size] * n, SkewnessMode.LITERAL_VALUES) == 0.0
+            one = [0.0] * n
+            one[rng.randrange(n)] = size
+            assert compute_skewness(one, SkewnessMode.INDEX_WEIGHTED) == 0.0
 
     def test_two_point_example(self):
         # weights 0.1/0.9 over indices 1/2: mu=1.9, m2=0.09, m3=-0.072
@@ -115,6 +129,7 @@ class TestSkewness:
         scale=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False),
         mode=st.sampled_from(list(SkewnessMode)),
     )
+    @example(params=[0, 0, 133], scale=672770.9400242444, mode=SkewnessMode.INDEX_WEIGHTED)
     @settings(max_examples=200, deadline=None)
     def test_scale_invariance(self, params, scale, mode):
         # Scaling by a float rounds each product, so deviations lose accuracy

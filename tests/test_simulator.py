@@ -10,6 +10,7 @@ import pytest
 from ralp import simulator
 from ralp.catalog import catalog_lookup
 from ralp.costmodel import JobSpec, Strategy, StrategyKind, volumes_for
+from ralp.descriptor import parse_model
 from ralp.layers import LayerKind, ModelGraph
 from ralp.simulator import (
     CapacityError,
@@ -53,7 +54,7 @@ def paramless_model(flops=5_000_000_000, batch=1):
     )
     model = ModelGraph(name="free", layers=layers, batch_size=batch)
     layers = (
-        dataclasses.replace(model.layers[0], compute_flops_per_sample=flops),
+        model.layers[0]._replace(compute_flops_per_sample=flops),
         model.layers[1],
     )
     return dataclasses.replace(model, layers=layers)
@@ -489,6 +490,36 @@ class TestConsolidation:
         scenario = Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)
         with pytest.raises(CapacityError):
             simulate_consolidation(scenario, copies=2)
+
+
+class TestZeroTimeSteps:
+    """A job whose steps take no time has no throughput: the run names it
+    instead of handing back a report whose images/s divides by zero.  The
+    scenario parser rejects such jobs at their line; these scenarios are
+    built in code."""
+
+    @staticmethod
+    def _scenario(model, cluster):
+        cluster = dataclasses.replace(cluster, machines=2, gpus_per_machine=2)
+        spec = JobSpec(model=model, strategy=Strategy.baseline(), worker_count=2, ps_count=1)
+        placement = spread_placement(cluster, [(2, 1)])[0]
+        return Scenario(cluster=cluster, jobs=(("free", spec, placement),), steps=1)
+
+    CAUSES = {
+        "no-work model": lambda: (parse_model("model p batch=2 input=8x8x4\np1 pool window=2\n"),
+                                  DEFAULT_CLUSTER),
+        "infinite rates": lambda: (catalog_lookup("lenet"), dataclasses.replace(
+            DEFAULT_CLUSTER, gpu_flops_per_sec=math.inf, memcopy_bytes_per_sec=math.inf,
+            link_bytes_per_sec=math.inf, intra_machine_bytes_per_sec=math.inf)),
+    }
+
+    @pytest.mark.parametrize("cause", CAUSES)
+    @pytest.mark.parametrize("run", [simulate_run, lambda s: simulate_consolidation(s, 1)],
+                             ids=["simulate_run", "simulate_consolidation"])
+    def test_job_whose_steps_take_no_time_is_named(self, cause, run):
+        scenario = self._scenario(*self.CAUSES[cause]())
+        with pytest.raises(ScenarioError, match="^job 'free': its steps take no time"):
+            run(scenario)
 
 
 class TestPlacementAndScenarios:
