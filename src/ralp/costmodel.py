@@ -141,8 +141,8 @@ def volume_ralp(model: ModelGraph, split_index: int, worker_count: int) -> Strat
         raise CostModelError(
             f"split_index {split_index} out of range for {model.num_layers}-layer model"
         )
-    act_per_worker = 2 * model.output_bytes(split_index)
-    param_per_worker = 2 * model.cumulative_param_bytes(split_index)
+    act_per_worker = 2 * model.output_bytes[split_index - 1]
+    param_per_worker = 2 * model.cumulative_param_bytes[split_index - 1]
     return StrategyVolumes(
         total_bytes_per_step=worker_count * (act_per_worker + param_per_worker),
         parameter_sync_bytes=worker_count * param_per_worker,
@@ -184,8 +184,9 @@ def compute_load(
         split_index = n
     if not 1 <= split_index <= n:
         raise CostModelError(f"split_index {split_index} out of range for {n}-layer model")
-    front_fwd = model.forward_flops_per_sample(1, split_index)
-    back_fwd = model.forward_flops_per_sample(split_index + 1, n) if split_index < n else 0
+    prefix = model.flops_prefix
+    front_fwd = prefix[split_index]
+    back_fwd = prefix[n] - front_fwd
     worker_flops = 3 * front_fwd * model.batch_size
     ps_flops = 3 * back_fwd * model.batch_size * worker_count
     return worker_flops, ps_flops

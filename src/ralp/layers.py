@@ -5,8 +5,9 @@ planner, the communication cost model, the simulator) consumes only three
 numbers per layer: parameter count, per-sample output size, and forward
 multiply-add flops.  This module defines the layer kinds and the chain
 types that hold those numbers; the descriptor parser derives them.  A
-layer is a checked tuple record, and a model reads its per-layer columns
-from one transposition of its layers.
+layer is a checked tuple record.  A model is the one record of its
+per-layer numbers: it derives each column, byte size and sum once, from
+one transposition of its layers, and every consumer reads those tuples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 
 class ModelError(ValueError):
@@ -144,88 +145,62 @@ class ModelGraph:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    # The columns, prefix sums and planning state are computed once per
-    # instance.  ``replace`` builds a new instance, which starts without them.
+    # Each column, per-layer tuple and total below is computed once per
+    # instance, on first use.  ``replace`` builds a new instance, which
+    # starts without them.  Per-layer tuples are 0-based: entry i is layer
+    # i + 1.
     @cached_property
     def columns(self) -> tuple[tuple, ...]:
         """The layers transposed, one tuple per LayerSpec field: names, kinds,
         parameter counts, output elements and flops."""
         return tuple(zip(*self.layers))
 
-    # Prefix entry i covers layers 1..i, so entry 0 is 0 and the last entry
-    # is the whole model.
     @cached_property
-    def param_count_prefix(self) -> tuple[int, ...]:
-        _, _, param_counts, _, _ = self.columns
-        return tuple(accumulate(param_counts, initial=0))
+    def kind_values(self) -> tuple[str, ...]:
+        _, kinds, _, _, _ = self.columns
+        return tuple([k._value_ for k in kinds])  # .value is a Python-level property
+
+    @cached_property
+    def param_bytes(self) -> tuple[int, ...]:
+        _, _, params, _, _ = self.columns
+        elem = self.bytes_per_element
+        return tuple([p * elem for p in params])
+
+    @cached_property
+    def output_bytes(self) -> tuple[int, ...]:
+        """Per-step activation sizes at the configured batch."""
+        _, _, _, outputs, _ = self.columns
+        step = self.batch_size * self.bytes_per_element
+        return tuple([o * step for o in outputs])
+
+    @cached_property
+    def cumulative_param_bytes(self) -> tuple[int, ...]:
+        """Entry i holds the parameter bytes of layers 1..i + 1."""
+        return tuple(accumulate(self.param_bytes))
 
     @cached_property
     def flops_prefix(self) -> tuple[int, ...]:
+        """Entry i holds the forward flops of layers 1..i, so entry 0 is 0
+        and the last entry is the whole model."""
         _, _, _, _, flops = self.columns
         return tuple(accumulate(flops, initial=0))
 
     @cached_property
-    def planning(self) -> "PlanningState":
-        return PlanningState(self)
-
-    @property
     def total_param_count(self) -> int:
-        return self.param_count_prefix[-1]
+        _, _, params, _, _ = self.columns
+        return sum(params)
 
     @property
     def total_param_bytes(self) -> int:
         """Model size in bytes (houses the aggregate synchronized each step)."""
         return self.bytes_per_element * self.total_param_count
 
-    def layer(self, index: int) -> LayerSpec:
-        if not 1 <= index <= self.num_layers:
-            raise ModelError(f"model {self.name}: layer index {index} out of range")
-        return self.layers[index - 1]
-
-    def param_bytes(self, index: int) -> int:
-        return self.layer(index).param_count * self.bytes_per_element
-
-    def output_bytes(self, index: int) -> int:
-        """Per-step activation size of layer ``index`` at the configured batch."""
-        return self.layer(index).output_elems_per_sample * self.batch_size * self.bytes_per_element
-
-    def cumulative_param_bytes(self, index: int) -> int:
-        """Parameter bytes of layers 1..index inclusive."""
-        if not 1 <= index <= self.num_layers:
-            raise ModelError(f"model {self.name}: layer index {index} out of range")
-        return self.bytes_per_element * self.param_count_prefix[index]
-
-    def forward_flops_per_sample(self, start: int = 1, stop: Optional[int] = None) -> int:
-        """Forward flops of layers start..stop inclusive (whole model by default)."""
-        if stop is None:
-            stop = self.num_layers
-        if not 1 <= start <= stop <= self.num_layers:
-            raise ModelError(f"model {self.name}: bad layer range [{start}, {stop}]")
-        prefix = self.flops_prefix
-        return prefix[stop] - prefix[start - 1]
+    @cached_property
+    def profile_memo(self) -> dict:
+        """Where ``profile`` keeps what it computes from the columns on first
+        use: the split search, and the skewness of each mode."""
+        return {}
 
     def with_batch_size(self, batch_size: int) -> "ModelGraph":
         return replace(self, batch_size=batch_size)
 
-
-class PlanningState:
-    """What a planning pass reads of one model, built once per ModelGraph
-    instance (``ModelGraph.planning``): the layers' names and kinds, their
-    sizes in bytes at the model's batch size and element width, and
-    ``derived``, where the profiler keeps what it computes from these
-    columns on first use (the split search, and the skewness of each mode)."""
-
-    __slots__ = ("names", "kinds", "kind_values", "param_bytes", "output_bytes",
-                 "cumulative_param_bytes", "derived")
-
-    def __init__(self, model: ModelGraph) -> None:
-        names, kinds, params, outputs, _ = model.columns
-        elem = model.bytes_per_element
-        step = model.batch_size * elem
-        self.names = names
-        self.kinds = kinds
-        self.kind_values = tuple([k._value_ for k in kinds])  # .value is a Python-level property
-        self.param_bytes = tuple([p * elem for p in params])
-        self.output_bytes = tuple([o * step for o in outputs])
-        self.cumulative_param_bytes = tuple([c * elem for c in model.param_count_prefix[1:]])
-        self.derived: dict[object, object] = {}

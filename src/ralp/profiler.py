@@ -55,7 +55,7 @@ class ProfilerConfig:
             warnings.warn(
                 f"threshold {self.threshold} is non-negative; the eligibility gate "
                 "expects a negative cutoff",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
 
@@ -212,27 +212,27 @@ class ProfileReport:
 def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> ProfileReport:
     """Run the full static profile: skewness, gate, split choice.
 
-    The per-layer columns, the split search and each mode's skewness are
-    computed once per model instance (``ModelGraph.planning``), so profiling
-    a model again, at any threshold or mode, only re-applies the gate."""
-    plan = model.planning
-    derived = plan.derived
+    The report's per-layer tuples are the model's own.  The split search and
+    each mode's skewness are computed once per model instance and kept in
+    ``ModelGraph.profile_memo``, so profiling a model again, at any
+    threshold or mode, only re-applies the gate."""
+    memo = model.profile_memo
     mode = config.mode
     degenerate = model.num_layers < 2 or model.total_param_count == 0
     if degenerate:
         skew = 0.0
         passed_gate = False
     else:
-        skew = derived.get(mode)
+        skew = memo.get(mode)
         if skew is None:
-            skew = derived[mode] = compute_skewness(plan.param_bytes, mode)
+            skew = memo[mode] = compute_skewness(model.param_bytes, mode)
         passed_gate = gate_eligibility(skew, config)
 
     split = None
     if passed_gate:
-        if "split" not in derived:
-            derived["split"] = find_split(plan.param_bytes, plan.output_bytes, plan.kinds)
-        split = derived["split"]
+        if "split" not in memo:
+            memo["split"] = find_split(model.param_bytes, model.output_bytes, model.columns[1])
+        split = memo["split"]
     eligible = split is not None
     if eligible:
         recommendation = f"partition after layer {split.index}; back segment runs in the PS machine"
@@ -241,11 +241,11 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
 
     return ProfileReport(
         model_name=model.name,
-        layer_names=plan.names,
-        layer_kinds=plan.kind_values,
-        param_bytes=plan.param_bytes,
-        output_bytes=plan.output_bytes,
-        cumulative_param_bytes=plan.cumulative_param_bytes,
+        layer_names=model.columns[0],
+        layer_kinds=model.kind_values,
+        param_bytes=model.param_bytes,
+        output_bytes=model.output_bytes,
+        cumulative_param_bytes=model.cumulative_param_bytes,
         skewness=skew,
         threshold=config.threshold,
         mode=mode._value_,

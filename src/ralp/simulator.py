@@ -344,10 +344,9 @@ def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
     parameter skew one shard ends up carrying most of the model, which is
     what makes the baseline's PS link the bottleneck."""
     shards = [0] * ps_count
-    _, _, param_counts, _, _ = model.columns
-    weighted = [count for count in param_counts if count > 0]
-    for pos, count in enumerate(weighted):
-        shards[pos % ps_count] += count * model.bytes_per_element
+    weighted = [nbytes for nbytes in model.param_bytes if nbytes > 0]
+    for pos, nbytes in enumerate(weighted):
+        shards[pos % ps_count] += nbytes
     return shards
 
 
@@ -581,7 +580,7 @@ class _JobRun:
         split, ps_machine = self.spec.strategy.split_index, self.ps_machines[0]
         worker_flops, ps_flops = compute_load(model, split, worker_count=1)
         front_fwd_flops = worker_flops / 3
-        cut, params = model.output_bytes(split), model.cumulative_param_bytes(split)
+        cut, params = model.output_bytes[split - 1], model.cumulative_param_bytes[split - 1]
         grads = []
         for i, me in enumerate(self.worker_machines):
             fwd = self._delay((), front_fwd_flops, "gpu_flops_per_sec", self.compute_acc, i)
@@ -787,7 +786,7 @@ def _job_spec(model: ModelGraph, kv: dict[str, object]) -> JobSpec:
     """JobSpec for one job line's converted key=value pairs; bad values
     raise ValueError, and so does a model with no parameters and no flops,
     whose steps would take no time."""
-    if not model.total_param_count and not model.forward_flops_per_sample():
+    if not model.total_param_count and not model.flops_prefix[-1]:
         raise ScenarioError(f"model {model.name} has no parameters and no flops, "
                             "so its steps would take no time")
     if "batch" in kv:
@@ -827,7 +826,9 @@ def parse_scenario(
 
     The first error found is raised, as a ScenarioError naming its line.
     Lines are read in file order: a malformed line, a bad key or value, a
-    second cluster or steps line or a duplicate job name fails there.
+    second cluster or steps line, a duplicate job name or a place line that
+    contradicts its job's earlier one (spread against explicit slots) fails
+    there.
     Then a place line for an undeclared job fails, and (CapacityError) an
     explicit slot outside the cluster or already taken.  Last, each job in
     file order resolves its model (UnknownModelError, DescriptorError,
@@ -840,7 +841,7 @@ def parse_scenario(
     steps = 1
     directive_lines: dict[str, int] = {}  # cluster/steps -> the line that set it
     job_lines: dict[str, tuple[int, dict]] = {}  # job name -> its line and pairs
-    place_lines: dict[str, int] = {}  # job name -> its first place line
+    place_lines: dict[str, tuple[int, bool]] = {}  # job name -> its first place line, spread?
     explicit: dict[str, dict[str, dict[int, tuple[int, int]]]] = {}
     slot_lines: list[tuple[int, tuple[int, int]]] = []
 
@@ -889,12 +890,19 @@ def parse_scenario(
         elif head == "place":
             if len(tokens) < 3:
                 fail(lineno, "place line needs a job name")
-            name = tokens[1]
-            place_lines.setdefault(name, lineno)
-            if tokens[2] == "spread":
-                continue
-            if len(tokens) != 6 or tokens[2] not in ("worker", "ps"):
+            name, spread = tokens[1], tokens[2] == "spread"
+            if spread:
+                if len(tokens) != 3:
+                    fail(lineno, "expected: place <job> spread")
+            elif len(tokens) != 6 or tokens[2] not in ("worker", "ps"):
                 fail(lineno, "expected: place <job> worker|ps <idx> <machine> <gpu>")
+            first, first_spread = place_lines.setdefault(name, (lineno, spread))
+            if spread != first_spread:
+                how = ("slot", "spread")
+                fail(lineno, f"job {name!r}: {how[spread]} placement contradicts the "
+                             f"{how[first_spread]} placement on line {first}")
+            if spread:
+                continue
             try:
                 index, machine, gpu = (int(t) for t in tokens[3:])
             except ValueError:
@@ -916,7 +924,7 @@ def parse_scenario(
         else:
             fail(lineno, f"unknown directive {head!r}")
 
-    for name, lineno in place_lines.items():
+    for name, (lineno, _) in place_lines.items():
         if name not in job_lines:
             fail(lineno, f"place line for undeclared job {name!r}")
     booked: dict[tuple[int, int], int] = {}

@@ -141,8 +141,8 @@ def test_criterion_5_split_oracle():
     mismatches = 0
     for _ in range(1000):
         model = random_model(rng, max_layers=64)
-        p = [model.param_bytes(i) for i in range(1, model.num_layers + 1)]
-        o = [model.output_bytes(i) for i in range(1, model.num_layers + 1)]
+        p = list(model.param_bytes)
+        o = list(model.output_bytes)
         kinds = [l.kind for l in model.layers]
         got = find_split(p, o, kinds)
         want = exhaustive_split(p, o, kinds)

@@ -57,8 +57,8 @@ class TestCatalog:
         model = catalog_lookup("vgg11")
         doubled = model.with_batch_size(model.batch_size * 2)
         assert doubled.total_param_bytes == model.total_param_bytes
-        for i in range(1, model.num_layers + 1):
-            assert doubled.output_bytes(i) == 2 * model.output_bytes(i)
+        for i in range(model.num_layers):
+            assert doubled.output_bytes[i] == 2 * model.output_bytes[i]
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_param_byte_identity(self, name):

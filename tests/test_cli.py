@@ -435,9 +435,18 @@ class TestSimulateCommand:
         ("cluster machines=2 gpus=2\njob a model=lenet strategy=baseline workers=2 ps=1\n"
          "job b model=lenet strategy=ring workers=2\n",
          EXIT_CAPACITY, 3, "job 'b': cluster is full: 4 slots cannot host"),
+        ("job a model=lenet strategy=ring workers=2\nplace a spread bogus words here\n",
+         EXIT_PARSE, 2, "expected: place <job> spread"),
+        ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a spread\n"
+         "place a worker 0 0 0\nplace a ps 0 1 0\n",
+         EXIT_PARSE, 3, "job 'a': slot placement contradicts the spread placement on line 2"),
+        ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a worker 0 0 0\n"
+         "place a ps 0 1 0\nplace a spread\n",
+         EXIT_PARSE, 4, "job 'a': spread placement contradicts the slot placement on line 2"),
     ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
             "double-booked", "workers-uncovered", "ps-uncovered", "ps-on-ring", "duplicate-job",
-            "spread-job-past-full"])
+            "spread-job-past-full", "spread-extra-words", "slots-after-spread",
+            "spread-after-slots"])
     def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)

@@ -176,8 +176,14 @@ class TestComputeLoad:
     def test_without_split_everything_on_workers(self):
         model = catalog_lookup("lenet")
         worker, ps = compute_load(model)
-        assert worker == 3 * model.forward_flops_per_sample() * model.batch_size
+        assert worker == 3 * model.flops_prefix[-1] * model.batch_size
         assert ps == 0
+
+    def test_split_out_of_range(self):
+        model = catalog_lookup("lenet")
+        for split in (0, model.num_layers + 1):
+            with pytest.raises(CostModelError, match=f"split_index {split} out of range"):
+                compute_load(model, split)
 
     def test_ps_load_scales_with_workers(self):
         model = catalog_lookup("vgg11")

@@ -34,19 +34,19 @@ class TestModelGraph:
     def test_output_bytes_scale_with_batch(self):
         m4 = self._two_layer(batch=4)
         m8 = self._two_layer(batch=8)
-        for i in (1, 2):
-            assert m8.output_bytes(i) == 2 * m4.output_bytes(i)
+        for i in (0, 1):
+            assert m8.output_bytes[i] == 2 * m4.output_bytes[i]
         assert m8.total_param_bytes == m4.total_param_bytes
 
     def test_cumulative_params(self):
         m = self._two_layer()
-        assert m.cumulative_param_bytes(1) == 400
-        assert m.cumulative_param_bytes(2) == 600
+        assert m.cumulative_param_bytes[0] == 400
+        assert m.cumulative_param_bytes[1] == 600
 
     def test_segment_flops(self):
         m = self._two_layer()
-        assert m.forward_flops_per_sample() == 5200
-        assert m.forward_flops_per_sample(2, 2) == 200
+        assert m.flops_prefix[-1] == 5200
+        assert m.flops_prefix[2] - m.flops_prefix[1] == 200
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ModelError, match="empty"):
@@ -146,21 +146,16 @@ class TestCachedSums:
         fresh = ModelGraph(name="m", layers=layers, batch_size=batch, bytes_per_element=elem)
 
         def check(m):
-            n = len(m.layers)
+            n, e, b = len(m.layers), m.bytes_per_element, m.batch_size
+            assert m.kind_values == tuple(l.kind.value for l in m.layers)
+            assert m.param_bytes == tuple(l.param_count * e for l in m.layers)
+            assert m.output_bytes == tuple(l.output_elems_per_sample * b * e for l in m.layers)
+            assert m.cumulative_param_bytes == tuple(
+                e * sum(l.param_count for l in m.layers[:i]) for i in range(1, n + 1))
+            assert m.flops_prefix == tuple(
+                sum(l.compute_flops_per_sample for l in m.layers[:i]) for i in range(n + 1))
             assert m.total_param_count == sum(l.param_count for l in m.layers)
-            assert m.total_param_bytes == m.bytes_per_element * m.total_param_count
-            for i in range(1, n + 1):
-                assert m.cumulative_param_bytes(i) == m.bytes_per_element * sum(
-                    l.param_count for l in m.layers[:i])
-                for j in range(i, n + 1):
-                    assert m.forward_flops_per_sample(i, j) == sum(
-                        l.compute_flops_per_sample for l in m.layers[i - 1 : j])
-            assert m.forward_flops_per_sample() == sum(l.compute_flops_per_sample for l in m.layers)
-            for bad in (0, n + 1):
-                with pytest.raises(ModelError, match="out of range"):
-                    m.cumulative_param_bytes(bad)
-            with pytest.raises(ModelError, match="bad layer range"):
-                m.forward_flops_per_sample(n, n + 1)
+            assert m.total_param_bytes == e * m.total_param_count
 
         check(model)
         # Reading the sums leaves equality, hash and repr as they were.
@@ -169,8 +164,8 @@ class TestCachedSums:
         # Copies made after the sums were read report their own values.
         rebatched = model.with_batch_size(new_batch)
         assert rebatched.batch_size == new_batch
-        for i, layer in enumerate(layers, start=1):
-            assert rebatched.output_bytes(i) == layer.output_elems_per_sample * new_batch * elem
+        for i, layer in enumerate(layers):
+            assert rebatched.output_bytes[i] == layer.output_elems_per_sample * new_batch * elem
         check(rebatched)
         check(dataclasses.replace(model, layers=_chain(other)))
         check(dataclasses.replace(model, bytes_per_element=elem * 2))

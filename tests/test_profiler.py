@@ -201,9 +201,12 @@ class TestGate:
         assert ProfilerConfig(mode="literal_values").mode is SkewnessMode.LITERAL_VALUES
 
     def test_nonnegative_threshold_warns_but_keeps_value(self):
-        with pytest.warns(UserWarning, match="non-negative"):
+        with pytest.warns(UserWarning, match="non-negative") as record:
             config = ProfilerConfig(threshold=0.25)
         assert config.threshold == 0.25
+        # The warning names the line that built the config, not the
+        # dataclass's generated __init__.
+        assert [w.filename for w in record] == [__file__]
 
 
 def exhaustive_split(param_bytes, output_bytes, kinds):
@@ -246,8 +249,8 @@ class TestFindSplit:
 
     def test_vgg11_splits_before_first_fully_connected(self):
         model = catalog_lookup("vgg11")
-        p = [model.param_bytes(i) for i in range(1, model.num_layers + 1)]
-        o = [model.output_bytes(i) for i in range(1, model.num_layers + 1)]
+        p = list(model.param_bytes)
+        o = list(model.output_bytes)
         kinds = [l.kind for l in model.layers]
         got = find_split(p, o, kinds)
         assert exhaustive_split(p, o, kinds) == (got.index, got.cost_bytes)
@@ -261,8 +264,8 @@ class TestFindSplit:
         mismatches = 0
         for _ in range(1000):
             model = random_model(rng)
-            p = [model.param_bytes(i) for i in range(1, model.num_layers + 1)]
-            o = [model.output_bytes(i) for i in range(1, model.num_layers + 1)]
+            p = list(model.param_bytes)
+            o = list(model.output_bytes)
             kinds = [l.kind for l in model.layers]
             got = find_split(p, o, kinds)
             want = exhaustive_split(p, o, kinds)
@@ -312,6 +315,16 @@ class TestProfile:
         cum = report.cumulative_param_bytes
         assert all(a <= b for a, b in zip(cum, cum[1:]))
         assert cum[-1] == catalog_lookup("overfeat").total_param_bytes
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    def test_report_holds_the_models_own_tuples(self, mode):
+        model = catalog_lookup("vgg11")
+        report = profile(model, ProfilerConfig(mode=mode))
+        assert report.layer_names is model.columns[0]
+        assert report.layer_kinds is model.kind_values
+        assert report.param_bytes is model.param_bytes
+        assert report.output_bytes is model.output_bytes
+        assert report.cumulative_param_bytes is model.cumulative_param_bytes
 
     def test_report_serializes_layer_table(self):
         import json

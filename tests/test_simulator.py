@@ -195,8 +195,8 @@ class TestSingleResourceCases:
         placement = Placement(workers=((0, 0), (1, 0), (2, 0)), ps=((3, 0),))
         (step,) = simulate_run(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)).job("j").steps
 
-        fwd = model.forward_flops_per_sample(1, split) * model.batch_size / rate
-        back = 3 * model.forward_flops_per_sample(split + 1, model.num_layers) \
+        fwd = model.flops_prefix[split] * model.batch_size / rate
+        back = 3 * (model.flops_prefix[-1] - model.flops_prefix[split]) \
             * model.batch_size / rate
         agg = model.total_param_count * w / rate
         expected = fwd + w * back + 2 * fwd + agg
@@ -212,10 +212,10 @@ class TestSingleResourceCases:
         model = catalog_lookup("lenet")
         split = 4
         rate = 1e12
-        fwd = model.forward_flops_per_sample(1, split) * model.batch_size / rate
-        back = 3 * model.forward_flops_per_sample(split + 1, model.num_layers) \
+        fwd = model.flops_prefix[split] * model.batch_size / rate
+        back = 3 * (model.flops_prefix[-1] - model.flops_prefix[split]) \
             * model.batch_size / rate
-        link = 4 * model.output_bytes(split) / back
+        link = 4 * model.output_bytes[split - 1] / back
         cluster = small_cluster(
             machines=2,
             gpus_per_machine=3,
@@ -228,8 +228,8 @@ class TestSingleResourceCases:
         placement = Placement(workers=((0, 0), (1, 0), (0, 2)), ps=((0, 1),))
         (step,) = simulate_run(Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)).job("j").steps
 
-        act = model.output_bytes(split) / link
-        grad = model.cumulative_param_bytes(split) / link
+        act = model.output_bytes[split - 1] / link
+        grad = model.cumulative_param_bytes[split - 1] / link
         agg = model.total_param_count * 3 / rate
         local_end = fwd + 3 * back + act + 2 * fwd + grad + agg
         assert step.step_durations == pytest.approx((local_end, local_end + grad, local_end),
@@ -406,11 +406,11 @@ class TestDeterminismAndInvariants:
             model = fc_tail_model(rng)
             split = model.num_layers - 2
             back_params = model.total_param_count - (
-                model.cumulative_param_bytes(split) // model.bytes_per_element
+                model.cumulative_param_bytes[split - 1] // model.bytes_per_element
             )
             if back_params * model.bytes_per_element <= model.total_param_bytes / 2:
                 continue
-            if model.output_bytes(split) >= back_params * model.bytes_per_element:
+            if model.output_bytes[split - 1] >= back_params * model.bytes_per_element:
                 continue
             cluster = small_cluster()
             workers = 3
