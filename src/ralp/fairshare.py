@@ -21,6 +21,7 @@ array back, and only that caller pays for importing numpy.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 # The round of a flow that no round has frozen yet.
@@ -54,7 +55,12 @@ class FairShare:
     every link with added flows keeps a share above the round's level with
     them counted.  The next solve keeps those rounds, with their unfrozen
     counts moved by the added and departed flow ends, leaves the flows they
-    froze untouched, and refills from the first round that may differ.
+    froze untouched, and refills from the first round that may differ.  A
+    solve that can keep no round (a departed flow froze in round 0, or the
+    log holds only the terminal round) skips that scan.  The terminal round
+    logs the working remainders and counts uncopied: no round changes them
+    after it, and the next solve drops the entry, or deletes it before
+    refilling from it, before it changes them.
 
     The flow-end counts come from one change log, ``changes``: the flow
     ends added minus removed per link since the last solve.  A new
@@ -101,53 +107,52 @@ class FairShare:
     def solve(self) -> None:
         """Set ``rate`` on every flow whose rate the changes since the last
         solve can move."""
-        log = self._log
-        changed = [(l, d) for l, d in self.changes.items() if d]
-        keep = self._kept_rounds(min(self._cut, len(log) - 1), changed)
+        log, changes = self._log, self.changes
+        limit = len(log) - 1
+        if self._cut < limit:
+            limit = self._cut
+        keep = self._kept_rounds(limit, changes) if limit else 0
         _, rem, cnt, _ = log[keep]
-        for _, _, _, flows in log[keep:]:
-            for f in flows:
+        for j in range(keep, len(log)):
+            for f in log[j][3]:
                 f.frozen_in = _UNFROZEN
         del log[keep:]
-        for l, d in changed:
+        for l, d in changes.items():
             cnt[l] += d
-        self.changes.clear()
+        changes.clear()
         self._cut = _UNFROZEN
         self._fill(keep, rem, cnt)
 
-    def _kept_rounds(self, limit: int, changed: list[tuple[int, int]]) -> int:
+    def _kept_rounds(self, limit: int, changes: dict[int, int]) -> int:
         """How many of the first ``limit`` logged rounds run unchanged with
-        each link's flow ends moved by ``changed``; their unfrozen counts
+        each link's flow ends moved by ``changes``; their unfrozen counts
         are moved with them."""
-        grown = [(l, d) for l, d in changed if d > 0]
+        grown = [(l, d) for l, d in changes.items() if d > 0]
         for j in range(limit):
             level, rem, cnt, _ = self._log[j]
             for l, d in grown:
                 if rem[l] / (cnt[l] + d) <= level:
                     return j
-            for l, d in changed:
+            for l, d in changes.items():
                 cnt[l] += d
         return limit
 
     def _fill(self, r: int, rem: list[float], cnt: list[int]) -> None:
         """Progressive filling from round ``r``, whose start state is
-        ``rem`` and ``cnt``, logging each round."""
+        ``rem`` and ``cnt``, logging each round; the terminal round logs
+        ``rem`` and ``cnt`` themselves."""
         flows_on, log = self._flows_on, self._log
-        loaded = [l for l, n in enumerate(cnt) if n]
-        while True:
+        loaded = list(compress(range(len(cnt)), cnt))
+        while loaded:
             shares = [rem[l] / cnt[l] for l in loaded]
-            best = min(shares, default=math.inf)
+            best = min(shares)
+            if best == math.inf:
+                break
             done: list[Flow] = []
             log.append((best, rem[:], cnt[:], done))
-            if best == math.inf:
-                for l in loaded:
-                    for f in flows_on[l]:
-                        if f.frozen_in > r:
-                            f.frozen_in = r
-                            f.rate = best
-                            done.append(f)
-                return
-            for l in [l for l, share in zip(loaded, shares) if share == best]:
+            for l, share in zip(loaded, shares):
+                if share != best:
+                    continue
                 for f in flows_on[l]:
                     if f.frozen_in <= r:
                         continue
@@ -162,6 +167,16 @@ class FairShare:
                 raise RuntimeError("fair-share round froze no flow")
             loaded = [l for l in loaded if cnt[l]]
             r += 1
+        # Flows left when only unbounded shares remain (if any) get an
+        # infinite rate.
+        done = []
+        log.append((math.inf, rem, cnt, done))
+        for l in loaded:
+            for f in flows_on[l]:
+                if f.frozen_in > r:
+                    f.frozen_in = r
+                    f.rate = math.inf
+                    done.append(f)
 
 
 def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):

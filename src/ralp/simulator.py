@@ -24,10 +24,10 @@ float range stops with a ScenarioError naming the job.  So does a run in
 which a job's steps take no time, whose throughput would be undefined.
 The split strategy's back-segment batches are serial tasks: the PS runs
 them one at a time, in the order they became ready.  A worker's step
-ends with its last task.  Re-arming resets each task's count of
-unfinished predecessors and starts the graph's roots in the order they
-were built, so every step makes the event loop the same calls, in the
-same order, as a freshly built graph.
+ends with its last task.  A task re-arms itself as it starts, by
+resetting its count of unfinished predecessors, so a step only starts
+the graph's roots in the order they were built, and every step makes the
+event loop the same calls, in the same order, as a freshly built graph.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
@@ -351,35 +351,36 @@ def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
 
 
 class _Task(fairshare.Flow):
-    """One node of a job's step graph: a delay of ``seconds`` (``src`` is
-    None) or a network flow of ``nbytes`` from machine ``src`` to another
-    machine ``dst``.  Each step it starts once its ``preds`` predecessors
-    have finished (``waiting`` counts those still running); a ``serial``
-    task waits its turn in its job's FIFO queue; finishing a task with a
-    ``last`` worker index ends that worker's step."""
+    """One node of a job's step graph: a delay of ``seconds`` (``links`` is
+    None) or a network flow of ``nbytes`` over ``links``, its source
+    machine's uplink and its destination machine's downlink.  Each step it
+    starts once its ``preds`` predecessors have finished: ``waiting``
+    counts those still running, and is reset to ``preds`` as the task
+    starts, ready for the next step.  A ``serial`` task waits its turn in
+    its job's FIFO queue; finishing a task with a ``last`` worker index
+    ends that worker's step."""
 
-    __slots__ = ("job", "seconds", "src", "dst", "nbytes", "key", "serial", "last",
-                 "succ", "preds", "waiting", "remaining")
+    __slots__ = ("job", "seconds", "nbytes", "key", "serial", "last", "succ", "preds",
+                 "waiting", "remaining")
 
-    def __init__(self, job, after, seconds=0.0, src=None, dst=None, nbytes=0, key=None,
-                 serial=False, last=None):
+    def __init__(self, job, after, seconds, serial, last, links=None, nbytes=0, key=None):
         self.job = job
         self.seconds = seconds
-        self.src = src
-        self.dst = dst
+        self.links = links
         self.nbytes = nbytes
         self.key = key
         self.serial = serial
         self.last = last
         self.succ = []
-        self.preds = len(after)
+        self.preds = self.waiting = len(after)
         for pred in after:
             pred.succ.append(self)
-        job.tasks.append(self)
+        if not after:
+            job.roots.append(self)
 
 
 class _Env:
-    """Event loop: a time-ordered heap of finishing tasks, and the
+    """Event loop: a time-ordered heap of finishing delays, and the
     fair-share state, the one record of the in-flight inter-machine flows
     and of whether any started or finished since the last solve."""
 
@@ -390,37 +391,36 @@ class _Env:
         self._seq = itertools.count()
         self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * cluster.machines))
 
-    def _finish_at(self, time, task):
-        heapq.heappush(self._heap, (time, next(self._seq), task))
-
     def start(self, task: _Task):
-        job = task.job
         if task.serial:
+            job = task.job
             if job.serial_busy:
                 job.serial_queue.append(task)
                 return
             job.serial_busy = True
-        if task.src is None:
-            self._finish_at(self.now + task.seconds, task)
+        if task.links is None:
+            heapq.heappush(self._heap, (self.now + task.seconds, next(self._seq), task))
         else:
             task.remaining = float(task.nbytes)
-            self._share.add(task, (task.src, self.cluster.machines + task.dst))
+            self._share.add(task, task.links)
 
     def _finish(self, task: _Task):
-        job = task.job
         for succ in task.succ:
             succ.waiting -= 1
             if not succ.waiting:
+                succ.waiting = succ.preds
                 self.start(succ)
         if task.serial:
+            job = task.job
             job.serial_busy = False
             if job.serial_queue:
                 self.start(job.serial_queue.popleft())
         if task.last is not None:
-            job.worker_done(task.last)
+            task.job.worker_done(task.last)
 
     def run(self):
-        heap, share, inf = self._heap, self._share, math.inf
+        heap, seq, finish, heappop = self._heap, self._seq, self._finish, heapq.heappop
+        share, inf, ulp = self._share, math.inf, math.ulp
         flows, changes = share.flows, share.changes
         while heap or flows:
             if flows and changes:
@@ -431,11 +431,16 @@ class _Env:
             next_flow = inf
             if flows:
                 # remaining / inf == 0.0: an infinite-rate flow ends now.
-                finish_times = [now + flow.remaining / flow.rate if flow.rate > 0 else inf
-                                for flow in flows]
+                # Only a flow at rate 0 raises, and only then does the
+                # guarded pass run, giving that flow no finish time.
+                try:
+                    finish_times = [now + flow.remaining / flow.rate for flow in flows]
+                except ZeroDivisionError:
+                    finish_times = [now + flow.remaining / flow.rate if flow.rate > 0 else inf
+                                    for flow in flows]
                 next_flow = min(finish_times)
 
-            t_next = min(next_heap, next_flow)
+            t_next = next_flow if next_flow < next_heap else next_heap
             if t_next == inf:
                 # A delay at the heap's head or a flow with a rate would end
                 # past the float range; a flow at rate 0 is an engine fault.
@@ -453,28 +458,37 @@ class _Env:
 
             if next_flow == t_next:
                 done = [f for f, t in zip(flows, finish_times) if t == t_next]
-                done.sort(key=lambda f: f.key)
+                if len(done) > 1:
+                    done.sort(key=lambda f: f.key)
+                tick = ulp(t_next)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
                     # float sums, and of the finish time to the clock's
                     # resolution.  An infinite rate makes the slack infinite.
-                    slack = 1e-9 * flow.nbytes + flow.rate * math.ulp(t_next)
+                    slack = 1e-9 * flow.nbytes + flow.rate * tick
                     if abs(flow.remaining) > slack:
                         raise RuntimeError(f"flow {flow.key} finished with {flow.remaining!r} "
                                            f"of {flow.nbytes} bytes undelivered")
                     share.remove(flow)
-                    self._finish_at(t_next, flow)
+                # The finished flows complete in key order, after the
+                # delays queued for now before ``mark`` and before any that
+                # finishing queues.
+                mark = next(seq)
+                while heap and heap[0][0] == t_next and heap[0][1] < mark:
+                    finish(heappop(heap)[2])
+                for flow in done:
+                    finish(flow)
 
             while heap and heap[0][0] == t_next:
-                self._finish(heapq.heappop(heap)[2])
+                finish(heappop(heap)[2])
 
 
 # -- per-job runtime -------------------------------------------------------
 
 class _JobRun:
     """One job of a run.  Its step graph is built once, here, and re-armed
-    by each ``start_step``: the per-worker bucket sums, the PS computation
-    time and the wire bytes are the same every step."""
+    as it runs: the per-worker bucket sums, the PS computation time and the
+    wire bytes are the same every step."""
 
     def __init__(self, env: _Env, job_id: int, name: str, spec: JobSpec, placement: Placement,
                  total_steps: int):
@@ -493,29 +507,26 @@ class _JobRun:
         self.compute_acc = [0.0] * w
         self.memcopy_acc = [0.0] * w
         self.bytes_on_wire_per_step = 0
-        self.tasks: list[_Task] = []  # in build order
+        self.roots: list[_Task] = []  # the tasks with no predecessors, in build order
         self.ps_computation_s = _STEP_BUILDERS[spec.strategy.kind](self)
 
     # step graphs ----------------------------------------------------------
 
     def start_step(self):
-        """Re-arm the step graph and start its roots in build order.  A
-        start only schedules a task, so the roots can start while later
-        tasks are re-armed."""
+        """Start the step graph's roots in build order.  Every task of the
+        last step re-armed itself as it started."""
         self.step_start = self.env.now
         self.worker_end = [0.0] * self.spec.worker_count
         self.done_count = 0
-        for task in self.tasks:
-            task.waiting = task.preds
-            if not task.preds:
-                self.env.start(task)
+        for task in self.roots:
+            self.env.start(task)
 
     def release(self):
         """Drop the run's step graph and event loop.  Each task points back
         at its run, and the fair-share log keeps the last solve's flows, so
         until then they form reference cycles that only the cyclic
         collector frees."""
-        self.tasks = ()
+        self.roots = ()
         self.env = None
 
     def _seconds(self, amount, rate) -> float:
@@ -537,7 +548,7 @@ class _JobRun:
         seconds = self._seconds(amount, rate)
         if bucket is not None:
             bucket[worker] += seconds
-        return _Task(self, after, seconds, serial=serial, last=last)
+        return _Task(self, after, seconds, serial, last)
 
     def _flow(self, after, src, dst, nbytes, key):
         """A transfer of ``nbytes`` from machine ``src`` to ``dst``, counted
@@ -547,7 +558,8 @@ class _JobRun:
         if not nbytes or src == dst:
             return self._delay(after, nbytes, "intra_machine_bytes_per_sec")
         self._seconds(nbytes, "link_bytes_per_sec")
-        return _Task(self, after, src=src, dst=dst, nbytes=nbytes, key=(self.job_id, *key))
+        return _Task(self, after, 0.0, False, None, (src, self.env.cluster.machines + dst), nbytes,
+                     (self.job_id, *key))
 
     def _baseline_step(self) -> float:
         model, w = self.model, self.spec.worker_count
@@ -826,9 +838,9 @@ def parse_scenario(
 
     The first error found is raised, as a ScenarioError naming its line.
     Lines are read in file order: a malformed line, a bad key or value, a
-    second cluster or steps line, a duplicate job name or a place line that
-    contradicts its job's earlier one (spread against explicit slots) fails
-    there.
+    second cluster or steps line, a duplicate job name, a second spread
+    line for one job or a place line that contradicts its job's earlier one
+    (spread against explicit slots) fails there.
     Then a place line for an undeclared job fails, and (CapacityError) an
     explicit slot outside the cluster or already taken.  Last, each job in
     file order resolves its model (UnknownModelError, DescriptorError,
@@ -902,6 +914,8 @@ def parse_scenario(
                 fail(lineno, f"job {name!r}: {how[spread]} placement contradicts the "
                              f"{how[first_spread]} placement on line {first}")
             if spread:
+                if first != lineno:
+                    fail(lineno, f"job {name!r}: second spread placement (first on line {first})")
                 continue
             try:
                 index, machine, gpu = (int(t) for t in tokens[3:])

@@ -443,10 +443,12 @@ class TestSimulateCommand:
         ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a worker 0 0 0\n"
          "place a ps 0 1 0\nplace a spread\n",
          EXIT_PARSE, 4, "job 'a': spread placement contradicts the slot placement on line 2"),
+        ("job a model=lenet strategy=ring workers=2\nplace a spread\n# again\nplace a spread\n",
+         EXIT_PARSE, 4, "job 'a': second spread placement (first on line 2)"),
     ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
             "double-booked", "workers-uncovered", "ps-uncovered", "ps-on-ring", "duplicate-job",
             "spread-job-past-full", "spread-extra-words", "slots-after-spread",
-            "spread-after-slots"])
+            "spread-after-slots", "spread-twice"])
     def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)

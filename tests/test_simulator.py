@@ -264,8 +264,8 @@ class TestDeterminismAndInvariants:
     def test_finished_network_flows_complete_after_tasks_due_at_the_same_instant(self):
         # With equal link and intra rates, inter- and intra-machine transfers
         # finish at the same instants.  The event loop completes a finished
-        # network flow through the heap: after the tasks already due at that
-        # instant, and in key order among the flows finishing together.
+        # network flow after the tasks already due at that instant, and in
+        # key order among the flows finishing together.
         # Completing them inline, before those tasks, changes the order in
         # which work reaches the PS queues, and with it these floats.
         model = catalog_lookup("vgg11")
