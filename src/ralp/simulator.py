@@ -23,11 +23,13 @@ rejected when the graph is built, and a run whose clock would pass the
 float range stops with a ScenarioError naming the job.  So does a run in
 which a job's steps take no time, whose throughput would be undefined.
 The split strategy's back-segment batches are serial tasks: the PS runs
-them one at a time, in the order they became ready.  A worker's step
-ends with its last task.  A task re-arms itself as it starts, by
-resetting its count of unfinished predecessors, so a step only starts
-the graph's roots in the order they were built, and every step makes the
-event loop the same calls, in the same order, as a freshly built graph.
+them one at a time, in the order they became ready, so only its queue
+sees the order in which an instant completes its work (see _Env).  A
+worker's step ends with its last task.  A task re-arms itself as it
+starts, by resetting its count of unfinished predecessors, so a step only
+starts the graph's roots in the order they were built, and every step
+makes the event loop the same calls, in the same order, as a freshly
+built graph.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
@@ -360,15 +362,14 @@ class _Task(fairshare.Flow):
     its job's FIFO queue; finishing a task with a ``last`` worker index
     ends that worker's step."""
 
-    __slots__ = ("job", "seconds", "nbytes", "key", "serial", "last", "succ", "preds",
-                 "waiting", "remaining")
+    __slots__ = ("job", "seconds", "nbytes", "serial", "last", "succ", "preds", "waiting",
+                 "remaining")
 
-    def __init__(self, job, after, seconds, serial, last, links=None, nbytes=0, key=None):
+    def __init__(self, job, after, seconds, serial, last, links=None, nbytes=0):
         self.job = job
         self.seconds = seconds
         self.links = links
         self.nbytes = nbytes
-        self.key = key
         self.serial = serial
         self.last = last
         self.succ = []
@@ -382,7 +383,16 @@ class _Task(fairshare.Flow):
 class _Env:
     """Event loop: a time-ordered heap of finishing delays, and the
     fair-share state, the one record of the in-flight inter-machine flows
-    and of whether any started or finished since the last solve."""
+    and of whether any started or finished since the last solve.
+
+    An instant completes its due delays, zero-second ones started meanwhile
+    too, then its finished flows, each in the order they started.  Only a
+    ralp job's PS queue sees that order: rates do not depend on it, and
+    other tasks wait for all predecessors.  The job's roots start in worker
+    order and its forward passes and copies take equal time, so its
+    activation flows start, and tie, in worker order, all in one loop
+    iteration.  So none finishes in that iteration, and no zero-second
+    delay, however short, reaches the queue at the instant one finishes."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
@@ -419,7 +429,7 @@ class _Env:
             task.job.worker_done(task.last)
 
     def run(self):
-        heap, seq, finish, heappop = self._heap, self._seq, self._finish, heapq.heappop
+        heap, finish, heappop = self._heap, self._finish, heapq.heappop
         share, inf, ulp = self._share, math.inf, math.ulp
         flows, changes = share.flows, share.changes
         while heap or flows:
@@ -431,22 +441,18 @@ class _Env:
             next_flow = inf
             if flows:
                 # remaining / inf == 0.0: an infinite-rate flow ends now.
-                # Only a flow at rate 0 raises, and only then does the
-                # guarded pass run, giving that flow no finish time.
+                # A flow at rate 0 is an engine fault.
                 try:
                     finish_times = [now + flow.remaining / flow.rate for flow in flows]
                 except ZeroDivisionError:
-                    finish_times = [now + flow.remaining / flow.rate if flow.rate > 0 else inf
-                                    for flow in flows]
+                    raise RuntimeError(
+                        "simulation deadlock: pending work cannot progress") from None
                 next_flow = min(finish_times)
 
             t_next = next_flow if next_flow < next_heap else next_heap
             if t_next == inf:
-                # A delay at the heap's head or a flow with a rate would end
-                # past the float range; a flow at rate 0 is an engine fault.
-                late = heap[0][2] if heap else next((f for f in flows if f.rate > 0), None)
-                if late is None:
-                    raise RuntimeError("simulation deadlock: pending work cannot progress")
+                # The heap's head, or every flow, ends past the float range.
+                late = heap[0][2] if heap else next(iter(flows))
                 raise ScenarioError(f"job {late.job.name!r}: the simulated clock passes the "
                                     f"float range after {now!r} s")
 
@@ -458,8 +464,6 @@ class _Env:
 
             if next_flow == t_next:
                 done = [f for f, t in zip(flows, finish_times) if t == t_next]
-                if len(done) > 1:
-                    done.sort(key=lambda f: f.key)
                 tick = ulp(t_next)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
@@ -467,14 +471,12 @@ class _Env:
                     # resolution.  An infinite rate makes the slack infinite.
                     slack = 1e-9 * flow.nbytes + flow.rate * tick
                     if abs(flow.remaining) > slack:
-                        raise RuntimeError(f"flow {flow.key} finished with {flow.remaining!r} "
-                                           f"of {flow.nbytes} bytes undelivered")
+                        src, dst = flow.links
+                        raise RuntimeError(f"job {flow.job.name!r}: flow from machine {src} to "
+                                           f"{dst - self.cluster.machines} finished with "
+                                           f"{flow.remaining!r} of {flow.nbytes} bytes undelivered")
                     share.remove(flow)
-                # The finished flows complete in key order, after the
-                # delays queued for now before ``mark`` and before any that
-                # finishing queues.
-                mark = next(seq)
-                while heap and heap[0][0] == t_next and heap[0][1] < mark:
+                while heap and heap[0][0] == t_next:
                     finish(heappop(heap)[2])
                 for flow in done:
                     finish(flow)
@@ -488,12 +490,11 @@ class _Env:
 class _JobRun:
     """One job of a run.  Its step graph is built once, here, and re-armed
     as it runs: the per-worker bucket sums, the PS computation time and the
-    wire bytes are the same every step."""
+    wire bytes are the same every step; its roots start in worker order."""
 
-    def __init__(self, env: _Env, job_id: int, name: str, spec: JobSpec, placement: Placement,
+    def __init__(self, env: _Env, name: str, spec: JobSpec, placement: Placement,
                  total_steps: int):
         self.env = env
-        self.job_id = job_id
         self.name = name
         self.spec = spec
         self.total_steps = total_steps
@@ -550,7 +551,7 @@ class _JobRun:
             bucket[worker] += seconds
         return _Task(self, after, seconds, serial, last)
 
-    def _flow(self, after, src, dst, nbytes, key):
+    def _flow(self, after, src, dst, nbytes):
         """A transfer of ``nbytes`` from machine ``src`` to ``dst``, counted
         in the step's wire bytes: a network flow, or a delay at the
         intra-machine rate when it is empty or stays within one machine."""
@@ -558,8 +559,7 @@ class _JobRun:
         if not nbytes or src == dst:
             return self._delay(after, nbytes, "intra_machine_bytes_per_sec")
         self._seconds(nbytes, "link_bytes_per_sec")
-        return _Task(self, after, 0.0, False, None, (src, self.env.cluster.machines + dst), nbytes,
-                     (self.job_id, *key))
+        return _Task(self, after, 0.0, False, None, (src, self.env.cluster.machines + dst), nbytes)
 
     def _baseline_step(self) -> float:
         model, w = self.model, self.spec.worker_count
@@ -572,7 +572,7 @@ class _JobRun:
             d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
                               self.memcopy_acc, i)
             for s, ps_machine in enumerate(self.ps_machines):
-                pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s], (i, "push", s)))
+                pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s]))
         pulls = [[] for _ in self.worker_machines]
         aggs = []
         for s, ps_machine in enumerate(self.ps_machines):
@@ -580,8 +580,7 @@ class _JobRun:
                               "gpu_flops_per_sec")
             aggs.append(agg)
             for i, worker_machine in enumerate(self.worker_machines):
-                pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s],
-                                           (i, "pull", s)))
+                pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s]))
         for i, after in enumerate(pulls):
             self._delay(after, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
                         last=i)
@@ -597,19 +596,19 @@ class _JobRun:
         for i, me in enumerate(self.worker_machines):
             fwd = self._delay((), front_fwd_flops, "gpu_flops_per_sec", self.compute_acc, i)
             d2h = self._delay([fwd], cut, "memcopy_bytes_per_sec", self.memcopy_acc, i)
-            act = self._flow([d2h], me, ps_machine, cut, (i, "act", 0))
+            act = self._flow([d2h], me, ps_machine, cut)
             # The PS runs the back segment for one batch at a time, in the
             # order the activations arrive.
             back = self._delay([act], ps_flops, "gpu_flops_per_sec", serial=True)
-            actgrad = self._flow([back], ps_machine, me, cut, (i, "actgrad", 0))
+            actgrad = self._flow([back], ps_machine, me, cut)
             h2d = self._delay([actgrad], cut, "memcopy_bytes_per_sec", self.memcopy_acc, i)
             bwd = self._delay([h2d], 2 * front_fwd_flops, "gpu_flops_per_sec",
                               self.compute_acc, i)
             d2h = self._delay([bwd], params, "memcopy_bytes_per_sec", self.memcopy_acc, i)
-            grads.append(self._flow([d2h], me, ps_machine, params, (i, "grad", 0)))
+            grads.append(self._flow([d2h], me, ps_machine, params))
         agg = self._delay(grads, model.total_param_count * w, "gpu_flops_per_sec")
         for i, me in enumerate(self.worker_machines):
-            pull = self._flow([agg], ps_machine, me, params, (i, "pull", 0))
+            pull = self._flow([agg], ps_machine, me, params)
             self._delay([pull], params, "memcopy_bytes_per_sec", self.memcopy_acc, i, last=i)
         return back.seconds + agg.seconds  # every worker's back batch takes as long
 
@@ -624,7 +623,7 @@ class _JobRun:
             d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
                               self.memcopy_acc, i)
             peer = self.worker_machines[(i + 1) % w]
-            sends.append(self._flow([d2h], me, peer, shares[i], (i, "ring", 0)))
+            sends.append(self._flow([d2h], me, peer, shares[i]))
         for i in range(w):
             self._delay(sends, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
                         last=i)
@@ -679,8 +678,8 @@ def simulate_run(scenario: Scenario) -> SimReport:
     env = _Env(scenario.cluster)
     runs = []
     try:
-        for job_id, (name, spec, placement) in enumerate(scenario.jobs):
-            runs.append(_JobRun(env, job_id, name, spec, placement, scenario.steps))
+        for name, spec, placement in scenario.jobs:
+            runs.append(_JobRun(env, name, spec, placement, scenario.steps))
         for run in runs:
             run.start_step()
         env.run()

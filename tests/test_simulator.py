@@ -101,6 +101,16 @@ def random_scenario(rng: np.random.Generator, steps=1):
     return Scenario(cluster=cluster, jobs=jobs, steps=steps)
 
 
+def link_variants(cluster):
+    """``cluster``, then with link rate equal to intra rate (flows finish
+    together), then with infinite links (infinite rates)."""
+    return (
+        cluster,
+        dataclasses.replace(cluster, link_bytes_per_sec=cluster.intra_machine_bytes_per_sec),
+        dataclasses.replace(cluster, link_bytes_per_sec=math.inf),
+    )
+
+
 class TestSingleResourceCases:
     def test_lone_worker_compute_time_is_exact(self):
         # one worker, no parameters -> no transfers, no memcopy, no PS work
@@ -264,8 +274,8 @@ class TestDeterminismAndInvariants:
     def test_finished_network_flows_complete_after_tasks_due_at_the_same_instant(self):
         # With equal link and intra rates, inter- and intra-machine transfers
         # finish at the same instants.  The event loop completes a finished
-        # network flow after the tasks already due at that instant, and in
-        # key order among the flows finishing together.
+        # network flow after the tasks due at that instant, and in the order
+        # they started among the flows finishing together.
         # Completing them inline, before those tasks, changes the order in
         # which work reaches the PS queues, and with it these floats.
         model = catalog_lookup("vgg11")
@@ -284,13 +294,13 @@ class TestDeterminismAndInvariants:
             (0.053524010334666805, 0.053524010334666805),
         ]
 
-    def test_network_flows_finishing_together_complete_in_key_order(self):
+    def test_network_flows_finishing_together_complete_in_the_order_they_started(self):
         # With equal link and intra rates, four activations (two per job)
         # finish crossing the network at the same instant.  Completing them
-        # in key order gives each PS its lower-numbered worker's batch first;
-        # the reverse order serves the other batch first, which moves the
-        # activation-gradient flows against job b's traffic and changes job
-        # a's floats.
+        # in the order they started gives each PS its lower-numbered
+        # worker's batch first; the reverse order serves the other batch
+        # first, which moves the activation-gradient flows against job b's
+        # traffic and changes job a's floats.
         model = catalog_lookup("vgg11")
         strategy = Strategy.ralp(13)
         cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=3, gpus_per_machine=4,
@@ -306,6 +316,34 @@ class TestDeterminismAndInvariants:
             (0.008440239872000044, 0.008440239872000044),
             (0.013222095743999962, 0.013798375744000002, 0.013798375744000002),
         ]
+
+    def test_different_jobs_flows_may_finish_in_any_order(self, monkeypatch):
+        # Only a job's own PS queue sees the order in which an instant's
+        # work completes, so interleaving the jobs' flows at random, each
+        # job's flows kept in the order they started, moves no float.
+        rng = np.random.default_rng(11)
+        scenarios = []
+        for _ in range(100):
+            scenario = random_scenario(rng, steps=int(rng.integers(1, 4)))
+            for variant in link_variants(scenario.cluster):
+                scenarios.append(dataclasses.replace(scenario, cluster=variant))
+        expected = [simulate_run(scenario).to_json() for scenario in scenarios]
+
+        add = simulator.fairshare.FairShare.add
+
+        def interleave(share, flow, links):
+            add(share, flow, links)
+            by_job = {}
+            for f in share.flows:
+                by_job.setdefault(f.job, []).append(f)
+            turns = [job for job, job_flows in by_job.items() for _ in job_flows]
+            rng.shuffle(turns)
+            queues = {job: iter(job_flows) for job, job_flows in by_job.items()}
+            share.flows.clear()  # in place: the event loop holds the dict
+            share.flows.update(dict.fromkeys(next(queues[job]) for job in turns))
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "add", interleave)
+        assert [simulate_run(scenario).to_json() for scenario in scenarios] == expected
 
     def test_category_sums_define_step_durations(self):
         rng = np.random.default_rng(2024)
@@ -351,6 +389,22 @@ class TestDeterminismAndInvariants:
         monkeypatch.setattr(simulator.fairshare.FairShare, "solve", stall)
         scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1)
         with pytest.raises(RuntimeError, match="^simulation deadlock: pending work cannot progress"):
+            simulate_run(scenario)
+
+    def test_a_flow_whose_bytes_do_not_add_up_names_its_job_and_machines(self, monkeypatch):
+        # A flow whose remaining bytes run negative finishes before the
+        # clock: the byte check catches it at once.
+        solve = simulator.fairshare.FairShare.solve
+
+        def overdeliver(share):
+            solve(share)
+            for flow in share.flows:
+                flow.remaining = -float(flow.nbytes)
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", overdeliver)
+        scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1)
+        with pytest.raises(RuntimeError, match=r"^job 'job': flow from machine 0 to 2 finished "
+                                               r"with -\d+\.0 of \d+ bytes undelivered$"):
             simulate_run(scenario)
 
     def test_max_at_least_avg(self):
@@ -712,18 +766,11 @@ class TestEngineDigest:
     isolated runs.  Any float that moves in any report changes them."""
 
     def test_random_scenarios(self):
-        # Each scenario also runs with equal link and intra rates (flows
-        # finish together) and with infinite links (infinite rates).
         rng = np.random.default_rng(0xD16E57)
         digest = hashlib.sha256()
         for _ in range(200):
             scenario = random_scenario(rng, steps=int(rng.integers(1, 4)))
-            cluster = scenario.cluster
-            for variant in (
-                cluster,
-                dataclasses.replace(cluster, link_bytes_per_sec=cluster.intra_machine_bytes_per_sec),
-                dataclasses.replace(cluster, link_bytes_per_sec=math.inf),
-            ):
+            for variant in link_variants(scenario.cluster):
                 run = simulate_run(dataclasses.replace(scenario, cluster=variant))
                 digest.update(_report_bytes(run))
         assert digest.hexdigest() == "da20f62b442b2b1fdf2b5fc6b657859b369c116f27ebeeeea7b5726acacedd65"
