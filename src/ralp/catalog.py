@@ -32,4 +32,4 @@ def catalog_lookup(name: str) -> ModelGraph:
     path = _CATALOG_DIR / f"{name}{_SUFFIX}"
     if not path.is_file():
         raise UnknownModelError(name, catalog_names())
-    return parse_model(path.read_text())
+    return parse_model(path.read_text(encoding="utf-8"))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from importlib import resources
@@ -183,7 +184,7 @@ def _cmd_simulate(args) -> int:
                                ("--timeline", args.timeline, report.timeline_csv)):
         if dest:
             try:
-                Path(dest).write_text(render())
+                Path(dest).write_text(render(), encoding="utf-8")
             except OSError as exc:
                 raise _CliError(EXIT_BAD_FLAG, f"{flag}: cannot write {dest!r}: "
                                                f"{file_error(exc)}") from exc
@@ -276,6 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # Escape what the locale cannot encode, as Python does on stderr.
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,7 +20,9 @@ its predecessors have finished.  A transfer within one machine is a
 delay at the intra-machine rate, and an empty transfer is a zero-second
 delay.  A delay or flow that a cluster rate would make endless is
 rejected when the graph is built, and a run whose clock would pass the
-float range stops with a ScenarioError naming the job.  So does a run in
+float range stops with a ScenarioError naming the job.  Only simulated
+steps advance the clock, so a lone job whose repeated steps' mean step
+time passes the float range raises that error too.  So does a run in
 which a job's steps take no time, whose throughput would be undefined.
 The split strategy's back-segment batches are serial tasks: the PS runs
 them one at a time, in the order they became ready, so only its queue
@@ -44,9 +46,11 @@ bucket sums can round, is an engine error: some bucket then holds time
 the worker did not spend.  A step's wire bytes are the sum of its
 transfers' bytes, local ones included.
 
+A lone job starts every step on an idle cluster, so its later steps
+repeat its first: it simulates one step and reports it for every step.
 A consolidation runs each job alone once per placement shape (its
-machines relabelled by first use) and gives that report to every copy of
-the job with the same shape.
+machines relabelled by first use), so for one step, and gives that
+report to every copy of the job with the same shape.
 """
 
 from __future__ import annotations
@@ -674,12 +678,19 @@ _STEP_BUILDERS = {
 
 
 def simulate_run(scenario: Scenario) -> SimReport:
-    """Run every job for scenario.steps synchronous steps and report."""
+    """Run every job for scenario.steps synchronous steps and report.
+
+    A lone job starts every step on an idle cluster, since each task of a
+    step is an ancestor of some worker's last task, so its steps repeat
+    the first: it simulates one step and reports it for every step.  Only
+    simulated steps advance the clock, so a repeated mean step time that
+    passes the float range raises the clock's ScenarioError."""
     env = _Env(scenario.cluster)
+    lone = len(scenario.jobs) == 1
     runs = []
     try:
         for name, spec, placement in scenario.jobs:
-            runs.append(_JobRun(env, name, spec, placement, scenario.steps))
+            runs.append(_JobRun(env, name, spec, placement, 1 if lone else scenario.steps))
         for run in runs:
             run.start_step()
         env.run()
@@ -689,6 +700,8 @@ def simulate_run(scenario: Scenario) -> SimReport:
 
     reports = []
     for run in runs:
+        if lone:
+            run.records += [replace(run.records[0], step=i) for i in range(2, scenario.steps + 1)]
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant
             raise RuntimeError(f"job {run.name} finished {len(run.records)} of {scenario.steps} steps")
         report = JobReport(
@@ -703,6 +716,9 @@ def simulate_run(scenario: Scenario) -> SimReport:
             raise ScenarioError(f"job {run.name!r}: its steps take no time, so it has no "
                                 "throughput (a model with no parameters and no flops, or "
                                 "cluster rates that make every task free)")
+        if report.avg_step_time == math.inf:
+            raise ScenarioError(f"job {run.name!r}: the simulated clock passes the float "
+                                f"range after {env.now!r} s")
         reports.append(report)
     return SimReport(jobs=tuple(reports))
 

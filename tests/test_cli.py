@@ -33,13 +33,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_importing_the_cli_loads_no_numpy():
-    # The package has no run-time dependencies; numpy is for the tests only.
+def child_env(**overrides):
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(ralp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.update(overrides)
+    return env
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # The package has no run-time dependencies; numpy is for the tests only.
     probe = "import sys, ralp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                            timeout=60, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                            text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
 
 
@@ -365,6 +371,36 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {scn}: job 'a': the simulated clock passes the float "
                               "range after ")
         assert err.endswith(" s\n") and err.count("\n") == 1
+
+    def test_a_lone_job_whose_repeated_steps_pass_the_float_range(self, capsys, tmp_path):
+        # A step takes about 7e307 s: two fit the float range, three do not.
+        scn = tmp_path / "late.scn"
+        scn.write_text("cluster machines=8 gpus=4 flops=4.2e-296\n"
+                       "job a model=vgg11 strategy=baseline workers=2 ps=1\n")
+        code, out, _ = run_cli(capsys, "simulate", str(scn), "--steps", "2")
+        assert code == EXIT_OK
+        assert out.startswith("a: strategy=baseline workers=2 step_time=695751501215238")
+        code, out, err = run_cli(capsys, "simulate", str(scn), "--steps", "3")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: {scn}: job 'a': the simulated clock passes the float "
+                              "range after ")
+
+    def test_non_ascii_job_name_under_an_ascii_locale(self, tmp_path):
+        # Scenario, report and timeline files are UTF-8 whatever the
+        # locale; the summary escapes what the locale cannot encode.
+        (tmp_path / "u.scn").write_text("job jöb model=lenet strategy=ring workers=2\n",
+                                        encoding="utf-8")
+        env = child_env(LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                        PYTHONIOENCODING="")
+        result = subprocess.run([sys.executable, "-m", "ralp.cli", "simulate", "u.scn",
+                                 "--out", "r.json", "--timeline", "t.csv"],
+                                cwd=tmp_path, env=env, capture_output=True, timeout=60)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert result.stdout.startswith(b"j\\xf6b: strategy=ring workers=2 ")
+        rows = list(csv.reader(io.StringIO((tmp_path / "t.csv").read_text(encoding="utf-8"))))
+        assert [row[0] for row in rows] == ["job", "jöb", "jöb"]
+        assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["jobs"][0]["job"] == "jöb"
 
     @pytest.mark.parametrize("line, message", [
         ("job a model=lenet strategy=baseline workers=x ps=1",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import math
@@ -672,12 +673,9 @@ class TestPlacementAndScenarios:
         )
         report = simulate_run(scenario)
         assert len(report.jobs[0].steps) == 3
-        # steps repeat the same schedule; later steps start at nonzero time,
-        # so durations agree only up to float re-rounding
         first = report.jobs[0].steps[0]
         for step in report.jobs[0].steps[1:]:
-            for a, b in zip(step.step_durations, first.step_durations):
-                assert a == pytest.approx(b, rel=1e-9)
+            assert step.step_durations == first.step_durations
 
 
 class TestStepGraphReuse:
@@ -729,14 +727,11 @@ class TestStepGraphReuse:
 class TestSolveCounts:
     """The event loop solves the fair-share kernel only when a flow
     started or finished since the last solve, and only with flows in
-    flight."""
+    flight.  A lone job simulates one step, whatever its step count."""
 
-    @pytest.mark.parametrize("name, solves", [("vgg11_16gpu_baseline", 96),
-                                              ("vgg11_16gpu_ralp", 129)])
-    def test_bundled_scenarios(self, monkeypatch, name, solves):
-        text = (resources.files("ralp") / "scenarios" / f"{name}.scn").read_text()
-        scenario = parse_scenario(text, catalog_lookup)
-        assert scenario.steps == 3
+    @staticmethod
+    def solves(monkeypatch, scenario):
+        """The report of ``scenario`` and the number of solves it took."""
         solve = simulator.fairshare.FairShare.solve
         calls = []
 
@@ -745,8 +740,37 @@ class TestSolveCounts:
             solve(share)
 
         monkeypatch.setattr(simulator.fairshare.FairShare, "solve", counted)
-        simulate_run(scenario)
-        assert len(calls) == solves
+        return simulate_run(scenario), len(calls)
+
+    @pytest.mark.parametrize("name, solves", [("vgg11_16gpu_baseline", 32),
+                                              ("vgg11_16gpu_ralp", 43)])
+    def test_bundled_scenarios(self, monkeypatch, name, solves):
+        text = (resources.files("ralp") / "scenarios" / f"{name}.scn").read_text()
+        scenario = parse_scenario(text, catalog_lookup)
+        assert scenario.steps == 3
+        assert self.solves(monkeypatch, scenario)[1] == solves
+
+    def test_a_lone_job_solves_one_step(self, monkeypatch):
+        text = (resources.files("ralp") / "scenarios" / "vgg11_16gpu_ralp.scn").read_text()
+        scenario = parse_scenario(text, catalog_lookup)
+        counts = []
+        for steps in (1, 3, 1000):
+            report, solves = self.solves(monkeypatch, dataclasses.replace(scenario, steps=steps))
+            counts.append(solves)
+            (job,) = report.jobs
+            assert [step.step for step in job.steps] == list(range(1, steps + 1))
+            for step in job.steps:
+                assert dataclasses.replace(step, step=1) == job.steps[0]
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
+
+    def test_two_jobs_solve_every_step(self, monkeypatch):
+        text = ("job a model=vgg11 strategy=ralp workers=4 ps=1\n"
+                "job b model=alexnet strategy=baseline workers=4 ps=2\n")
+        scenario = parse_scenario(text, catalog_lookup)
+        counts = [self.solves(monkeypatch, dataclasses.replace(scenario, steps=steps))[1]
+                  for steps in (1, 3)]
+        assert counts[1] > counts[0] > 0
 
 
 def _report_bytes(report) -> bytes:
@@ -761,9 +785,11 @@ def _consolidation_bytes(report) -> bytes:
 
 
 class TestEngineDigest:
-    """sha256 digests of whole reports, recorded before the fair-share
-    kernel kept state across events and before consolidation reused
-    isolated runs.  Any float that moves in any report changes them."""
+    """sha256 digests of whole reports.  They were recorded before the
+    fair-share kernel kept state across events and before consolidation
+    reused isolated runs, and re-recorded when a lone job began to repeat
+    its one simulated step (its later steps then lost a last-ulp clock
+    rounding).  Any float that moves in any report changes them."""
 
     def test_random_scenarios(self):
         rng = np.random.default_rng(0xD16E57)
@@ -773,7 +799,7 @@ class TestEngineDigest:
             for variant in link_variants(scenario.cluster):
                 run = simulate_run(dataclasses.replace(scenario, cluster=variant))
                 digest.update(_report_bytes(run))
-        assert digest.hexdigest() == "da20f62b442b2b1fdf2b5fc6b657859b369c116f27ebeeeea7b5726acacedd65"
+        assert digest.hexdigest() == "e6a09e1a6dea26a1a916ec3a7cc4e25b1b36ce7008482d975705d5617bfb9920"
 
     def test_consolidations(self):
         # 64x8 machines: every replica of a copy on its own machine.  3x8
@@ -795,4 +821,99 @@ class TestEngineDigest:
                 (name, spec, placement) for (name, spec), placement in zip(base, placements)))
             for copies in copy_counts:
                 digest.update(_consolidation_bytes(simulate_consolidation(scenario, copies)))
-        assert digest.hexdigest() == "b86697369ac3b26dbe81fed3c06a093e00adf32bd704ca8e9b5d7be225bc5725"
+        assert digest.hexdigest() == "c82ca29457a1b25660b4f61b218724dfbb277981149633dbec762dc82f4a7d79"
+
+
+@functools.lru_cache(maxsize=None)
+def _metamorphic_draws() -> tuple:
+    """300 random scenarios of 1-3 steps, 100 from each of seeds 0-2."""
+    draws = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        draws += [random_scenario(rng, steps=int(rng.integers(1, 4))) for _ in range(100)]
+    return tuple(draws)
+
+
+def _relabelled(placement: Placement, perm) -> Placement:
+    return Placement(workers=tuple((perm[m], g) for m, g in placement.workers),
+                     ps=tuple((perm[m], g) for m, g in placement.ps))
+
+
+class TestMetamorphic:
+    """Relations between runs that need no recorded report, each exact
+    bit for bit.  Multiplying a float by a power of two is exact away from
+    overflow and subnormals, so every comparison keeps its outcome; links
+    have one capacity, so no rate depends on a machine's label; and work
+    that ends together completes in the order it started, so no job's
+    report depends on where it stands in the scenario."""
+
+    BUCKETS = ("worker_computation", "ps_computation", "memcopy", "communication")
+
+    @pytest.mark.parametrize("k", [2.0 ** 30, 2.0 ** -20], ids=["2**30", "2**-20"])
+    def test_rate_scaling_divides_every_bucket(self, k):
+        for scenario in _metamorphic_draws():
+            c = scenario.cluster
+            scaled = dataclasses.replace(
+                c, gpu_flops_per_sec=c.gpu_flops_per_sec * k,
+                memcopy_bytes_per_sec=c.memcopy_bytes_per_sec * k,
+                link_bytes_per_sec=c.link_bytes_per_sec * k,
+                intra_machine_bytes_per_sec=c.intra_machine_bytes_per_sec * k)
+            want = simulate_run(scenario)
+            got = simulate_run(dataclasses.replace(scenario, cluster=scaled))
+            for want_job, got_job in zip(want.jobs, got.jobs, strict=True):
+                assert got_job.bytes_on_wire_per_step == want_job.bytes_on_wire_per_step
+                for want_step, got_step in zip(want_job.steps, got_job.steps, strict=True):
+                    for bucket in self.BUCKETS:
+                        assert getattr(got_step, bucket) == tuple(
+                            x / k for x in getattr(want_step, bucket)), (scenario, bucket)
+
+    def test_machine_relabelling_changes_no_report(self):
+        rng = np.random.default_rng(1)
+        for scenario in _metamorphic_draws():
+            perm = rng.permutation(scenario.cluster.machines).tolist()
+            jobs = tuple((name, spec, _relabelled(placement, perm))
+                         for name, spec, placement in scenario.jobs)
+            got = simulate_run(dataclasses.replace(scenario, jobs=jobs))
+            assert _report_bytes(got) == _report_bytes(simulate_run(scenario)), scenario
+
+    def test_reversed_job_order_changes_no_report(self):
+        multi = [s for s in _metamorphic_draws() if len(s.jobs) > 1]
+        assert len(multi) > 50
+        for scenario in multi:
+            got = simulate_run(dataclasses.replace(scenario, jobs=scenario.jobs[::-1]))
+            reordered = simulator.SimReport(jobs=got.jobs[::-1])
+            assert _report_bytes(reordered) == _report_bytes(simulate_run(scenario)), scenario
+
+    def test_consolidation_through_a_relabelling(self):
+        # On 4x6 machines the three copies of a job land on different
+        # machines in one shape, a PS sharing a worker's machine, so the
+        # later copies reuse the first one's isolated run.  Each reused
+        # report is what its copy makes alone on its own machines, further
+        # relabelled; the consolidated run is unchanged by one relabelling
+        # of every placement.
+        cluster = dataclasses.replace(small_cluster(), machines=4, gpus_per_machine=6)
+        base = (("b", JobSpec(model=catalog_lookup("lenet"), strategy=Strategy.baseline(),
+                              worker_count=3, ps_count=2)),
+                ("r", JobSpec(model=catalog_lookup("vgg11"), strategy=Strategy.ralp(13),
+                              worker_count=2, ps_count=1)))
+        placements = spread_placement(cluster, [(s.worker_count, s.ps_count) for _, s in base])
+        scenario = Scenario(cluster=cluster, steps=2, jobs=tuple(
+            (name, spec, placement) for (name, spec), placement in zip(base, placements)))
+        report = simulate_consolidation(scenario, 3)
+
+        specs = [spec for _ in range(3) for _, spec in base]
+        jobs = tuple(zip((e.job for e in report.entries), specs, spread_placement(
+            cluster, [(s.worker_count, s.ps_count) for s in specs])))
+        assert len({p for _, _, p in jobs}) == 6
+        assert len({simulator._placement_shape(p) for _, _, p in jobs}) == 2
+        rng = np.random.default_rng(2)
+        for job, alone in zip(jobs, report.isolated, strict=True):
+            perm = rng.permutation(cluster.machines).tolist()
+            name, spec, placement = job
+            relabelled = Scenario(cluster=cluster, steps=2,
+                                  jobs=((name, spec, _relabelled(placement, perm)),))
+            assert _report_bytes(simulate_run(relabelled)) == _report_bytes(alone), name
+        perm = rng.permutation(cluster.machines).tolist()
+        consolidated = Scenario(cluster=cluster, steps=2, jobs=tuple(
+            (name, spec, _relabelled(placement, perm)) for name, spec, placement in jobs))
+        assert _report_bytes(simulate_run(consolidated)) == _report_bytes(report.consolidated)

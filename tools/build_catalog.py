@@ -258,7 +258,7 @@ def main() -> None:
 
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(build().items()):
-        (OUT_DIR / f"{name}.model").write_text(text)
+        (OUT_DIR / f"{name}.model").write_text(text, encoding="utf-8")
         print(f"wrote {name}.model")
 
     if args.report:
