@@ -120,10 +120,9 @@ def _cmd_volumes(args) -> int:
     if any(w < 1 for w in workers):
         raise _CliError(EXIT_BAD_FLAG, "--workers values must be >= 1")
     if args.split is not None and not 1 <= args.split < model.num_layers:
-        raise _CliError(
-            EXIT_BAD_FLAG,
-            f"--split must be in 1..{model.num_layers - 1} for {model.name}, got {args.split}",
-        )
+        rule = (f"must be in 1..{model.num_layers - 1} for {model.name}" if model.num_layers > 1
+                else f"has no value for {model.name}: one layer has no split point")
+        raise _CliError(EXIT_BAD_FLAG, f"--split {rule}, got {args.split}")
     if args.gpus is not None and args.gpus < 2:
         raise _CliError(EXIT_BAD_FLAG, f"--gpus must be >= 2, got {args.gpus}")
     kinds = _parse_strategies("all" if args.strategies is None else args.strategies)

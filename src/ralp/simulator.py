@@ -25,13 +25,13 @@ steps advance the clock, so a lone job whose repeated steps' mean step
 time passes the float range raises that error too.  So does a run in
 which a job's steps take no time, whose throughput would be undefined.
 The split strategy's back-segment batches are serial tasks: the PS runs
-them one at a time, in the order they became ready, so only its queue
-sees the order in which an instant completes its work (see _Env).  A
-worker's step ends with its last task.  A task re-arms itself as it
-starts, by resetting its count of unfinished predecessors, so a step only
-starts the graph's roots in the order they were built, and every step
-makes the event loop the same calls, in the same order, as a freshly
-built graph.
+them one at a time, in the order they become ready, each from the later
+of the clock and the end of the one before, so only that order sees the
+order in which an instant completes its work (see _Env).  A worker's
+step ends with its last task.  A task re-arms itself as it starts, by
+resetting its count of unfinished predecessors, so a step only starts
+the graph's roots in the order they were built, and every step makes the
+event loop the same calls, in the same order, as a freshly built graph.
 
 Per-worker step time is accounted into four buckets: worker computation,
 PS computation (the server-side work done on that worker's behalf),
@@ -61,7 +61,6 @@ import io
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -362,9 +361,9 @@ class _Task(fairshare.Flow):
     machine's uplink and its destination machine's downlink.  Each step it
     starts once its ``preds`` predecessors have finished: ``waiting``
     counts those still running, and is reset to ``preds`` as the task
-    starts, ready for the next step.  A ``serial`` task waits its turn in
-    its job's FIFO queue; finishing a task with a ``last`` worker index
-    ends that worker's step."""
+    starts, ready for the next step.  A ``serial`` delay begins when its
+    job's PS is free (``_JobRun.ps_free``); finishing a task with a
+    ``last`` worker index ends that worker's step."""
 
     __slots__ = ("job", "seconds", "nbytes", "serial", "last", "succ", "preds", "waiting",
                  "remaining")
@@ -391,12 +390,13 @@ class _Env:
 
     An instant completes its due delays, zero-second ones started meanwhile
     too, then its finished flows, each in the order they started.  Only a
-    ralp job's PS queue sees that order: rates do not depend on it, and
-    other tasks wait for all predecessors.  The job's roots start in worker
-    order and its forward passes and copies take equal time, so its
-    activation flows start, and tie, in worker order, all in one loop
-    iteration.  So none finishes in that iteration, and no zero-second
-    delay, however short, reaches the queue at the instant one finishes."""
+    ralp job's PS, which takes back batches in the order they become ready,
+    sees that order: rates do not depend on it, and every task waits only
+    for its predecessors.  The job's roots start in worker order and its
+    forward passes and copies take equal time, so its activation flows
+    start, and tie, in worker order, all in one loop iteration.  So none
+    finishes in that iteration, and no zero-second delay, however short,
+    reaches the PS at the instant one finishes."""
 
     def __init__(self, cluster: ClusterSpec):
         self.cluster = cluster
@@ -406,14 +406,13 @@ class _Env:
         self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * cluster.machines))
 
     def start(self, task: _Task):
-        if task.serial:
-            job = task.job
-            if job.serial_busy:
-                job.serial_queue.append(task)
-                return
-            job.serial_busy = True
         if task.links is None:
-            heapq.heappush(self._heap, (self.now + task.seconds, next(self._seq), task))
+            begin = self.now
+            if task.serial:
+                # The PS begins a back batch once it is free of the last.
+                begin = max(begin, task.job.ps_free)
+                task.job.ps_free = begin + task.seconds
+            heapq.heappush(self._heap, (begin + task.seconds, next(self._seq), task))
         else:
             task.remaining = float(task.nbytes)
             self._share.add(task, task.links)
@@ -424,11 +423,6 @@ class _Env:
             if not succ.waiting:
                 succ.waiting = succ.preds
                 self.start(succ)
-        if task.serial:
-            job = task.job
-            job.serial_busy = False
-            if job.serial_queue:
-                self.start(job.serial_queue.popleft())
         if task.last is not None:
             task.job.worker_done(task.last)
 
@@ -504,8 +498,7 @@ class _JobRun:
         self.total_steps = total_steps
         self.model = spec.model
         self.records: list[StepBreakdown] = []
-        self.serial_queue: deque[_Task] = deque()
-        self.serial_busy = False
+        self.ps_free = 0.0  # when the PS ends the last back batch it took
         self.worker_machines = [m for m, _ in placement.workers]
         self.ps_machines = [m for m, _ in placement.ps]
         w = spec.worker_count
@@ -825,12 +818,17 @@ def _job_spec(model: ModelGraph, kv: dict[str, object]) -> JobSpec:
     split = kv.get("split")
     if kind is StrategyKind.RALP:
         if split in (None, "auto"):
-            split = profile(model, ProfilerConfig()).split_index
+            report = profile(model, ProfilerConfig())
+            split = report.split_index
             if split is None:
-                raise ScenarioError(
-                    f"model {model.name} is not partitionable "
-                    "(skewness gate failed); use strategy=baseline"
-                )
+                why = ("it has fewer than 2 layers" if model.num_layers < 2 else
+                       "it has no parameters" if not model.total_param_count else
+                       f"its skewness {report.skewness!r} is not below the threshold "
+                       f"{report.threshold!r}" if report.skewness >= report.threshold else
+                       "it has no split point: each boundary before its last layer "
+                       "is excluded or costs more than splitting after it")
+                raise ScenarioError(f"model {model.name} is not partitionable ({why}); "
+                                    "use strategy=baseline")
     elif split is not None:
         raise ScenarioError("split= applies only to strategy=ralp")
     ps_default = 0 if kind is StrategyKind.RING_ALLREDUCE else 1

@@ -235,6 +235,12 @@ class TestVolumesCommand:
         assert out == ""
         assert message in err
 
+    def test_split_of_a_one_layer_model_names_the_missing_split_point(self, capsys, tmp_path):
+        (tmp_path / "m.model").write_text("model m batch=1 input=4\nf fc out=3\n")
+        code, out, err = run_cli(capsys, "volumes", str(tmp_path / "m.model"), "--split", "1")
+        assert (code, out) == (EXIT_BAD_FLAG, "")
+        assert err == "error: --split has no value for m: one layer has no split point, got 1\n"
+
     @pytest.mark.parametrize("strategies", ["baseline", "ring", "baseline,ring"])
     def test_split_without_ralp_rows_is_bad_flag(self, capsys, strategies):
         code, out, err = run_cli(capsys, "volumes", "vgg11", "--strategies", strategies, "--split", "3")
@@ -315,6 +321,28 @@ class TestSimulateCommand:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == (f"error: {scn}: line 2: job 'a': model p has no parameters and no flops, "
                        "so its steps would take no time\n")
+
+    @pytest.mark.parametrize("layers, why", [
+        # Skewness -43.2 passes the gate, but every boundary is conv-conv.
+        ("c1 conv k=1 cout=1\nc2 conv k=1 cout=2\nc3 conv k=1 cout=4\n"
+         "c4 conv k=3 cout=512 pad=1\n",
+         "it has no split point: each boundary before its last layer is excluded or costs "
+         "more than splitting after it"),
+        ("f1 fc out=512\nf2 fc out=2\n",
+         "its skewness 5.519735183902606 is not below the threshold -0.5"),
+        ("f fc out=3\n", "it has fewer than 2 layers"),
+        ("b1 block params=0 out=4 flops=100\nb2 block params=0 out=4 flops=100\n",
+         "it has no parameters"),
+    ], ids=["no-split-point", "skewness", "one-layer", "no-parameters"])
+    def test_auto_split_names_why_the_model_is_not_partitionable(self, capsys, tmp_path,
+                                                                 layers, why):
+        (tmp_path / "x.model").write_text("model x batch=1 input=8x8x1\n" + layers)
+        scn = tmp_path / "e.scn"
+        scn.write_text("steps 1\njob a model=x.model strategy=ralp workers=2\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == (f"error: {scn}: line 2: job 'a': model x is not partitionable ({why}); "
+                       "use strategy=baseline\n")
 
     def test_infinite_cluster_rates_name_the_cluster_line(self, capsys, tmp_path):
         scn = tmp_path / "e.scn"

@@ -10,9 +10,10 @@ import pytest
 
 from ralp import simulator
 from ralp.catalog import catalog_lookup
-from ralp.costmodel import JobSpec, Strategy, StrategyKind, volumes_for
+from ralp.costmodel import JobSpec, Strategy, StrategyKind, compute_load, volumes_for
 from ralp.descriptor import parse_model
-from ralp.layers import LayerKind, ModelGraph
+from ralp.layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
+from ralp.profiler import profile
 from ralp.simulator import (
     CapacityError,
     ClusterSpec,
@@ -188,8 +189,8 @@ class TestSingleResourceCases:
     def test_ps_worker_serializes_batches(self):
         # With instantaneous transfers and memcopy, all activations arrive
         # together and the PS worker drains them strictly one at a time, so
-        # every worker ends at fwd + W*back + bwd + agg and the queueing
-        # shows up as communication time.
+        # every worker ends at fwd + W*back + bwd + agg and the wait for
+        # the PS shows up as communication time.
         model = catalog_lookup("lenet")
         w = 3
         split = 4
@@ -278,7 +279,7 @@ class TestDeterminismAndInvariants:
         # network flow after the tasks due at that instant, and in the order
         # they started among the flows finishing together.
         # Completing them inline, before those tasks, changes the order in
-        # which work reaches the PS queues, and with it these floats.
+        # which work reaches the PSs, and with it these floats.
         model = catalog_lookup("vgg11")
         strategy = Strategy.ralp(13)
         cluster = small_cluster(machines=2, gpus_per_machine=4, gpu_flops_per_sec=2e12,
@@ -319,7 +320,7 @@ class TestDeterminismAndInvariants:
         ]
 
     def test_different_jobs_flows_may_finish_in_any_order(self, monkeypatch):
-        # Only a job's own PS queue sees the order in which an instant's
+        # Only a job's own PS sees the order in which an instant's
         # work completes, so interleaving the jobs' flows at random, each
         # job's flows kept in the order they started, moves no float.
         rng = np.random.default_rng(11)
@@ -824,6 +825,75 @@ class TestEngineDigest:
         assert digest.hexdigest() == "c82ca29457a1b25660b4f61b218724dfbb277981149633dbec762dc82f4a7d79"
 
 
+def _link_bytes(scenario: Scenario) -> list[int]:
+    """Bytes on each directed link in one step (uplinks 0..M-1, then
+    downlinks M..2M-1), from the placements and the documented rules
+    rather than from the engine's tasks.  A transfer within one machine
+    uses no link."""
+    machines = scenario.cluster.machines
+    load = [0] * (2 * machines)
+
+    def send(src, dst, nbytes):
+        if src != dst:
+            load[src] += nbytes
+            load[machines + dst] += nbytes
+
+    def both_ways(a, b, nbytes):
+        send(a, b, nbytes)
+        send(b, a, nbytes)
+
+    for _, spec, placement in scenario.jobs:
+        model, w = spec.model, spec.worker_count
+        workers = [m for m, _ in placement.workers]
+        ps = [m for m, _ in placement.ps]
+        kind = spec.strategy.kind
+        if kind is StrategyKind.BASELINE_PS:
+            # Whole weighted layers round-robin over the PS shards; each
+            # worker pushes each shard's gradients and pulls its parameters.
+            shards = [0] * len(ps)
+            for pos, nbytes in enumerate(b for b in model.param_bytes if b):
+                shards[pos % len(ps)] += nbytes
+            for me in workers:
+                for server, nbytes in zip(ps, shards):
+                    both_ways(me, server, nbytes)
+        elif kind is StrategyKind.RALP:
+            # The cut activation out and its gradient back, then the front
+            # segment's gradients out and its parameters back.
+            split = spec.strategy.split_index
+            nbytes = model.output_bytes[split - 1] + model.cumulative_param_bytes[split - 1]
+            for me in workers:
+                both_ways(me, ps[0], nbytes)
+        else:
+            # Worker i sends its share of 2 S (W - 1) bytes to worker i + 1.
+            base, extra = divmod(2 * model.total_param_bytes * (w - 1), w)
+            for i, me in enumerate(workers):
+                send(me, workers[(i + 1) % w], base + (i < extra))
+    return load
+
+
+class TestPhysicalBounds:
+    """Bounds that hold whatever the engine's schedule, so they need no
+    recorded report and no second engine."""
+
+    def test_a_step_lasts_at_least_its_busiest_links_bytes(self):
+        # The TestEngineDigest generator's scenarios, each run for one
+        # step, at its own link rate and at the intra-machine rate.  No
+        # link carries more than its capacity, so the run's span is at
+        # least the busiest link's bytes over the link rate.  Some run
+        # comes within 4% of the bound, so it is not vacuous.
+        rng = np.random.default_rng(0xD16E57)
+        tightest = 0.0
+        for _ in range(200):
+            scenario = random_scenario(rng, steps=int(rng.integers(1, 4)))
+            for cluster in link_variants(scenario.cluster)[:2]:
+                one = dataclasses.replace(scenario, cluster=cluster, steps=1)
+                span = max(job.avg_step_time for job in simulate_run(one).jobs)
+                bound = max(_link_bytes(one)) / cluster.link_bytes_per_sec
+                assert span >= bound, one
+                tightest = max(tightest, bound / span)
+        assert tightest > 0.96
+
+
 @functools.lru_cache(maxsize=None)
 def _metamorphic_draws() -> tuple:
     """300 random scenarios of 1-3 steps, 100 from each of seeds 0-2."""
@@ -917,3 +987,63 @@ class TestMetamorphic:
         consolidated = Scenario(cluster=cluster, steps=2, jobs=tuple(
             (name, spec, _relabelled(placement, perm)) for name, spec, placement in jobs))
         assert _report_bytes(simulate_run(consolidated)) == _report_bytes(report.consolidated)
+
+
+# Per catalog model on DEFAULT_CLUSTER, one step, spread placement: the
+# planner's split, the best simulated split that find_split allows (ties
+# to the smaller index), and img/s at the planner's split and at the best
+# one (15 workers + 1 PS), and for the 8 + 8 baseline.
+_SPLIT_SWEEP = {
+    "alexnet": (8, 8, 9723.480265264203, 9723.480265264203, 2846.1001609361892),
+    "googlenet": (18, 49, 1325.29675133818, 1731.9640244049308, 2436.6947194501727),
+    "inception-v3": (7, 97, 275.856791241838, 347.5206507531958, 834.4684122137986),
+    "lenet": (4, 4, 57353.996694087386, 57353.996694087386, 5265.680689283605),
+    "overfeat": (4, 4, 547.3818505347498, 547.3818505347498, 74.21169986524919),
+    "resnet-50": (2, 55, 312.41544998379334, 623.039271927843, 1436.706313854347),
+    "vgg11": (13, 13, 1020.3784531386383, 1020.3784531386383, 149.01681647108825),
+    "vgg19": (11, 21, 142.63263454626536, 449.90730763316856, 125.6116958147945),
+}
+
+
+class TestPlannerAgainstSimulator:
+    """The planner minimises bytes on the network (O_i + sum of P), not
+    step time, and the simulator shows where the two part.  vgg19's
+    planner split, 11, sends fewer bytes than split 21, but leaves most of
+    the flops on the PS: the PS runs the back segment once per worker
+    batch, 0.406 s each, and runs the 15 batches one after another, about
+    6.1 s of a 6.73 s step.  So split 21 is 3.15x faster.  For googlenet,
+    inception-v3 and resnet-50, which pass the default gate, even the best
+    split gives fewer img/s than the 8 + 8 baseline on the same 16 GPUs.
+    Every allowed split of every model runs the PS's back batches."""
+
+    @staticmethod
+    def run(model, strategy, workers, ps):
+        """The job's report, alone on DEFAULT_CLUSTER for one step."""
+        spec = JobSpec(model=model, strategy=strategy, worker_count=workers, ps_count=ps)
+        (placement,) = spread_placement(DEFAULT_CLUSTER, [(workers, ps)])
+        scenario = Scenario(cluster=DEFAULT_CLUSTER, jobs=(("j", spec, placement),))
+        (job,) = simulate_run(scenario).jobs
+        return job
+
+    @staticmethod
+    def allowed_splits(model):
+        """find_split's candidates, less the degenerate last layer: no
+        boundary between two compute-demand layers."""
+        compute = [kind in COMPUTE_DEMAND_KINDS for kind in model.columns[1]]
+        return [i for i in range(1, model.num_layers) if not (compute[i - 1] and compute[i])]
+
+    @pytest.mark.parametrize("name", sorted(_SPLIT_SWEEP))
+    def test_planner_and_best_simulated_split(self, name):
+        model = catalog_lookup(name)
+        rates = {i: self.run(model, Strategy.ralp(i), 15, 1).images_per_sec
+                 for i in self.allowed_splits(model)}
+        planner = profile(model).split_index
+        best = max(rates, key=lambda i: (rates[i], -i))
+        baseline = self.run(model, Strategy.baseline(), 8, 8).images_per_sec
+        assert (planner, best, rates[planner], rates[best], baseline) == _SPLIT_SWEEP[name]
+
+    def test_vgg19_planner_split_waits_on_its_ps(self):
+        model = catalog_lookup("vgg19")
+        back = compute_load(model, 11, worker_count=1)[1] / DEFAULT_CLUSTER.gpu_flops_per_sec
+        job = self.run(model, Strategy.ralp(11), 15, 1)
+        assert (round(back, 3), round(15 * back, 1), round(job.avg_step_time, 2)) == (0.405, 6.1, 6.73)
