@@ -12,7 +12,10 @@ downlink); a link id of -1 means "no constraint on that side".
 log across events, so a solve after a few arrivals and departures starts
 from the first round they can change (a warm start) rather than from
 round 0.  The rounds it keeps are the ones the new flow set would run
-identically, so every rate is bit-identical to a cold solve.
+identically, so every rate is bit-identical to a cold solve.  The round
+log is public: every flow a round froze has the round's level as its
+rate, so a caller can treat each round as one rate class, and ``kept``
+says how many leading rounds the last solve left as they were.
 ``solve_rates`` is a cold solve of a fresh ``FairShare``: lists go in
 and a list comes out; a caller that passes numpy arrays gets a float64
 array back, and only that caller pays for importing numpy.
@@ -66,6 +69,16 @@ class FairShare:
     ends added minus removed per link since the last solve.  A new
     ``FairShare`` logs one round with no flow ends at full capacity, so its
     first solve refills from round 0 on the same path as any later one.
+
+    ``log`` holds one entry per round of the last solve, and every flow in
+    flight with a link is in exactly one entry's flows, with the entry's
+    level as its rate, bit for bit.  ``kept`` is the number of leading
+    entries the last solve kept: the same entries, with the same flows.
+    None of those flows has departed, since a departure refills from the
+    round that froze its flow, and none of their rates moved.  So a caller
+    that advances every flow of a round by the same bytes can keep
+    whatever it derived from a kept round's flows, such as which of them
+    has the fewest bytes left; the terminal round is never kept.
     """
 
     def __init__(self, capacity: Sequence[float]):
@@ -78,9 +91,10 @@ class FairShare:
         # One entry per round of the last solve: its level, each link's
         # remainder and unfrozen flow ends at its start, and the flows it
         # froze.  The last round is the one whose level is infinite.
-        self._log: list[tuple[float, list[float], list[int], list[Flow]]] = [
+        self.log: list[tuple[float, list[float], list[int], list[Flow]]] = [
             (math.inf, [float(c) for c in capacity], [0] * len(capacity), [])
         ]
+        self.kept = 0  # leading entries of ``log`` the last solve left as they were
 
     def add(self, flow: Flow, links: tuple[int, ...]) -> None:
         """Add ``flow`` over ``links``, one id per constrained end."""
@@ -107,7 +121,7 @@ class FairShare:
     def solve(self) -> None:
         """Set ``rate`` on every flow whose rate the changes since the last
         solve can move."""
-        log, changes = self._log, self.changes
+        log, changes = self.log, self.changes
         limit = len(log) - 1
         if self._cut < limit:
             limit = self._cut
@@ -117,6 +131,7 @@ class FairShare:
             for f in log[j][3]:
                 f.frozen_in = _UNFROZEN
         del log[keep:]
+        self.kept = keep
         for l, d in changes.items():
             cnt[l] += d
         changes.clear()
@@ -129,7 +144,7 @@ class FairShare:
         are moved with them."""
         grown = [(l, d) for l, d in changes.items() if d > 0]
         for j in range(limit):
-            level, rem, cnt, _ = self._log[j]
+            level, rem, cnt, _ = self.log[j]
             for l, d in grown:
                 if rem[l] / (cnt[l] + d) <= level:
                     return j
@@ -141,7 +156,7 @@ class FairShare:
         """Progressive filling from round ``r``, whose start state is
         ``rem`` and ``cnt``, logging each round; the terminal round logs
         ``rem`` and ``cnt`` themselves."""
-        flows_on, log = self._flows_on, self._log
+        flows_on, log = self._flows_on, self.log
         loaded = list(compress(range(len(cnt)), cnt))
         while loaded:
             shares = [rem[l] / cnt[l] for l in loaded]

@@ -8,7 +8,9 @@ transfers ride a separate non-contended tier.  Training is synchronous:
 a job's next step starts when its slowest worker finishes the current one.
 The event loop keeps one fairshare.FairShare per run: a flow joins it when
 it starts and leaves when it finishes, and each solve between events
-replays the previous solve's rounds that the change leaves alone.
+replays the previous solve's rounds that the change leaves alone.  Every
+flow a round froze runs at the round's level, so the loop times and
+advances flows one round at a time (see _Env).
 
 A job's step is a small task graph, built once per job by one function
 per strategy, re-armed each step, and run by one event loop for all
@@ -61,6 +63,7 @@ import io
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -169,25 +172,44 @@ def spread_placement(
 
     replica_counts: (worker_count, ps_count) per job.  Workers are placed
     before PS processes; each replica goes to the least-loaded machine
-    with a free slot (ties to the lowest machine index).
+    with a free slot (ties to the lowest machine index), counting the
+    ``taken`` slots as load.  A machine no slot is taken on has the least
+    load, so the lowest such machine comes first; the others wait in a
+    heap by (load, index).  A claim costs O(log machines touched), not
+    O(machines).
     """
-    used = [0] * cluster.machines
+    machines, gpus = cluster.machines, cluster.gpus_per_machine
     occupied = set(taken or ())
+    taken_on: dict[int, int] = {}
     for machine, _ in occupied:
-        used[machine] += 1
-
-    next_gpu = [0] * cluster.machines
+        if 0 <= machine < machines:
+            taken_on[machine] = taken_on.get(machine, 0) + 1
+    touched = [(n, m) for m, n in taken_on.items()]
+    heapq.heapify(touched)
+    next_gpu: dict[int, int] = {}
+    fresh = 0  # every machine below it is in the heap
 
     def claim() -> tuple[int, int]:
-        order = sorted(range(cluster.machines), key=lambda m: (used[m], m))
-        for m in order:
-            while next_gpu[m] < cluster.gpus_per_machine:
-                slot = (m, next_gpu[m])
-                next_gpu[m] += 1
+        nonlocal fresh
+        while fresh in taken_on:
+            fresh += 1
+        if fresh < machines:
+            m, fresh = fresh, fresh + 1
+            next_gpu[m] = 1
+            heapq.heappush(touched, (1, m))
+            return m, 0
+        while touched:
+            n, m = touched[0]
+            g = next_gpu.get(m, 0)
+            while g < gpus:
+                slot = (m, g)
+                g += 1
                 if slot not in occupied:
                     occupied.add(slot)
-                    used[m] += 1
+                    next_gpu[m] = g
+                    heapq.heapreplace(touched, (n + 1, m))
                     return slot
+            heapq.heappop(touched)  # no free slot left on m
         raise CapacityError(
             f"cluster is full: {cluster.total_gpus} slots cannot host the requested replicas"
         )
@@ -363,10 +385,12 @@ class _Task(fairshare.Flow):
     counts those still running, and is reset to ``preds`` as the task
     starts, ready for the next step.  A ``serial`` delay begins when its
     job's PS is free (``_JobRun.ps_free``); finishing a task with a
-    ``last`` worker index ends that worker's step."""
+    ``last`` worker index ends that worker's step.  A flow's ``seq``
+    numbers its start, so flows that end together finish in the order
+    they started."""
 
     __slots__ = ("job", "seconds", "nbytes", "serial", "last", "succ", "preds", "waiting",
-                 "remaining")
+                 "remaining", "seq")
 
     def __init__(self, job, after, seconds, serial, last, links=None, nbytes=0):
         self.job = job
@@ -383,10 +407,28 @@ class _Task(fairshare.Flow):
             job.roots.append(self)
 
 
+_remaining = operator.attrgetter("remaining")
+_started = operator.attrgetter("seq")
+
+
 class _Env:
     """Event loop: a time-ordered heap of finishing delays, and the
     fair-share state, the one record of the in-flight inter-machine flows
-    and of whether any started or finished since the last solve.
+    and of whether any started or finished since the last solve.  The
+    kernel has an uplink and a downlink for each machine the placements
+    use, numbered in order of first use, so its size does not grow with
+    the cluster.
+
+    The loop times and advances flows one round of the last solve at a
+    time: every flow a round froze runs at the round's level, so each
+    event takes the same bytes, rate × dt, off each of them.  Rounding is
+    monotone, so the round's lead, the flow with the fewest bytes left
+    when the round was made, stays the first of its flows to finish.  The
+    next flow finish is the earliest lead's, and only rounds whose lead
+    ends then are searched for flows that end at that instant.  A solve
+    leaves its first ``FairShare.kept`` rounds as they were, and a
+    departure refills from its flow's round, so no kept round holds a
+    departed flow: the loop keeps their leads and picks only the others.
 
     An instant completes its due delays, zero-second ones started meanwhile
     too, then its finished flows, each in the order they started.  Only a
@@ -398,12 +440,23 @@ class _Env:
     finishes in that iteration, and no zero-second delay, however short,
     reaches the PS at the instant one finishes."""
 
-    def __init__(self, cluster: ClusterSpec):
+    def __init__(self, cluster: ClusterSpec, placements: Iterable[Placement]):
         self.cluster = cluster
         self.now = 0.0
         self._heap = []
         self._seq = itertools.count()
-        self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * cluster.machines))
+        # Machine id -> its uplink; its downlink is that plus the number of
+        # machines used.
+        self._uplink: dict[int, int] = {}
+        for placement in placements:
+            for machine, _ in (*placement.workers, *placement.ps):
+                self._uplink.setdefault(machine, len(self._uplink))
+        self._share = fairshare.FairShare([cluster.link_bytes_per_sec] * (2 * len(self._uplink)))
+
+    def links(self, src: int, dst: int) -> tuple[int, int]:
+        """The kernel's links for a flow from machine ``src`` to ``dst``."""
+        uplink = self._uplink
+        return uplink[src], len(uplink) + uplink[dst]
 
     def start(self, task: _Task):
         if task.links is None:
@@ -415,6 +468,7 @@ class _Env:
             heapq.heappush(self._heap, (begin + task.seconds, next(self._seq), task))
         else:
             task.remaining = float(task.nbytes)
+            task.seq = next(self._seq)
             self._share.add(task, task.links)
 
     def _finish(self, task: _Task):
@@ -429,10 +483,18 @@ class _Env:
     def run(self):
         heap, finish, heappop = self._heap, self._finish, heapq.heappop
         share, inf, ulp = self._share, math.inf, math.ulp
-        flows, changes = share.flows, share.changes
+        flows, changes, log = share.flows, share.changes, share.log
+        # Per round of the last solve that froze flows: its flows and its lead.
+        rounds: list[tuple[list[_Task], _Task]] = []
         while heap or flows:
             if flows and changes:
                 share.solve()
+                kept = share.kept
+                del rounds[kept:]
+                for _, _, _, group in log[kept:]:
+                    if group:
+                        rounds.append((group, min(group, key=_remaining) if len(group) > 1
+                                       else group[0]))
 
             now = self.now
             next_heap = heap[0][0] if heap else inf
@@ -441,11 +503,11 @@ class _Env:
                 # remaining / inf == 0.0: an infinite-rate flow ends now.
                 # A flow at rate 0 is an engine fault.
                 try:
-                    finish_times = [now + flow.remaining / flow.rate for flow in flows]
+                    ends = [now + lead.remaining / lead.rate for _, lead in rounds]
                 except ZeroDivisionError:
                     raise RuntimeError(
                         "simulation deadlock: pending work cannot progress") from None
-                next_flow = min(finish_times)
+                next_flow = min(ends)
 
             t_next = next_flow if next_flow < next_heap else next_heap
             if t_next == inf:
@@ -454,14 +516,26 @@ class _Env:
                 raise ScenarioError(f"job {late.job.name!r}: the simulated clock passes the "
                                     f"float range after {now!r} s")
 
+            if next_flow == t_next:
+                # Flows of one round with different bytes left can end at
+                # one instant after rounding.
+                done = []
+                for (group, lead), end in zip(rounds, ends):
+                    if end == t_next:
+                        rate = lead.rate
+                        done += [f for f in group if now + f.remaining / rate == t_next]
+                if len(done) > 1:
+                    done.sort(key=_started)
+
             dt = t_next - now
             if dt > 0 and flows:
-                for flow in flows:
-                    flow.remaining -= flow.rate * dt
+                for group, lead in rounds:
+                    step = lead.rate * dt
+                    for flow in group:
+                        flow.remaining -= step
             self.now = t_next
 
             if next_flow == t_next:
-                done = [f for f, t in zip(flows, finish_times) if t == t_next]
                 tick = ulp(t_next)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
@@ -469,10 +543,12 @@ class _Env:
                     # resolution.  An infinite rate makes the slack infinite.
                     slack = 1e-9 * flow.nbytes + flow.rate * tick
                     if abs(flow.remaining) > slack:
+                        machines = list(self._uplink)
                         src, dst = flow.links
-                        raise RuntimeError(f"job {flow.job.name!r}: flow from machine {src} to "
-                                           f"{dst - self.cluster.machines} finished with "
-                                           f"{flow.remaining!r} of {flow.nbytes} bytes undelivered")
+                        raise RuntimeError(f"job {flow.job.name!r}: flow from machine "
+                                           f"{machines[src]} to {machines[dst - len(machines)]} "
+                                           f"finished with {flow.remaining!r} of {flow.nbytes} "
+                                           "bytes undelivered")
                     share.remove(flow)
                 while heap and heap[0][0] == t_next:
                     finish(heappop(heap)[2])
@@ -556,7 +632,7 @@ class _JobRun:
         if not nbytes or src == dst:
             return self._delay(after, nbytes, "intra_machine_bytes_per_sec")
         self._seconds(nbytes, "link_bytes_per_sec")
-        return _Task(self, after, 0.0, False, None, (src, self.env.cluster.machines + dst), nbytes)
+        return _Task(self, after, 0.0, False, None, self.env.links(src, dst), nbytes)
 
     def _baseline_step(self) -> float:
         model, w = self.model, self.spec.worker_count
@@ -678,7 +754,7 @@ def simulate_run(scenario: Scenario) -> SimReport:
     the first: it simulates one step and reports it for every step.  Only
     simulated steps advance the clock, so a repeated mean step time that
     passes the float range raises the clock's ScenarioError."""
-    env = _Env(scenario.cluster)
+    env = _Env(scenario.cluster, [placement for _, _, placement in scenario.jobs])
     lone = len(scenario.jobs) == 1
     runs = []
     try:

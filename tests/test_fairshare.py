@@ -254,3 +254,31 @@ class TestWarmStart:
         apply_batch(state, present, [(-1, 1)])
         state.solve()
         assert_matches_reference(state, present, capacity)
+
+
+class TestRoundLog:
+    """The event loop treats each round of ``FairShare.log`` as one rate
+    class and keeps its own entries for the first ``kept`` rounds."""
+
+    @given(case=event_batches())
+    # A departure from round 1 keeps round 0 (the flow on link 0).
+    @example(case=([1.0, 4.0], [[(0, -1), (-1, 1), (-1, 1)], [1]]))
+    @settings(max_examples=300, deadline=None)
+    def test_rounds_hold_the_flows_in_flight_at_their_levels(self, case):
+        capacity, batches = case
+        state = fairshare.FairShare(capacity)
+        present = []
+        for batch in batches:
+            before = [(entry, list(entry[3])) for entry in state.log]
+            apply_batch(state, present, batch)
+            state.solve()
+            assert 0 <= state.kept < len(state.log)
+            for (entry, froze), after in zip(before[:state.kept], state.log):
+                assert after is entry and after[3] == froze
+            round_of = {}
+            for j, (level, _, _, froze) in enumerate(state.log):
+                for flow in froze:
+                    assert flow not in round_of
+                    round_of[flow] = j
+                    assert flow.rate.hex() == level.hex()
+            assert set(round_of) == {flow for flow, ends in present if max(ends) >= 0}

@@ -319,6 +319,43 @@ class TestDeterminismAndInvariants:
             (0.013222095743999962, 0.013798375744000002, 0.013798375744000002),
         ]
 
+    def test_flows_of_one_round_ending_together_after_rounding_finish_at_once(self, monkeypatch):
+        # One worker pushes shards of P and P + 1 elements to two PSs over
+        # its uplink, so both pushes run in one round at one rate; then
+        # both pulls share its downlink the same way.  The two flows' bytes
+        # differ as floats, and so do their bytes over the rate, yet at a
+        # clock near 7e7 s they end at one instant.  The loop must finish
+        # both in one iteration, with one solve for their departure.
+        p = 2**56 + 8
+        model = ModelGraph(name="p", batch_size=1, layers=(
+            make_layer(1, LayerKind.FULLY_CONNECTED, p, 1),
+            make_layer(2, LayerKind.FULLY_CONNECTED, p + 1, 1)))
+        cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=3, gpus_per_machine=1,
+                                      link_bytes_per_sec=1e12)
+        spec = JobSpec(model=model, strategy=Strategy.baseline(), worker_count=1, ps_count=2)
+        placement = Placement(workers=((0, 0),), ps=((1, 0), (2, 0)))
+        solve = simulator.fairshare.FairShare.solve
+        remove = simulator.fairshare.FairShare.remove
+        solves, departures = [], []
+
+        def counted(share):
+            solves.append(None)
+            solve(share)
+
+        def recorded(share, flow):
+            departures.append((flow.job.env.now, len(solves), flow.rate, flow.nbytes))
+            remove(share, flow)
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", counted)
+        monkeypatch.setattr(simulator.fairshare.FairShare, "remove", recorded)
+        simulate_run(Scenario(cluster=cluster, jobs=(("j", spec, placement),)))
+        assert len(departures) == 4 and len(solves) == 2
+        for (t, solved, rate, nbytes), (t2, solved2, rate2, nbytes2) in (departures[:2],
+                                                                         departures[2:]):
+            assert (nbytes, nbytes2) == (4 * p, 4 * (p + 1))
+            assert float(nbytes) / rate != float(nbytes2) / rate
+            assert (t, solved, rate) == (t2, solved2, rate2)
+
     def test_different_jobs_flows_may_finish_in_any_order(self, monkeypatch):
         # Only a job's own PS sees the order in which an instant's
         # work completes, so interleaving the jobs' flows at random, each
@@ -334,15 +371,18 @@ class TestDeterminismAndInvariants:
         add = simulator.fairshare.FairShare.add
 
         def interleave(share, flow, links):
+            # Deal the flows in flight their start numbers again.
             add(share, flow, links)
+            started = sorted(share.flows, key=lambda f: f.seq)
             by_job = {}
-            for f in share.flows:
+            for f in started:
                 by_job.setdefault(f.job, []).append(f)
             turns = [job for job, job_flows in by_job.items() for _ in job_flows]
             rng.shuffle(turns)
             queues = {job: iter(job_flows) for job, job_flows in by_job.items()}
-            share.flows.clear()  # in place: the event loop holds the dict
-            share.flows.update(dict.fromkeys(next(queues[job]) for job in turns))
+            seqs = [f.seq for f in started]
+            for job, seq in zip(turns, seqs):
+                next(queues[job]).seq = seq
 
         monkeypatch.setattr(simulator.fairshare.FairShare, "add", interleave)
         assert [simulate_run(scenario).to_json() for scenario in scenarios] == expected
@@ -407,6 +447,25 @@ class TestDeterminismAndInvariants:
         scenario = one_job_scenario(catalog_lookup("lenet"), Strategy.baseline(), 2, 1)
         with pytest.raises(RuntimeError, match=r"^job 'job': flow from machine 0 to 2 finished "
                                                r"with -\d+\.0 of \d+ bytes undelivered$"):
+            simulate_run(scenario)
+
+    def test_an_undelivered_flow_names_the_machines_it_ran_between(self, monkeypatch):
+        # The kernel numbers only the machines in use, in order of first
+        # use; the message names the machines of the cluster.
+        solve = simulator.fairshare.FairShare.solve
+
+        def overdeliver(share):
+            solve(share)
+            for flow in share.flows:
+                flow.remaining = -float(flow.nbytes)
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", overdeliver)
+        spec = JobSpec(model=catalog_lookup("lenet"), strategy=Strategy.baseline(),
+                       worker_count=2, ps_count=1)
+        placement = Placement(workers=((999_999, 0), (7, 1)), ps=((42, 0),))
+        scenario = Scenario(cluster=small_cluster(machines=10**6),
+                            jobs=(("job", spec, placement),))
+        with pytest.raises(RuntimeError, match=r"^job 'job': flow from machine 999999 to 42 "):
             simulate_run(scenario)
 
     def test_max_at_least_avg(self):
@@ -578,7 +637,74 @@ class TestZeroTimeSteps:
             run(scenario)
 
 
+def spread_by_sorting(cluster, replica_counts, taken=()):
+    """``spread_placement``'s rule as it reads: for each replica, sort every
+    machine by (load, index) and take the first free slot."""
+    used = [0] * cluster.machines
+    occupied = set(taken)
+    for machine, _ in occupied:
+        used[machine] += 1
+    next_gpu = [0] * cluster.machines
+
+    def claim():
+        for m in sorted(range(cluster.machines), key=lambda m: (used[m], m)):
+            while next_gpu[m] < cluster.gpus_per_machine:
+                slot = (m, next_gpu[m])
+                next_gpu[m] += 1
+                if slot not in occupied:
+                    occupied.add(slot)
+                    used[m] += 1
+                    return slot
+        raise CapacityError("cluster is full")
+
+    return [Placement(workers=tuple(claim() for _ in range(w)), ps=tuple(claim() for _ in range(p)))
+            for w, p in replica_counts]
+
+
 class TestPlacementAndScenarios:
+    def test_spread_matches_a_sort_of_every_machine_per_replica(self):
+        rng = np.random.default_rng(12)
+        outcomes = {"placed": 0, "full": 0}
+        for _ in range(400):
+            cluster = small_cluster(machines=int(rng.integers(1, 10)),
+                                    gpus_per_machine=int(rng.integers(1, 5)))
+            full = set(rng.choice(cluster.machines, size=int(rng.integers(0, cluster.machines)),
+                                  replace=False).tolist())
+            taken = [(m, g) for m in range(cluster.machines) for g in range(cluster.gpus_per_machine)
+                     if m in full or rng.random() < 0.3]
+            counts = [(int(rng.integers(0, 6)), int(rng.integers(0, 3)))
+                      for _ in range(int(rng.integers(1, 4)))]
+            try:
+                want = spread_by_sorting(cluster, counts, taken)
+            except CapacityError:
+                with pytest.raises(CapacityError, match="^cluster is full"):
+                    spread_placement(cluster, counts, taken)
+                outcomes["full"] += 1
+            else:
+                assert spread_placement(cluster, counts, taken) == want
+                outcomes["placed"] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_a_huge_cluster_runs_like_the_machines_its_jobs_use(self, monkeypatch):
+        # The kernel has links only for the machines the placements use, so
+        # a million machines cost what four do and give the same bytes.
+        sizes = []
+        init = simulator.fairshare.FairShare.__init__
+
+        def sized(share, capacity):
+            sizes.append(len(capacity))
+            init(share, capacity)
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "__init__", sized)
+        scenario = parse_scenario("cluster machines=4 gpus=2\n"
+                                  "job a model=lenet strategy=ring workers=3\n"
+                                  "job b model=lenet strategy=baseline workers=2 ps=1\n"
+                                  "steps 2\n", catalog_lookup)
+        huge = dataclasses.replace(scenario, cluster=dataclasses.replace(scenario.cluster,
+                                                                         machines=10**6))
+        assert simulate_run(huge).to_json() == simulate_run(scenario).to_json()
+        assert sizes == [8, 8]
+
     def test_spread_prefers_distinct_machines(self):
         cluster = small_cluster(machines=4, gpus_per_machine=2)
         (placement,) = spread_placement(cluster, [(4, 0)])
