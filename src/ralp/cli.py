@@ -3,7 +3,8 @@
 Commands: profile | split | volumes | simulate | catalog.  Reports are
 machine-readable (JSON, or CSV for volume tables) and byte-stable across
 identical invocations.  Exit codes: 0 ok, 2 parse/validation error,
-3 unknown catalog name, 4 bad flag value, 5 cluster capacity exceeded.
+3 unknown catalog name, 4 bad flag value, 5 cluster capacity exceeded,
+141 standard output closed before all of it was written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -36,6 +38,8 @@ EXIT_PARSE = 2
 EXIT_UNKNOWN_CATALOG = 3
 EXIT_BAD_FLAG = 4
 EXIT_CAPACITY = 5
+# What a shell reports for a command that SIGPIPE ends (128 + 13).
+EXIT_CLOSED_OUTPUT = 141
 
 GIB = float(1 << 30)
 
@@ -282,10 +286,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except _CliError as exc:
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except _CliError as exc:  # raised before anything is printed
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code = exc.code
+    except BrokenPipeError:
+        # The reader has gone (``ralp catalog | head -n 1``).  What is still
+        # buffered goes nowhere, so the interpreter's flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_CLOSED_OUTPUT
+    return code
 
 
 if __name__ == "__main__":

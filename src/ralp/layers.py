@@ -87,7 +87,11 @@ class LayerSpec(_LayerFields):
     and ``output_elems_per_sample`` are element counts; byte sizes come from
     the owning ModelGraph's element width and batch size.  Every way of
     building one (the constructor, ``_make``, ``_replace``, pickle and
-    ``copy``) goes through the checks in ``__new__``.
+    ``copy``) goes through the checks in ``__new__``, except one: the
+    descriptor parser copies a record it already checked under another
+    layer's name with ``tuple.__new__``.  That is safe because the checks
+    read the kind and the three counts, which the copy keeps, and the name
+    only to word their message.
     """
 
     __slots__ = ()

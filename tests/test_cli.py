@@ -16,6 +16,7 @@ import ralp
 from ralp.cli import (
     EXIT_BAD_FLAG,
     EXIT_CAPACITY,
+    EXIT_CLOSED_OUTPUT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNKNOWN_CATALOG,
@@ -47,6 +48,23 @@ def test_importing_the_cli_loads_no_numpy():
     result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["catalog", "--json"], ["profile", "lenet"],
+                                  ["profile", "inception-v3"]])
+def test_a_closed_stdout_ends_the_command_quietly(argv):
+    # The pipe's read end is closed before the child starts, so every write
+    # to it fails with EPIPE, whether it happens while printing or at the
+    # flush before exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "ralp.cli", *argv], stdout=write_end,
+                                stderr=subprocess.PIPE, env=child_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (EXIT_CLOSED_OUTPUT, b"")
 
 
 class TestProfileCommand:

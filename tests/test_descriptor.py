@@ -312,15 +312,13 @@ _DIGEST_CHAINS = (
 )
 
 
-def _parse_digest(sources: list[str], count: int) -> tuple[int, str]:
-    """How many of ``count`` mutated copies of ``sources`` (``mutate``d with
-    seeds 0, 1, ...) parse, and the sha256 of what ``parse_model`` makes of
-    each: the layers, batch and element width of each model, or the type
-    and message of each error."""
+def _outcome_digest(texts) -> tuple[int, str]:
+    """How many of ``texts`` parse, and the sha256 of what ``parse_model``
+    makes of each: the layers, batch and element width of each model, or
+    the type and message of each error."""
     digest = hashlib.sha256()
     parsed = 0
-    for i in range(count):
-        text = mutate(sources[i % len(sources)], random_mutations(random.Random(i)))
+    for i, text in enumerate(texts):
         try:
             model = parse_model(text)
         except Exception as exc:
@@ -333,6 +331,16 @@ def _parse_digest(sources: list[str], count: int) -> tuple[int, str]:
             ]))
         digest.update(f"{i}\n{outcome}\n".encode())
     return parsed, digest.hexdigest()
+
+
+def _mutated(sources: list[str], count: int) -> list[str]:
+    """``count`` mutated copies of ``sources``, ``mutate``d with seeds 0, 1, ..."""
+    return [mutate(sources[i % len(sources)], random_mutations(random.Random(i))) for i in range(count)]
+
+
+def _parse_digest(sources: list[str], count: int) -> tuple[int, str]:
+    """``_outcome_digest`` of ``count`` mutated copies of ``sources``."""
+    return _outcome_digest(_mutated(sources, count))
 
 
 class TestParseDigest:
@@ -444,3 +452,73 @@ class TestRepeatedLayers:
                            + "".join(f"c{i} conv k=3 cout=4 pad=1\n" for i in range(1, 5))
                            + "a1 act\na2 act\n")
         assert uneven == even and uneven.layers == even.layers
+
+
+# Explicit layer lines in the documented key order, and lines that differ
+# from one in the ways a reader of that order alone could get wrong:
+# spacing, number spellings, shapes, kinds that take no parameters or no
+# empty output, and '=' where a name or kind belongs.
+_CANONICAL = "block params=5 out=12 flops=7 shape=2x2x3"
+_EXPLICIT_VARIANTS = (
+    _CANONICAL, "block params=5 out=12 flops=7", "conv params=5 out=12 flops=7 shape=2x2x3",
+    "fc params=5 out=12 flops=7 shape=12", "block params=0 out=12 flops=0 shape=1x1x12",
+    # spacing
+    "block\tparams=5\tout=12\tflops=7\tshape=2x2x3", "block   params=5  out=12 flops=7   shape=2x2x3",
+    "block params=5 out=12 flops=7 shape=2x2x3   # note", "block params=5 out=12 flops=7\t#",
+    "block params=5 out=12 flops=7 ", "block params=5\xa0out=12 flops=7", "block params=5 out=12\x1fflops=7",
+    "block params=5 out=12 flops=7\u3000shape=2x2x3", "block params=5 out=12 flops=7\xa0",
+    # numbers
+    "block params=007 out=0012 flops=00 shape=02x2x03", "block params=+5 out=12 flops=7",
+    "block params=1_000 out=12 flops=7", "block params=5 out=1_2 flops=7 shape=2x2x3",
+    "block params=\uff15 out=12 flops=7", "block params=5 out=\u0661\u0662 flops=7",
+    "block params=5 out=12 flops=\u0967", "block params=-0 out=12 flops=7", "block params=-5 out=12 flops=7",
+    "block params=5 out=12 flops=-7", "block params=5x out=12 flops=7", "block params=5 out=12.0 flops=7",
+    "block params=5 out=12 flops=1e3", "block params=5 out=12 flops=", "block params=5 out=12 flops=7 shape=",
+    "block params=99999999999999999999999 out=12 flops=7",
+    # shapes
+    "block params=5 out=12 flops=7 shape=2X2X3", "block params=5 out=12 flops=7 shape=2x0x3",
+    "block params=5 out=0 flops=7 shape=0x2x3", "loss params=0 out=0 flops=0 shape=0x2x3",
+    "loss params=0 out=0 flops=0 shape=1x0x1", "block params=5 out=12 flops=7 shape=2x2x4",
+    "block params=5 out=12 flops=7 shape=2x2", "block params=5 out=12 flops=7 shape=2x2x3x1",
+    "block params=5 out=12 flops=7 shape=x2x3", "block params=5 out=12 flops=7 shape=2x+2x3",
+    "block params=5 out=12 flops=7 shape=12", "block params=5 out=12 flops=7 shape=2x2x3 shape=2x2x3",
+    # kinds
+    "act params=5 out=12 flops=7", "pool params=1 out=12 flops=0 shape=2x2x3", "act params=0 out=12 flops=7",
+    "norm params=0 out=12 flops=0 shape=2x2x3", "concat params=0 out=12 flops=0", "add params=0 out=12 flops=0",
+    "flatten params=0 out=12 flops=0", "loss params=0 out=0 flops=0", "loss params=5 out=0 flops=0",
+    "conv params=5 out=0 flops=7", "fc params=5 out=0 flops=7", "blocks params=5 out=12 flops=7",
+    "Block params=5 out=12 flops=7", "bl=ock params=5 out=12 flops=7", "block=x params=5 out=12 flops=7",
+    # other key orders and sets
+    "block out=12 params=5 flops=7 shape=2x2x3", "block params=5 flops=7 out=12", "block params=5 out=12",
+    "block params=5 out=12 flops=7 flops=7", "block params=5 out=12 flops=7 shape=2x2x3 k=3",
+    "block params=5 params=5 out=12 flops=7", "block flops=7 params=5 out=12 shape=2x2x3",
+)
+
+
+def _explicit_sources() -> list[str]:
+    """Each variant after a canonical line, at the input shape or none,
+    then read again after a conv and after an fc that read the shape it
+    sets; twice at one shape as the first layer; and under a name with
+    '=' in it."""
+    sources = []
+    for variant in _EXPLICIT_VARIANTS:
+        for header in ("model e batch=2 input=4x4x3", "model e batch=2"):
+            for follower in ("c conv k=1 cout=2", "f fc out=4"):
+                sources.append(f"{header}\nb1 {_CANONICAL}\nv {variant}\n{follower}\nw {variant}\n")
+        sources.append(f"model e batch=1 input=2x2x3\nv {variant}\nw {variant}\n")
+        sources.append(f"model e batch=1 input=2x2x3\nb1 {_CANONICAL}\nv=1 {variant}\n")
+    return sources
+
+
+class TestExplicitLineDigest:
+    """``TestParseDigest`` over descriptors of explicit lines in the
+    documented key order and near misses of it (``_EXPLICIT_VARIANTS``),
+    as written and mutated.  Recorded before the parser read such lines
+    by their order alone: what an explicit line makes must not depend on
+    how the parser reads it."""
+
+    def test_explicit_lines_and_their_near_misses(self):
+        sources = _explicit_sources()
+        parsed, digest = _outcome_digest(sources + _mutated(sources, 2000))
+        assert (len(sources), parsed) == (384, 286)
+        assert digest == "0a713920c7033d973dab3d2766d533b26afe4758844d967a3417d463808d6b62"
