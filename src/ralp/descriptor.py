@@ -7,11 +7,13 @@ inferred and shape-checked against the previous layer) or *explicit*
 (``params= out= flops=`` given directly, used for fused blocks and for
 linearized branchy architectures where chain inference does not apply;
 ``shape=HxWxC`` sets the shape the next layer sees and must hold ``out=``
-elements).  Every dimension of a shape is at least 1.  A key the header
-or the layer's kind does not take is an error, and so are ``flops=`` and
-``shape=`` on a derived layer, whose flops and shape are inferred, and a
-kind's hyperparameters on an explicit layer, whose counts are given.
-Scenario files read their ``key=value`` pairs through ``parse_pairs`` too.
+elements).  An integer, a shape's dimensions included, is ASCII digits
+after an optional ``-`` (``integer``).  Every dimension of a shape is at
+least 1.  A key the header or the layer's kind does not take is an error,
+and so are ``flops=`` and ``shape=`` on a derived layer, whose flops and
+shape are inferred, and a kind's hyperparameters on an explicit layer,
+whose counts are given.  Scenario files read their ``key=value`` pairs
+through ``parse_pairs``, and their integers through ``integer``, too.
 
 This module owns the shape format, the settings each kind takes
 (``_KIND_KEYS``) and the counting rules that derive a layer's parameter
@@ -20,26 +22,27 @@ only while a descriptor is parsed, as tuples of dims; the ModelGraph it
 returns holds element counts.
 
 One parse does the work of a layer line only for what no earlier line of
-the same parse has done, in three tiers keyed on the line's text after its
-name (spacing included):
+the same parse has done.  It keeps one memo keyed on a line's text after
+its name (spacing included), holding what the latest line with that text
+read and made:
 
-(a) a text met before at the same input shape copies that line's checked
-    record under the new name;
-(b) a text met before at another shape reuses that line's kind and
-    settings, so only the derivation and its checks run (an explicit
-    line's outcome does not depend on the shape, so it is copied);
-(c) a new explicit line in the documented key order,
+(a) a text met before copies that line's checked record under the new
+    name if the line is explicit, whose outcome no input shape changes, or
+    read the same shape; at another shape a derived line reuses the kind
+    and settings, so only the derivation and its checks run;
+(b) a new explicit line in the documented key order,
     ``<kind> params= out= flops= [shape=HxWxC]`` spaced with blanks and
     tabs and with plain decimal numbers, is read by one regular expression.
 
-Every other line, and a line of tier (c) that fails a check, is split into
+Every other line, and a line of tier (b) that fails a check, is split into
 words and read by ``parse_pairs``, which with ``_derived_layer`` raises
 every error a layer line can have.  Of the bundled catalog's 285 layer
 lines, 204 are in the documented explicit order.  Of the 104,537 that the
-benchmark's ``plan`` workload can parse, 70,848 take tier (a), 8,550 tier
-(b) and 18,847 tier (c) (18,942 are in the documented order, 95 of which
-repeat a text); 6,292 are read word by word.  Nothing is kept from one
-parse to the next.
+benchmark's ``plan`` workload can parse, 70,862 are copies, 8,536 are
+derived again at a new shape and 18,847 are read by the regular
+expression (18,942 are in the documented order, 95 of which repeat a
+text); 6,292 are read word by word.  Nothing is kept from one parse to the
+next.
 """
 
 from __future__ import annotations
@@ -74,22 +77,34 @@ _CANONICAL_EXPLICIT = re.compile(
     r"([a-z]+)[ \t]+params=([0-9]+)[ \t]+out=([0-9]+)[ \t]+flops=([0-9]+)"
     r"(?:[ \t]+shape=([0-9]+)x([0-9]+)x([0-9]+))?[ \t]*"
 )
+# An integer as the formats spell it: ASCII digits after an optional '-'.
+_INTEGER = re.compile(r"-?[0-9]+")
 # Builds a tuple subclass without calling its __new__: the parser's copy
 # of a checked LayerSpec under another name.
 _new_record = tuple.__new__
 
+
+def integer(text: str) -> int:
+    """``text`` read as ASCII digits after an optional ``-``: the only
+    integer spelling descriptors and scenarios take.  ValueError for any
+    other, and for a number too long for ``int``."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 # The keys each kind of line accepts, in the order errors list them, each
-# with the type of its value: the header's, an explicit layer's, and a
+# with its value's converter: the header's, an explicit layer's, and a
 # derived layer's of each kind (params and out, then its hyperparameters).
-_HEADER_KEYS = {"batch": int, "elem_bytes": int, "input": str}
-_EXPLICIT_KEYS = {"params": int, "out": int, "flops": int, "shape": str}
+_HEADER_KEYS = {"batch": integer, "elem_bytes": integer, "input": str}
+_EXPLICIT_KEYS = {"params": integer, "out": integer, "flops": integer, "shape": str}
 _KIND_KEYS = {
     LayerKind.CONVOLUTION: ("k", "cout", "stride", "pad", "cin"),
     LayerKind.POOLING: ("window", "stride", "pad"),
     LayerKind.FULLY_CONNECTED: ("in",),
 }
 _DERIVED_KEYS = {
-    kind: dict.fromkeys(("params", "out") + _KIND_KEYS.get(kind, ()), int) for kind in LayerKind
+    kind: dict.fromkeys(("params", "out") + _KIND_KEYS.get(kind, ()), integer) for kind in LayerKind
 }
 
 
@@ -174,7 +189,7 @@ def _parse_shape(
     at that word."""
     parts = text.lower().split("x")
     try:
-        dims = [int(p) for p in parts]
+        dims = [integer(p) for p in parts]
     except ValueError:
         dims = []  # reported below, with the wrong-rank shapes
     if len(dims) not in (1, 3):
@@ -333,14 +348,11 @@ def parse_model(text: str) -> ModelGraph:
     # Past the name checks, a layer line's outcome is decided by its text
     # after the name (spacing included) and the shape it reads: its name
     # and number appear only in errors, and an error ends the parse, so
-    # only lines that passed are remembered.  ``made`` holds, for each
-    # (shape, text), the record's fields after the name and the shape the
-    # line hands on.  ``read`` holds, for each text, the settings of a
-    # derived line (None for an explicit one, which no input shape
-    # changes) and its latest ``made`` entry, whose kind a derived line
-    # needs.
-    made: dict[tuple, tuple[tuple, Shape]] = {}
-    read: dict[str, tuple[Optional[dict], tuple[tuple, Shape]]] = {}
+    # only lines that passed are remembered.  ``memo`` holds, for each
+    # text, the settings of a derived line (None for an explicit one, which
+    # no input shape changes), the shape its latest line read, the record's
+    # fields after the name and the shape that line handed on.
+    memo: dict[str, tuple[Optional[dict], Optional[Shape], tuple, Shape]] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.partition("#")[0]
@@ -368,22 +380,18 @@ def parse_model(text: str) -> ModelGraph:
         name, rest = name_rest
         spec = None
         if "=" not in name:
-            seen = made.get((shape, rest))
-            if seen is not None:  # (a) a text met before at this shape
-                fields, shape = seen
-                # A copy of a checked record under another name: LayerSpec's
-                # checks read no name.
-                layers.append(_new_record(LayerSpec, (name,) + fields))
-                continue
-            known = read.get(rest)
-            if known is not None:  # (b) a text met before at another shape
-                kv, (fields, new_shape) = known
-                if kv is None:
-                    spec = _new_record(LayerSpec, (name,) + fields)
-                else:
-                    spec, new_shape = _derived_layer(name, fields[0], kv, shape, layers[-1].name,
-                                                     lineno, code)
-            else:  # (c) a new explicit line in the documented key order
+            known = memo.get(rest)
+            if known is not None:  # (a) a text met before
+                kv, read_shape, fields, new_shape = known
+                if kv is None or read_shape == shape:
+                    # A copy of a checked record under another name:
+                    # LayerSpec's checks read no name.
+                    layers.append(_new_record(LayerSpec, (name,) + fields))
+                    shape = new_shape
+                    continue
+                spec, new_shape = _derived_layer(name, fields[0], kv, shape, layers[-1].name,
+                                                 lineno, code)
+            else:  # (b) a new explicit line in the documented key order
                 canonical = _canonical_layer(name, rest)
                 if canonical is not None:
                     (spec, new_shape), kv = canonical, None
@@ -391,8 +399,7 @@ def parse_model(text: str) -> ModelGraph:
             prev_name = layers[-1].name if layers else "<input>"
             spec, new_shape, kv = _read_layer(name, shape, prev_name, lineno, code)
         layers.append(spec)
-        made[shape, rest] = entry = spec[1:], new_shape
-        read[rest] = kv, entry
+        memo[rest] = kv, shape, spec[1:], new_shape
         shape = new_shape
 
     if header is None:

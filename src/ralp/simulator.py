@@ -49,10 +49,12 @@ the worker did not spend.  A step's wire bytes are the sum of its
 transfers' bytes, local ones included.
 
 A lone job starts every step on an idle cluster, so its later steps
-repeat its first: it simulates one step and reports it for every step.
-A consolidation runs each job alone once per placement shape (its
-machines relabelled by first use), so for one step, and gives that
-report to every copy of the job with the same shape.
+repeat its first: it simulates one step, and its report holds that one
+StepBreakdown once per step.  A record holds only the four buckets: its
+JobReport names the job, and its position there gives the step.  A
+consolidation runs each job alone once per placement shape (its machines
+relabelled by first use), so for one step, and gives that report's steps
+to every copy of the job with the same shape.
 """
 
 from __future__ import annotations
@@ -65,12 +67,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import fairshare
 from .catalog import UnknownModelError
 from .costmodel import JobSpec, Strategy, StrategyKind, compute_load
-from .descriptor import DescriptorError, file_error, parse_pairs
+from .descriptor import DescriptorError, file_error, integer, parse_pairs
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, profile
 
@@ -228,11 +231,10 @@ class StepBreakdown:
 
     The step duration of worker w is defined as the sum of its four
     categories (communication is the residual against the worker's
-    end-to-end span, so the identity holds exactly).
+    end-to-end span, so the identity holds exactly).  Its JobReport knows
+    the job, and its position there gives the step.
     """
 
-    job: str
-    step: int
     worker_computation: tuple[float, ...]
     ps_computation: tuple[float, ...]
     memcopy: tuple[float, ...]
@@ -246,7 +248,7 @@ class StepBreakdown:
             + self.communication[worker]
         )
 
-    @property
+    @cached_property
     def step_durations(self) -> tuple[float, ...]:
         return tuple(self.step_duration(w) for w in range(len(self.worker_computation)))
 
@@ -255,14 +257,12 @@ class StepBreakdown:
         durations = self.step_durations
         return sum(durations) / len(durations)
 
-    @property
+    @cached_property
     def max_step_time(self) -> float:
         return max(self.step_durations)
 
     def to_dict(self) -> dict:
         return {
-            "job": self.job,
-            "step": self.step,
             "worker_computation": list(self.worker_computation),
             "ps_computation": list(self.ps_computation),
             "memcopy": list(self.memcopy),
@@ -281,7 +281,7 @@ class JobReport:
     steps: tuple[StepBreakdown, ...]
     bytes_on_wire_per_step: int
 
-    @property
+    @cached_property
     def avg_step_time(self) -> float:
         """Mean over steps of the slowest-worker step time."""
         return sum(s.max_step_time for s in self.steps) / len(self.steps)
@@ -306,7 +306,8 @@ class JobReport:
             "images_per_sec": self.images_per_sec,
             "comm_fraction": self.comm_fraction,
             "bytes_on_wire_per_step": self.bytes_on_wire_per_step,
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [{"job": self.job, "step": i, **s.to_dict()}
+                      for i, s in enumerate(self.steps, 1)],
         }
 
 
@@ -333,9 +334,9 @@ class SimReport:
         writer.writerow(("job", "step", "worker", "worker_computation", "ps_computation",
                          "memcopy", "communication", "step_duration"))
         for job in self.jobs:
-            for step in job.steps:
+            for i, step in enumerate(job.steps, 1):
                 for w in range(len(step.worker_computation)):
-                    writer.writerow((job.job, step.step, w, step.worker_computation[w],
+                    writer.writerow((job.job, i, w, step.worker_computation[w],
                                      step.ps_computation[w], step.memcopy[w],
                                      step.communication[w], step.step_duration(w)))
         return out.getvalue()
@@ -430,15 +431,16 @@ class _Env:
     departure refills from its flow's round, so no kept round holds a
     departed flow: the loop keeps their leads and picks only the others.
 
-    An instant completes its due delays, zero-second ones started meanwhile
-    too, then its finished flows, each in the order they started.  Only a
-    ralp job's PS, which takes back batches in the order they become ready,
-    sees that order: rates do not depend on it, and every task waits only
-    for its predecessors.  The job's roots start in worker order and its
-    forward passes and copies take equal time, so its activation flows
-    start, and tie, in worker order, all in one loop iteration.  So none
-    finishes in that iteration, and no zero-second delay, however short,
-    reaches the PS at the instant one finishes."""
+    An instant removes its finished flows from the kernel, completes its
+    due delays, zero-second ones started meanwhile too, then its finished
+    flows, each in the order they started, then the delays those started.
+    Only a ralp job's PS, which takes back batches in the order they
+    become ready, sees that order: rates do not depend on it, and every
+    task waits only for its predecessors.  The job's roots start in worker
+    order and its forward passes and copies take equal time, so its
+    activation flows start, and tie, in worker order, all in one loop
+    iteration.  So none finishes in that iteration, and no zero-second
+    delay, however short, reaches the PS at the instant one finishes."""
 
     def __init__(self, cluster: ClusterSpec, placements: Iterable[Placement]):
         self.cluster = cluster
@@ -516,6 +518,7 @@ class _Env:
                 raise ScenarioError(f"job {late.job.name!r}: the simulated clock passes the "
                                     f"float range after {now!r} s")
 
+            done = ()
             if next_flow == t_next:
                 # Flows of one round with different bytes left can end at
                 # one instant after rounding.
@@ -535,7 +538,7 @@ class _Env:
                         flow.remaining -= step
             self.now = t_next
 
-            if next_flow == t_next:
+            if done:
                 tick = ulp(t_next)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
@@ -550,11 +553,10 @@ class _Env:
                                            f"finished with {flow.remaining!r} of {flow.nbytes} "
                                            "bytes undelivered")
                     share.remove(flow)
-                while heap and heap[0][0] == t_next:
-                    finish(heappop(heap)[2])
-                for flow in done:
-                    finish(flow)
-
+            while heap and heap[0][0] == t_next:
+                finish(heappop(heap)[2])
+            for flow in done:
+                finish(flow)
             while heap and heap[0][0] == t_next:
                 finish(heappop(heap)[2])
 
@@ -724,8 +726,6 @@ class _JobRun:
                                    f"the {span!r} s span by {-residual!r} s")
             comm.append(max(0.0, residual))
         record = StepBreakdown(
-            job=self.name,
-            step=step,
             worker_computation=tuple(self.compute_acc),
             ps_computation=(ps_s,) * w,
             memcopy=tuple(self.memcopy_acc),
@@ -770,7 +770,7 @@ def simulate_run(scenario: Scenario) -> SimReport:
     reports = []
     for run in runs:
         if lone:
-            run.records += [replace(run.records[0], step=i) for i in range(2, scenario.steps + 1)]
+            run.records *= scenario.steps
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant
             raise RuntimeError(f"job {run.name} finished {len(run.records)} of {scenario.steps} steps")
         report = JobReport(
@@ -797,12 +797,6 @@ def _placement_shape(placement: Placement) -> tuple[int, ...]:
     workers then PS processes."""
     labels: dict[int, int] = {}
     return tuple(labels.setdefault(m, len(labels)) for m, _ in (*placement.workers, *placement.ps))
-
-
-def _renamed(report: SimReport, name: str) -> SimReport:
-    (job,) = report.jobs
-    steps = tuple(replace(step, job=name) for step in job.steps)
-    return SimReport(jobs=(replace(job, job=name, steps=steps),))
 
 
 def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationReport:
@@ -840,7 +834,9 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
     for index, (name, spec, placement) in enumerate(consolidated.jobs):
         key = (index % len(base_jobs), _placement_shape(placement))
         if key in isolated_runs:
-            alone_report = _renamed(isolated_runs[key], name)
+            # The copy's report shares the first copy's steps under its name.
+            (job,) = isolated_runs[key].jobs
+            alone_report = SimReport(jobs=(replace(job, job=name),))
         else:
             alone = Scenario(cluster=scenario.cluster, jobs=((name, spec, placement),),
                              steps=scenario.steps)
@@ -865,16 +861,16 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
 
 def _split_value(text: str):
     """A job's ``split=``: ``auto`` or a layer index."""
-    return text if text == "auto" else int(text)
+    return text if text == "auto" else integer(text)
 
 
-# The keys of a cluster line, each naming a ClusterSpec field and taking
-# the type of its default, and of a job line, each with its value's type.
+# The keys of a cluster line, each naming a ClusterSpec field, and the
+# converters of its values and of a job line's.
 _CLUSTER_FIELDS = {"machines": "machines", "gpus": "gpus_per_machine", "flops": "gpu_flops_per_sec",
                    "memcopy": "memcopy_bytes_per_sec", "link": "link_bytes_per_sec",
                    "intra": "intra_machine_bytes_per_sec"}
-_CLUSTER_KEYS = {key: type(getattr(DEFAULT_CLUSTER, field)) for key, field in _CLUSTER_FIELDS.items()}
-_JOB_KEYS = {"model": str, "strategy": str, "workers": int, "ps": int, "batch": int,
+_CLUSTER_KEYS = {key: integer if key in ("machines", "gpus") else float for key in _CLUSTER_FIELDS}
+_JOB_KEYS = {"model": str, "strategy": str, "workers": integer, "ps": integer, "batch": integer,
              "split": _split_value}
 
 
@@ -923,7 +919,8 @@ def parse_scenario(
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
     and ``steps <n>``.  ``machines``, ``gpus``, ``workers``, ``ps`` and
     ``batch`` take integers, the four rates finite numbers, ``split`` an
-    integer or ``auto``.
+    integer or ``auto``.  An integer, in place and steps lines too, is
+    ASCII digits after an optional ``-``.
 
     The first error found is raised, as a ScenarioError naming its line.
     Lines are read in file order: a malformed line, a bad key or value, a
@@ -1007,7 +1004,7 @@ def parse_scenario(
                     fail(lineno, f"job {name!r}: second spread placement (first on line {first})")
                 continue
             try:
-                index, machine, gpu = (int(t) for t in tokens[3:])
+                index, machine, gpu = (integer(t) for t in tokens[3:])
             except ValueError:
                 fail(lineno, "place indices must be integers")
             group = explicit.setdefault(name, {"worker": {}, "ps": {}})[tokens[2]]
@@ -1019,7 +1016,7 @@ def parse_scenario(
             if len(tokens) != 2:
                 fail(lineno, "expected: steps <n>")
             try:
-                steps = int(tokens[1])
+                steps = integer(tokens[1])
             except ValueError:
                 fail(lineno, "steps must be an integer")
             if steps < 1:

@@ -702,3 +702,38 @@ class TestFuzzedInputs:
         for argv in runs:
             code, _, _ = run_cli(capsys, *argv)
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNKNOWN_CATALOG, EXIT_BAD_FLAG, EXIT_CAPACITY)
+
+
+# Lines that read the number 2 where the formats take an integer, in a
+# descriptor (read by ``profile``) and a scenario (read by ``simulate``).
+_INTEGER_LINES = [
+    ("m.model", "model m batch={} input=4\nf fc out=2\n"),
+    ("m.model", "model m batch=1 elem_bytes={} input=4\nf fc out=2\n"),
+    ("m.model", "model m batch=1 input={}x2x3\nc conv k=1 cout=2\n"),
+    ("m.model", "model m batch=1 input=4\nf fc out={}\n"),
+    ("m.model", "model m batch=1 input=4x4x3\nc conv k={} cout=2\n"),
+    ("m.model", "model m batch=1\nb block params={} out=2 flops=0\n"),
+    ("m.model", "model m batch=1\nb block params=1 out=12 flops=0 shape={}x2x3\n"),
+    ("m.scn", "cluster machines={} gpus=2\njob j model=lenet strategy=ring workers=2\n"),
+    ("m.scn", "job j model=lenet strategy=ring workers={}\n"),
+    ("m.scn", "job j model=lenet strategy=baseline workers=2 ps=1 batch={}\n"),
+    ("m.scn", "job j model=vgg11 strategy=ralp workers=2 ps=1 split={}\n"),
+    ("m.scn", "steps {}\njob j model=lenet strategy=ring workers=2\n"),
+    ("m.scn", "job j model=lenet strategy=ring workers=2\nplace j worker 0 0 0\nplace j worker 1 {} 0\n"),
+]
+
+
+@pytest.mark.parametrize("name, template", _INTEGER_LINES)
+@pytest.mark.parametrize("spelling", ["2", "+2", "0_2", "２", "٢"])
+def test_an_integer_is_ascii_digits(capsys, tmp_path, name, template, spelling):
+    # Python's int() reads all five spellings as 2; the formats take only
+    # ASCII digits after an optional '-'.
+    path = tmp_path / name
+    path.write_text(template.format(spelling), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate" if name.endswith(".scn") else "profile", str(path))
+    if spelling == "2":
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        line = template[:template.index("{}")].count("\n") + 1
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"{path}: line {line}" in err

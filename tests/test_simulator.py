@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -885,11 +886,41 @@ class TestSolveCounts:
             report, solves = self.solves(monkeypatch, dataclasses.replace(scenario, steps=steps))
             counts.append(solves)
             (job,) = report.jobs
-            assert [step.step for step in job.steps] == list(range(1, steps + 1))
+            assert [step["step"] for step in job.to_dict()["steps"]] == list(range(1, steps + 1))
             for step in job.steps:
-                assert dataclasses.replace(step, step=1) == job.steps[0]
+                assert step is job.steps[0]
         assert counts[0] > 0
         assert counts == [counts[0]] * 3
+
+    def test_a_lone_job_keeps_one_record(self):
+        # 10**5 steps hold 10**5 references to one record: about 1.6 MB for
+        # the list and the tuple of the report, where a record per step
+        # took 17 MB.
+        scenario = parse_scenario("job j model=lenet strategy=ring workers=2\n", catalog_lookup)
+        tracemalloc.start()
+        try:
+            report = simulate_run(dataclasses.replace(scenario, steps=10**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (job,) = report.jobs
+        assert len(job.steps) == 10**5
+        assert len({id(step) for step in job.steps}) == 1
+        assert peak < 4 << 20
+
+    def test_copies_of_one_shape_share_their_isolated_steps(self):
+        # On 4x6 machines the three copies of each job land in one
+        # placement shape, so they share one isolated run and its steps.
+        scenario = parse_scenario("cluster machines=4 gpus=6\nsteps 3\n"
+                                  "job b model=lenet strategy=baseline workers=3 ps=2\n"
+                                  "job r model=lenet strategy=ring workers=2\n", catalog_lookup)
+        report = simulate_consolidation(scenario, 3)
+        jobs = [alone.jobs[0] for alone in report.isolated]
+        assert [job.job for job in jobs] == ["b/0", "r/0", "b/1", "r/1", "b/2", "r/2"]
+        assert [len(job.steps) for job in jobs] == [3] * 6
+        assert jobs[0].steps != jobs[1].steps
+        for i, copy in enumerate(jobs[2:], 2):
+            assert copy.steps is jobs[i % 2].steps
 
     def test_two_jobs_solve_every_step(self, monkeypatch):
         text = ("job a model=vgg11 strategy=ralp workers=4 ps=1\n"
