@@ -28,7 +28,7 @@ from .costmodel import (
     rows_to_json,
     volume_ring,
 )
-from .descriptor import DescriptorError, file_error, parse_model
+from .descriptor import DescriptorError, file_error, integer, number, parse_model
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, ProfilerError, profile
 from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
@@ -48,6 +48,18 @@ class _CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _flag(flag: str, text: Optional[str], read=integer, least: Optional[int] = None):
+    """Flag ``flag``'s value ``text`` read by ``integer`` or ``number``, and
+    at least ``least`` if that is given; None if the flag was not given."""
+    try:
+        value = None if text is None else read(text)
+    except ValueError:
+        raise _CliError(EXIT_BAD_FLAG, f"bad {flag} value {text!r}") from None
+    if value is not None and least is not None and value < least:
+        raise _CliError(EXIT_BAD_FLAG, f"{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _resolve_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
@@ -73,17 +85,15 @@ def _load_model(ref: str) -> ModelGraph:
                                     f"{file_error(exc)}") from exc
 
 
-def _profiler_config(args) -> ProfilerConfig:
-    try:
-        return ProfilerConfig(threshold=args.threshold, mode=args.mode)
-    except ProfilerError as exc:
-        raise _CliError(EXIT_BAD_FLAG, str(exc)) from None
-
-
 def _cmd_profile(args) -> int:
     """``profile`` prints the whole report; ``split`` (``brief``) leaves
     out the per-layer table and the skewness mode."""
-    report = profile(_load_model(args.model), _profiler_config(args))
+    model = _load_model(args.model)
+    try:
+        config = ProfilerConfig(_flag("--threshold", args.threshold, number), args.mode)
+    except ProfilerError as exc:
+        raise _CliError(EXIT_BAD_FLAG, str(exc)) from None
+    report = profile(model, config)
     payload = report.to_dict()
     if args.brief:
         del payload["layers"], payload["mode"]
@@ -117,29 +127,26 @@ def _cmd_volumes(args) -> int:
                                            f"it does not take {', '.join(given)}")
         return _reproduce_table3()
     workers_arg = "8" if args.workers is None else args.workers
-    try:
-        workers = [int(w) for w in workers_arg.split(",")]
-    except ValueError:
-        raise _CliError(EXIT_BAD_FLAG, f"bad --workers value {workers_arg!r}") from None
+    workers = [_flag("--workers", w) for w in workers_arg.split(",")]
     if any(w < 1 for w in workers):
         raise _CliError(EXIT_BAD_FLAG, "--workers values must be >= 1")
-    if args.split is not None and not 1 <= args.split < model.num_layers:
+    split = _flag("--split", args.split)
+    if split is not None and not 1 <= split < model.num_layers:
         rule = (f"must be in 1..{model.num_layers - 1} for {model.name}" if model.num_layers > 1
                 else f"has no value for {model.name}: one layer has no split point")
-        raise _CliError(EXIT_BAD_FLAG, f"--split {rule}, got {args.split}")
-    if args.gpus is not None and args.gpus < 2:
-        raise _CliError(EXIT_BAD_FLAG, f"--gpus must be >= 2, got {args.gpus}")
+        raise _CliError(EXIT_BAD_FLAG, f"--split {rule}, got {split}")
+    gpus = _flag("--gpus", args.gpus, least=2)
     kinds = _parse_strategies("all" if args.strategies is None else args.strategies)
-    if args.split is not None and StrategyKind.RALP not in kinds:
+    if split is not None and StrategyKind.RALP not in kinds:
         raise _CliError(EXIT_BAD_FLAG, f"--split sets the ralp rows' split, but --strategies "
                                        f"{args.strategies!r} has no ralp rows")
-    rows = compare_strategies(model, workers, kinds, split_index=args.split)
+    rows = compare_strategies(model, workers, kinds, split_index=split)
     if args.format == "json":
         print(rows_to_json(rows))
     else:
         print(rows_to_csv(rows), end="")
-    if args.gpus is not None:
-        print(json.dumps({"gpu_assignments": gpu_assignments(args.gpus)}, indent=2))
+    if gpus is not None:
+        print(json.dumps({"gpu_assignments": gpu_assignments(gpus)}, indent=2))
     return EXIT_OK
 
 
@@ -160,8 +167,7 @@ def _bundled_scenario(name: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps is not None and args.steps < 1:
-        raise _CliError(EXIT_BAD_FLAG, f"--steps must be >= 1, got {args.steps}")
+    steps = _flag("--steps", args.steps, least=1)
     path = Path(args.scenario)
     if not path.is_file() and path.name == args.scenario:
         bundled = _bundled_scenario(args.scenario)
@@ -174,8 +180,8 @@ def _cmd_simulate(args) -> int:
                                     f"{file_error(exc)}") from exc
     try:
         scenario = parse_scenario(text, lambda ref: _resolve_model(ref, path.parent))
-        if args.steps is not None:
-            scenario = dataclasses.replace(scenario, steps=args.steps)
+        if steps is not None:
+            scenario = dataclasses.replace(scenario, steps=steps)
         report = simulate_run(scenario)
     except CapacityError as exc:
         raise _CliError(EXIT_CAPACITY, f"{path}: {exc}") from exc
@@ -236,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_profile_flags(p):
         p.add_argument("model", help="catalog name or descriptor path")
-        p.add_argument("--threshold", type=float, default=-0.5,
+        p.add_argument("--threshold", default="-0.5",
                        help="skewness eligibility cutoff (default -0.5)")
         p.add_argument("--mode", default="index_weighted",
                        help="index_weighted (default) or literal_values")
@@ -255,11 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--workers", default=None, help="comma-separated worker counts (default 8)")
     p_vol.add_argument("--strategies", default=None,
                        help="comma-separated subset of baseline,ralp,ring, or all (the default)")
-    p_vol.add_argument("--split", type=int, default=None,
+    p_vol.add_argument("--split", default=None,
                        help="override the profiled split layer for the ralp rows")
     p_vol.add_argument("--format", choices=("csv", "json"), default=None,
                        help="csv (default) or json")
-    p_vol.add_argument("--gpus", type=int, default=None,
+    p_vol.add_argument("--gpus", default=None,
                        help="also print worker/PS device accounting for this GPU budget")
     p_vol.add_argument("--reproduce-table3", action="store_true",
                        help="print the three-benchmark reference table at W=8")
@@ -267,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("scenario", help="scenario path (bundled names also work)")
-    p_sim.add_argument("--steps", type=int, default=None, help="override scenario step count")
+    p_sim.add_argument("--steps", default=None, help="override scenario step count")
     p_sim.add_argument("--out", default=None, help="write the full JSON report here")
     p_sim.add_argument("--timeline", default=None, help="write the per-step category CSV here")
     p_sim.set_defaults(fn=_cmd_simulate)

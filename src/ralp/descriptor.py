@@ -13,7 +13,8 @@ least 1.  A key the header or the layer's kind does not take is an error,
 and so are ``flops=`` and ``shape=`` on a derived layer, whose flops and
 shape are inferred, and a kind's hyperparameters on an explicit layer,
 whose counts are given.  Scenario files read their ``key=value`` pairs
-through ``parse_pairs``, and their integers through ``integer``, too.
+through ``parse_pairs``, and they and the CLI's flags read their numbers
+through ``integer`` and ``number``.
 
 This module owns the shape format, the settings each kind takes
 (``_KIND_KEYS``) and the counting rules that derive a layer's parameter
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from math import prod
+from math import isfinite, prod
 from typing import Callable, Mapping, Optional
 
 from .layers import (
@@ -79,6 +80,8 @@ _CANONICAL_EXPLICIT = re.compile(
 )
 # An integer as the formats spell it: ASCII digits after an optional '-'.
 _INTEGER = re.compile(r"-?[0-9]+")
+# A number: an integer, then an optional fraction and exponent.
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
 # Builds a tuple subclass without calling its __new__: the parser's copy
 # of a checked LayerSpec under another name.
 _new_record = tuple.__new__
@@ -86,11 +89,20 @@ _new_record = tuple.__new__
 
 def integer(text: str) -> int:
     """``text`` read as ASCII digits after an optional ``-``: the only
-    integer spelling descriptors and scenarios take.  ValueError for any
-    other, and for a number too long for ``int``."""
+    integer spelling descriptors, scenarios and flags take.  ValueError for
+    any other, and for a number too long for ``int``."""
     if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def number(text: str) -> float:
+    """``text`` read as ``integer``'s spelling with an optional fraction and
+    ``e``/``E`` exponent, which every finite ``repr(float)`` fits.  ValueError
+    for any other spelling, and for a value past the float range."""
+    if _NUMBER.fullmatch(text) is None or not isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 # The keys each kind of line accepts, in the order errors list them, each
@@ -209,7 +221,7 @@ def parse_pairs(
 ) -> dict[str, object]:
     """The ``key=value`` pairs of ``tokens[first:]``, split from ``code``,
     each value converted by ``allowed[key]``.  A value its converter rejects
-    with ValueError needs a number if that is ``float``, else an integer."""
+    with ValueError needs a number if that is ``number``, else an integer."""
     pairs: dict[str, object] = {}
     for i, token in enumerate(tokens[first:], first):
         key, _, value = token.partition("=")
@@ -225,7 +237,7 @@ def parse_pairs(
         try:
             pairs[key] = convert(value)
         except ValueError:
-            expected = "a number" if convert is float else "an integer"
+            expected = "a number" if convert is number else "an integer"
             raise DescriptorError(
                 f"key {key!r} needs {expected}, got {value!r}", line, _column(code, i)
             ) from None
@@ -408,8 +420,8 @@ def parse_model(text: str) -> ModelGraph:
         return ModelGraph(
             name=str(header["name"]),
             layers=tuple(layers),
-            batch_size=int(header["batch"]),  # type: ignore[arg-type]
-            bytes_per_element=int(header.get("elem_bytes", 4)),  # type: ignore[arg-type]
+            batch_size=header["batch"],  # type: ignore[arg-type]
+            bytes_per_element=header.get("elem_bytes", 4),  # type: ignore[arg-type]
         )
     except ModelError as exc:
         raise DescriptorError(str(exc), header_line) from None

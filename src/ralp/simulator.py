@@ -73,7 +73,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import fairshare
 from .catalog import UnknownModelError
 from .costmodel import JobSpec, Strategy, StrategyKind, compute_load
-from .descriptor import DescriptorError, file_error, integer, parse_pairs
+from .descriptor import DescriptorError, file_error, integer, number, parse_pairs
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, profile
 
@@ -252,10 +252,17 @@ class StepBreakdown:
     def step_durations(self) -> tuple[float, ...]:
         return tuple(self.step_duration(w) for w in range(len(self.worker_computation)))
 
+    @cached_property
+    def total_duration(self) -> float:
+        return sum(self.step_durations)
+
+    @cached_property
+    def total_communication(self) -> float:
+        return sum(self.communication)
+
     @property
     def avg_step_time(self) -> float:
-        durations = self.step_durations
-        return sum(durations) / len(durations)
+        return self.total_duration / len(self.step_durations)
 
     @cached_property
     def max_step_time(self) -> float:
@@ -292,8 +299,8 @@ class JobReport:
 
     @property
     def comm_fraction(self) -> float:
-        comm = sum(sum(s.communication) for s in self.steps)
-        total = sum(sum(s.step_durations) for s in self.steps)
+        comm = sum(s.total_communication for s in self.steps)
+        total = sum(s.total_duration for s in self.steps)
         return comm / total if total > 0 else 0.0
 
     def to_dict(self) -> dict:
@@ -869,7 +876,7 @@ def _split_value(text: str):
 _CLUSTER_FIELDS = {"machines": "machines", "gpus": "gpus_per_machine", "flops": "gpu_flops_per_sec",
                    "memcopy": "memcopy_bytes_per_sec", "link": "link_bytes_per_sec",
                    "intra": "intra_machine_bytes_per_sec"}
-_CLUSTER_KEYS = {key: integer if key in ("machines", "gpus") else float for key in _CLUSTER_FIELDS}
+_CLUSTER_KEYS = {key: integer if key in ("machines", "gpus") else number for key in _CLUSTER_FIELDS}
 _JOB_KEYS = {"model": str, "strategy": str, "workers": integer, "ps": integer, "batch": integer,
              "split": _split_value}
 
@@ -918,9 +925,9 @@ def parse_scenario(
     ``job <name> model= strategy= workers= [ps=] [batch=] [split=]``,
     ``place <job> spread`` or ``place <job> worker|ps <idx> <machine> <gpu>``,
     and ``steps <n>``.  ``machines``, ``gpus``, ``workers``, ``ps`` and
-    ``batch`` take integers, the four rates finite numbers, ``split`` an
-    integer or ``auto``.  An integer, in place and steps lines too, is
-    ASCII digits after an optional ``-``.
+    ``batch`` take integers, the four rates numbers (``integer`` and
+    ``number``), ``split`` an integer or ``auto``.  An integer, in place and
+    steps lines too, is ASCII digits after an optional ``-``.
 
     The first error found is raised, as a ScenarioError naming its line.
     Lines are read in file order: a malformed line, a bad key or value, a
@@ -964,11 +971,6 @@ def parse_scenario(
             directive_lines[head] = lineno
         if head == "cluster":
             kv = pairs(lineno, code, tokens, 1, _CLUSTER_KEYS)
-            # An infinite rate makes work free: with all four infinite a
-            # step would take no time.
-            for key, value in kv.items():
-                if not math.isfinite(value):
-                    fail(lineno, f"key {key!r} needs a finite number, got {value!r}")
             try:
                 cluster = replace(DEFAULT_CLUSTER, **{_CLUSTER_FIELDS[k]: v for k, v in kv.items()})
             except ScenarioError as exc:

@@ -6,8 +6,14 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import settings
 
 from ralp.layers import LayerKind, LayerSpec, ModelGraph
+
+# Every run of one commit tests the same examples, locally and in CI: no
+# random seed, and no database replaying examples found by earlier runs.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 # Kind pools for random chains: weighted kinds get random parameter counts.
 _WEIGHTED = (LayerKind.CONVOLUTION, LayerKind.FULLY_CONNECTED, LayerKind.BLOCK)

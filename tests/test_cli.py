@@ -143,14 +143,14 @@ class TestProfileCommand:
 
     def test_bad_threshold_reported_before_bad_mode(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--threshold=nan", "--mode", "sideways")
-        assert (code, err) == (EXIT_BAD_FLAG, "error: threshold must be finite, got nan\n")
+        assert (code, err) == (EXIT_BAD_FLAG, "error: bad --threshold value 'nan'\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, capsys, value):
         code, out, err = run_cli(capsys, "profile", "vgg11", f"--threshold={value}")
         assert code == EXIT_BAD_FLAG
         assert out == ""
-        assert f"threshold must be finite, got {value}" in err
+        assert err == f"error: bad --threshold value {value!r}\n"
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "profile", "resnet-50")
@@ -368,7 +368,7 @@ class TestSimulateCommand:
                        "job a model=vgg11 strategy=baseline workers=2 ps=1\n")
         code, out, err = run_cli(capsys, "simulate", str(scn))
         assert (code, out) == (EXIT_PARSE, "")
-        assert err == f"error: {scn}: line 2: key 'flops' needs a finite number, got inf\n"
+        assert err == f"error: {scn}: line 2: key 'flops' needs a number, got 'inf'\n"
 
     @pytest.mark.parametrize("key, rate, cluster", [
         ("flops", "gpu_flops_per_sec", "machines=8"),
@@ -723,17 +723,67 @@ _INTEGER_LINES = [
 ]
 
 
-@pytest.mark.parametrize("name, template", _INTEGER_LINES)
-@pytest.mark.parametrize("spelling", ["2", "+2", "0_2", "２", "٢"])
+# Command lines that end in an integer flag, which reads 2 there.
+_INTEGER_FLAGS = [
+    ("argv", "simulate vgg11_16gpu_ralp.scn --steps={}"),
+    ("argv", "volumes vgg11 --split={}"),
+    ("argv", "volumes lenet --gpus={}"),
+    ("argv", "volumes lenet --workers={}"),
+    ("argv", "volumes lenet --workers=1,{}"),
+]
+
+
+@pytest.mark.parametrize("name, template", _INTEGER_LINES + _INTEGER_FLAGS)
+@pytest.mark.parametrize("spelling", ["2", "+2", "0_2", "２", "٢", "abc"])
 def test_an_integer_is_ascii_digits(capsys, tmp_path, name, template, spelling):
-    # Python's int() reads all five spellings as 2; the formats take only
-    # ASCII digits after an optional '-'.
-    path = tmp_path / name
-    path.write_text(template.format(spelling), encoding="utf-8")
-    code, out, err = run_cli(capsys, "simulate" if name.endswith(".scn") else "profile", str(path))
+    # Python's int() reads the first five spellings as 2; the formats and
+    # the flags take only ASCII digits after an optional '-'.
+    code, out, err = _run_site(capsys, tmp_path, name, template, spelling)
     if spelling == "2":
         assert (code, err) == (EXIT_OK, "")
     else:
+        _assert_named(code, out, err, tmp_path, name, template, spelling)
+
+
+@pytest.mark.parametrize("name, template", [
+    *(("m.scn", f"cluster {key}={{}}\njob j model=lenet strategy=ring workers=2\n")
+      for key in ("flops", "memcopy", "link", "intra")),
+    # '-' first, as a non-negative threshold warns.
+    ("argv", "profile lenet --threshold=-{}"),
+])
+@pytest.mark.parametrize("spelling", ["2e9", "2.0e9", "2e+9", "２e9", "2_000e6", "+2e9", "inf",
+                                      "nan", "1e999", "abc", "1_0"])
+def test_a_number_is_an_integer_with_a_fraction_and_exponent(capsys, tmp_path, name, template,
+                                                             spelling):
+    # Python's float() reads the first six spellings as 2e9, the next three
+    # as non-finite values and '1_0' as 10; the rates and --threshold take
+    # only the first three.
+    code, out, err = _run_site(capsys, tmp_path, name, template, spelling)
+    if spelling in ("2e9", "2.0e9", "2e+9"):
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        _assert_named(code, out, err, tmp_path, name, template, spelling)
+
+
+def _run_site(capsys, tmp_path, name, template, spelling):
+    """Run the command line ``template`` if ``name`` is ``argv``, else the
+    command that reads file ``name`` holding ``template``, with ``spelling``
+    put in."""
+    if name == "argv":
+        return run_cli(capsys, *template.format(spelling).split())
+    path = tmp_path / name
+    path.write_text(template.format(spelling), encoding="utf-8")
+    return run_cli(capsys, "simulate" if name.endswith(".scn") else "profile", str(path))
+
+
+def _assert_named(code, out, err, tmp_path, name, template, spelling):
+    """A rejected flag value exits 4 naming the flag and the value (the
+    last of a list); a rejected value in a file exits 2 naming its line."""
+    assert out == ""
+    if name == "argv":
+        flag, _, value = template.format(spelling).split()[-1].partition("=")
+        assert (code, err) == (EXIT_BAD_FLAG, f"error: bad {flag} value {value.split(',')[-1]!r}\n")
+    else:
         line = template[:template.index("{}")].count("\n") + 1
-        assert (code, out) == (EXIT_PARSE, "")
-        assert f"{path}: line {line}" in err
+        assert code == EXIT_PARSE
+        assert f"{tmp_path / name}: line {line}" in err

@@ -157,6 +157,11 @@ class TestParse:
         assert err.value.reason == "key 'batch' needs an integer, got 'x'"
         assert str(err.value) == "line 1, column 9: " + err.value.reason
 
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_number_reads_every_finite_repr_back(self, value):
+        read = descriptor.number(repr(value))
+        assert read == value and str(read) == repr(value)  # -0.0 keeps its sign
+
     def test_every_documented_key_is_accepted(self):
         text = (
             "model m batch=2 elem_bytes=4 input=8x8x3\n"
