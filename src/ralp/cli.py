@@ -62,6 +62,30 @@ def _flag(flag: str, text: Optional[str], read=integer, least: Optional[int] = N
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a word that starts with ``-`` after a flag
+    taking one value as ``--flag=word`` does, unless the word is one of its own
+    option strings: argparse alone reads ``-2e9`` there as a flag."""
+
+    def __init__(self, **kwargs):
+        self.takes_value: dict[str, bool] = {}  # for each option string
+        super().__init__(**kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs is None))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        words: list[str] = []
+        for word in sys.argv[1:] if args is None else args:
+            if words and self.takes_value.get(words[-1]) and word[:1] == "-" and word not in self.takes_value:
+                words[-1] += "=" + word
+            else:
+                words.append(word)
+        return super().parse_known_args(words, namespace)
+
+
 def _resolve_model(ref: str, base: Optional[Path] = None) -> ModelGraph:
     """Resolve a model reference: a descriptor path when it looks like one
     (``base / ref`` when that is a file, else ``ref`` as given), else a
@@ -232,7 +256,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ralp",
         description="Profile CNN models for resource-aware layer placement, "
         "tabulate per-step communication volumes, and simulate training on a "

@@ -18,7 +18,8 @@ through ``integer`` and ``number``.
 
 This module owns the shape format, the settings each kind takes
 (``_KIND_KEYS``) and the counting rules that derive a layer's parameter
-count, output shape and flops from them (``_derive_layer``).  Shapes live
+count, output shape and flops from them, with their checks
+(``_derived_layer``).  Shapes live
 only while a descriptor is parsed, as tuples of dims; the ModelGraph it
 returns holds element counts.
 
@@ -37,13 +38,8 @@ read and made:
 
 Every other line, and a line of tier (b) that fails a check, is split into
 words and read by ``parse_pairs``, which with ``_derived_layer`` raises
-every error a layer line can have.  Of the bundled catalog's 285 layer
-lines, 204 are in the documented explicit order.  Of the 104,537 that the
-benchmark's ``plan`` workload can parse, 70,862 are copies, 8,536 are
-derived again at a new shape and 18,847 are read by the regular
-expression (18,942 are in the documented order, 95 of which repeat a
-text); 6,292 are read word by word.  Nothing is kept from one parse to the
-next.
+every error a layer line can have.  README counts the lines each tier
+reads.  Nothing is kept from one parse to the next.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 from math import isfinite, prod
-from typing import Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .layers import (
     BLOCK,
@@ -59,7 +55,6 @@ from .layers import (
     FLATTEN,
     FULLY_CONNECTED,
     LOSS,
-    PASS_THROUGH_KINDS,
     POOLING,
     LayerKind,
     LayerSpec,
@@ -118,58 +113,6 @@ _KIND_KEYS = {
 _DERIVED_KEYS = {
     kind: dict.fromkeys(("params", "out") + _KIND_KEYS.get(kind, ()), integer) for kind in LayerKind
 }
-
-
-def conv_output_hw(h: int, w: int, kernel: int, stride: int, pad: int) -> tuple[int, int]:
-    """Spatial output dims for a conv/pool window with explicit padding."""
-    if kernel <= 0 or stride <= 0 or pad < 0:
-        raise ModelError(f"nonpositive window geometry: kernel={kernel} stride={stride} pad={pad}")
-    h_out = (h + 2 * pad - kernel) // stride + 1
-    w_out = (w + 2 * pad - kernel) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ModelError(
-            f"window {kernel}x{kernel} stride {stride} does not fit padded input {h}x{w} (pad {pad})"
-        )
-    return h_out, w_out
-
-
-def _derive_layer(kind: LayerKind, settings: Mapping[str, int], shape: Shape) -> tuple[int, Shape, int]:
-    """(param_count, output shape, forward flops) of a derived layer of
-    ``kind`` that reads ``shape``.  A missing setting raises KeyError.
-
-    conv: params = K*K*C_in*C_out + C_out, flops = 2*K*K*C_in*C_out*H_out*W_out;
-    fc: params = I*U + U, flops = 2*I*U (bias included, multiply-add counted
-    as 2).  Every other kind carries no parameters and its compute is treated
-    as negligible; a loss layer ends the chain, so nothing flows forward.
-    """
-    if kind is CONVOLUTION:
-        k, c_out = settings["k"], settings["cout"]
-        if len(shape) != 3:
-            raise ModelError("convolution requires a spatial input shape")
-        if c_out <= 0:
-            raise ModelError(f"nonpositive output channels: {c_out}")
-        h, w, c_in = shape
-        h, w = conv_output_hw(h, w, k, settings.get("stride", 1), settings.get("pad", 0))
-        return k * k * c_in * c_out + c_out, (h, w, c_out), 2 * k * k * c_in * c_out * h * w
-    if kind is POOLING:
-        window = settings["window"]
-        if len(shape) != 3:
-            raise ModelError("pooling requires a spatial input shape")
-        h, w, c = shape
-        h, w = conv_output_hw(h, w, window, settings.get("stride", window), settings.get("pad", 0))
-        return 0, (h, w, c), 0
-    if kind is FULLY_CONNECTED:
-        out, n = settings["out"], prod(shape)
-        if n <= 0 or out <= 0:
-            raise ModelError(f"nonpositive fully-connected dims: in={n} out={out}")
-        return n * out + out, (out,), 2 * n * out
-    if kind is FLATTEN:
-        return 0, (prod(shape),), 0
-    if kind in PASS_THROUGH_KINDS:
-        return 0, shape, 0
-    if kind is LOSS:
-        return 0, (0,), 0
-    raise ModelError(f"layer kind {kind.value} has no derivation rule; give explicit totals")
 
 
 class DescriptorError(ValueError):
@@ -249,46 +192,81 @@ def file_error(exc: Exception) -> str:
     return exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
 
 
+def _window_hw(h: int, w: int, kernel: int, stride: int, pad: int, line: int, code: str) -> tuple[int, int]:
+    """Output height and width, ``(h + 2*pad - kernel) // stride + 1`` each, of a
+    conv or pool window.  Its errors point at the first word of ``code``."""
+    if kernel <= 0 or stride <= 0 or pad < 0:
+        raise DescriptorError(f"nonpositive window geometry: kernel={kernel} stride={stride} pad={pad}",
+                              line, _column(code, 0))
+    h_out = (h + 2 * pad - kernel) // stride + 1
+    w_out = (w + 2 * pad - kernel) // stride + 1
+    if h_out <= 0 or w_out <= 0:
+        raise DescriptorError(f"window {kernel}x{kernel} stride {stride} does not fit padded input "
+                              f"{h}x{w} (pad {pad})", line, _column(code, 0))
+    return h_out, w_out
+
+
 def _derived_layer(
     name: str, kind: LayerKind, kv: Mapping[str, int], shape: Optional[Shape], prev_name: str,
     line: int, code: str
 ) -> tuple[LayerSpec, Shape]:
     """The record of derived layer ``name`` of ``kind`` with settings ``kv``,
     which reads ``shape`` from ``prev_name``, and the shape it hands on.
-    Its errors point at the first word of ``code``, line ``line``."""
+    Its errors point at the first word of ``code``, line ``line``.
+
+    conv: params = K*K*C_in*C_out + C_out, flops = 2*K*K*C_in*C_out*H_out*W_out;
+    fc: params = I*U + U, flops = 2*I*U (bias included, multiply-add counted
+    as 2).  Every other kind carries no parameters and its compute is treated
+    as negligible; a loss layer ends the chain, so nothing flows forward.
+    """
     if kind is BLOCK:
         raise DescriptorError(f"block layer {name!r} needs explicit params= out= flops=",
                               line, _column(code, 0))
     if shape is None:
-        raise DescriptorError(
-            f"layer {name!r} needs an input shape (set input= in the header or give explicit out=)",
-            line,
-            _column(code, 0),
-        )
-    if kind is CONVOLUTION and "cin" in kv:
-        declared = kv["cin"]
-        if len(shape) != 3 or declared != shape[2]:
-            raise ShapeMismatchError(
-                f"layer {name!r} declares cin={declared} but {prev_name!r} "
-                f"produces {'x'.join(map(str, shape))}",
-                line,
-                _column(code, 0),
-            )
-    if kind is FULLY_CONNECTED and "in" in kv:
-        declared = kv["in"]
-        if declared != prod(shape):
-            raise ShapeMismatchError(
-                f"layer {name!r} declares in={declared} but {prev_name!r} produces {prod(shape)} elements",
-                line,
-                _column(code, 0),
-            )
+        raise DescriptorError(f"layer {name!r} needs an input shape (set input= in the header or "
+                              f"give explicit out=)", line, _column(code, 0))
     try:
-        params, new_shape, flops = _derive_layer(kind, kv, shape)
+        if kind is CONVOLUTION:
+            if "cin" in kv and (len(shape) != 3 or kv["cin"] != shape[2]):
+                raise ShapeMismatchError(f"layer {name!r} declares cin={kv['cin']} but {prev_name!r} "
+                                         f"produces {'x'.join(map(str, shape))}", line, _column(code, 0))
+            k, c_out = kv["k"], kv["cout"]
+            if len(shape) != 3:
+                raise DescriptorError("convolution requires a spatial input shape", line, _column(code, 0))
+            if c_out <= 0:
+                raise DescriptorError(f"nonpositive output channels: {c_out}", line, _column(code, 0))
+            h, w, c_in = shape
+            h, w = _window_hw(h, w, k, kv.get("stride", 1), kv.get("pad", 0), line, code)
+            params, new_shape = k * k * c_in * c_out + c_out, (h, w, c_out)
+            flops = 2 * k * k * c_in * c_out * h * w
+        elif kind is POOLING:
+            window = kv["window"]
+            if len(shape) != 3:
+                raise DescriptorError("pooling requires a spatial input shape", line, _column(code, 0))
+            h, w, c = shape
+            h, w = _window_hw(h, w, window, kv.get("stride", window), kv.get("pad", 0), line, code)
+            params, new_shape, flops = 0, (h, w, c), 0
+        elif kind is FULLY_CONNECTED:
+            n = prod(shape)
+            if "in" in kv and kv["in"] != n:
+                raise ShapeMismatchError(f"layer {name!r} declares in={kv['in']} but {prev_name!r} "
+                                         f"produces {n} elements", line, _column(code, 0))
+            out = kv["out"]
+            if n <= 0 or out <= 0:
+                raise DescriptorError(f"nonpositive fully-connected dims: in={n} out={out}",
+                                      line, _column(code, 0))
+            params, new_shape, flops = n * out + out, (out,), 2 * n * out
+        elif kind is FLATTEN:
+            params, new_shape, flops = 0, (prod(shape),), 0
+        elif kind is LOSS:
+            params, new_shape, flops = 0, (0,), 0
+        else:  # norm, act, concat and add hand on what they read
+            params, new_shape, flops = 0, shape, 0
         return LayerSpec(name, kind, params, prod(new_shape), flops), new_shape
-    except KeyError as exc:  # a required hyperparameter is missing
+    except KeyError as exc:  # a required setting is missing
         raise DescriptorError(f"{kind.value} layer {name!r} needs {exc.args[0]}=",
                               line, _column(code, 0)) from None
-    except ModelError as exc:
+    except ModelError as exc:  # the record's own checks
         raise DescriptorError(str(exc), line, _column(code, 0)) from None
 
 
@@ -353,7 +331,8 @@ def _read_layer(
 
 def parse_model(text: str) -> ModelGraph:
     """Parse a descriptor document into a validated ModelGraph."""
-    header: Optional[dict[str, object]] = None
+    model_name: Optional[str] = None
+    header: dict[str, Any] = {}
     header_line = 0
     layers: list[LayerSpec] = []
     shape: Optional[Shape] = None
@@ -372,18 +351,17 @@ def parse_model(text: str) -> ModelGraph:
         if not name_rest:
             continue
 
-        if header is None:
+        if model_name is None:
             tokens = code.split()
             if tokens[0] != "model":
                 raise DescriptorError(f"expected 'model' header, got {tokens[0]!r}", lineno, _column(code, 0))
             if len(tokens) < 2 or "=" in tokens[1]:
                 raise DescriptorError("model header needs a name", lineno, _column(code, 0))
-            header = {"name": tokens[1]}
-            header.update(parse_pairs(tokens, 2, _HEADER_KEYS, lineno, code))
+            model_name, header = tokens[1], parse_pairs(tokens, 2, _HEADER_KEYS, lineno, code)
             if "batch" not in header:
                 raise DescriptorError("model header needs batch=<n>", lineno, _column(code, 0))
             if "input" in header:
-                shape = _parse_shape(str(header["input"]), None, "input", tokens, lineno, code)
+                shape = _parse_shape(header["input"], None, "input", tokens, lineno, code)
             header_line = lineno
             continue
 
@@ -414,14 +392,14 @@ def parse_model(text: str) -> ModelGraph:
         memo[rest] = kv, shape, spec[1:], new_shape
         shape = new_shape
 
-    if header is None:
+    if model_name is None:
         raise DescriptorError("empty descriptor (no 'model' header)", max(1, len(text.splitlines()) or 1))
     try:
         return ModelGraph(
-            name=str(header["name"]),
+            name=model_name,
             layers=tuple(layers),
-            batch_size=header["batch"],  # type: ignore[arg-type]
-            bytes_per_element=header.get("elem_bytes", 4),  # type: ignore[arg-type]
+            batch_size=header["batch"],
+            bytes_per_element=header.get("elem_bytes", 4),
         )
     except ModelError as exc:
         raise DescriptorError(str(exc), header_line) from None

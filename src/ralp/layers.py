@@ -58,11 +58,6 @@ PARAMETERIZED_KINDS = frozenset({CONVOLUTION, FULLY_CONNECTED, BLOCK})
 # Kinds the split planner must not cut between (compute-heavy layers).
 COMPUTE_DEMAND_KINDS = frozenset({CONVOLUTION, BLOCK})
 
-# Kinds whose output is their input, unchanged in shape.
-PASS_THROUGH_KINDS = frozenset(
-    {LayerKind.NORMALIZATION, LayerKind.ACTIVATION, LayerKind.CONCAT, LayerKind.RESIDUAL_ADD}
-)
-
 # Bound on a model's byte and flop totals.  The profiler and the simulator
 # turn them into floats and scale them by a few layer and worker counts;
 # the bound leaves those factors 2**64 of room below the float range, but

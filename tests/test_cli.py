@@ -144,6 +144,12 @@ class TestProfileCommand:
     def test_bad_threshold_reported_before_bad_mode(self, capsys):
         code, _, err = run_cli(capsys, "profile", "vgg11", "--threshold=nan", "--mode", "sideways")
         assert (code, err) == (EXIT_BAD_FLAG, "error: bad --threshold value 'nan'\n")
+        # An option string of the parser after --threshold is a flag, not
+        # the threshold, so argparse reports the missing value.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "profile", "vgg11", "--threshold", "--mode", "sideways")
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --threshold: expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold(self, capsys, value):
@@ -723,21 +729,26 @@ _INTEGER_LINES = [
 ]
 
 
-# Command lines that end in an integer flag, which reads 2 there.
+# Command lines that end in an integer flag, which reads 2 there, given
+# as one word with '=' or as the word after the flag.
 _INTEGER_FLAGS = [
     ("argv", "simulate vgg11_16gpu_ralp.scn --steps={}"),
+    ("argv", "simulate vgg11_16gpu_ralp.scn --steps {}"),
     ("argv", "volumes vgg11 --split={}"),
+    ("argv", "volumes vgg11 --split {}"),
     ("argv", "volumes lenet --gpus={}"),
     ("argv", "volumes lenet --workers={}"),
+    ("argv", "volumes lenet --workers {}"),
     ("argv", "volumes lenet --workers=1,{}"),
 ]
 
 
 @pytest.mark.parametrize("name, template", _INTEGER_LINES + _INTEGER_FLAGS)
-@pytest.mark.parametrize("spelling", ["2", "+2", "0_2", "２", "٢", "abc"])
+@pytest.mark.parametrize("spelling", ["2", "+2", "0_2", "２", "٢", "abc", "-1e1"])
 def test_an_integer_is_ascii_digits(capsys, tmp_path, name, template, spelling):
     # Python's int() reads the first five spellings as 2; the formats and
-    # the flags take only ASCII digits after an optional '-'.
+    # the flags take only ASCII digits after an optional '-'.  A flag's
+    # value that starts with '-' is its value also as a word of its own.
     code, out, err = _run_site(capsys, tmp_path, name, template, spelling)
     if spelling == "2":
         assert (code, err) == (EXIT_OK, "")
@@ -748,18 +759,20 @@ def test_an_integer_is_ascii_digits(capsys, tmp_path, name, template, spelling):
 @pytest.mark.parametrize("name, template", [
     *(("m.scn", f"cluster {key}={{}}\njob j model=lenet strategy=ring workers=2\n")
       for key in ("flops", "memcopy", "link", "intra")),
-    # '-' first, as a non-negative threshold warns.
+    # '-' first, as a non-negative threshold warns; argparse alone takes a
+    # word such as '-2e9' for a flag.
     ("argv", "profile lenet --threshold=-{}"),
+    ("argv", "profile lenet --threshold -{}"),
 ])
-@pytest.mark.parametrize("spelling", ["2e9", "2.0e9", "2e+9", "２e9", "2_000e6", "+2e9", "inf",
-                                      "nan", "1e999", "abc", "1_0"])
+@pytest.mark.parametrize("spelling", ["2e9", "2.0e9", "2e+9", "1e3", "２e9", "2_000e6", "+2e9",
+                                      "inf", "nan", "1e999", "abc", "1_0", ".5e1"])
 def test_a_number_is_an_integer_with_a_fraction_and_exponent(capsys, tmp_path, name, template,
                                                              spelling):
-    # Python's float() reads the first six spellings as 2e9, the next three
-    # as non-finite values and '1_0' as 10; the rates and --threshold take
-    # only the first three.
+    # Python's float() reads the first seven spellings as finite numbers,
+    # the next three as non-finite values, '1_0' as 10 and '.5e1' as 5; the
+    # rates and --threshold take only the first four.
     code, out, err = _run_site(capsys, tmp_path, name, template, spelling)
-    if spelling in ("2e9", "2.0e9", "2e+9"):
+    if spelling in ("2e9", "2.0e9", "2e+9", "1e3"):
         assert (code, err) == (EXIT_OK, "")
     else:
         _assert_named(code, out, err, tmp_path, name, template, spelling)
@@ -781,7 +794,8 @@ def _assert_named(code, out, err, tmp_path, name, template, spelling):
     last of a list); a rejected value in a file exits 2 naming its line."""
     assert out == ""
     if name == "argv":
-        flag, _, value = template.format(spelling).split()[-1].partition("=")
+        words = template.format(spelling).split()
+        flag, value = words[-1].split("=", 1) if words[-1].startswith("--") else words[-2:]
         assert (code, err) == (EXIT_BAD_FLAG, f"error: bad {flag} value {value.split(',')[-1]!r}\n")
     else:
         line = template[:template.index("{}")].count("\n") + 1

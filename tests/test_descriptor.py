@@ -420,12 +420,12 @@ class TestRepeatedLayers:
         # f and o.
         calls = []
 
-        def counted(kind, settings, shape):
+        def counted(name, kind, settings, shape, *rest):
             calls.append((shape, kind, tuple(sorted(settings.items()))))
-            return derive(kind, settings, shape)
+            return derive(name, kind, settings, shape, *rest)
 
-        derive = descriptor._derive_layer
-        monkeypatch.setattr(descriptor, "_derive_layer", counted)
+        derive = descriptor._derived_layer
+        monkeypatch.setattr(descriptor, "_derived_layer", counted)
         blocks = "c{0} conv k=3 cout=4 pad=1\na{0} act\n"
         model = parse_model("model m batch=1 input=8x8x3\n"
                             + "".join(blocks.format(i) for i in range(4)) + "p0 pool window=2\n"
@@ -442,12 +442,12 @@ class TestRepeatedLayers:
         # every line gives what an evenly spaced line gives.
         calls = []
 
-        def counted(kind, settings, shape):
+        def counted(name, kind, *rest):
             calls.append(kind)
-            return derive(kind, settings, shape)
+            return derive(name, kind, *rest)
 
-        derive = descriptor._derive_layer
-        monkeypatch.setattr(descriptor, "_derive_layer", counted)
+        derive = descriptor._derived_layer
+        monkeypatch.setattr(descriptor, "_derived_layer", counted)
         uneven = parse_model("model m batch=1 input=8x8x4\n"
                              "c1 conv k=3 cout=4 pad=1\nc2   conv k=3  cout=4 pad=1\n"
                              "c3 conv k=3 cout=4 pad=1\nc4 conv k=3  cout=4 pad=1\n"
