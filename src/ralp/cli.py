@@ -65,11 +65,12 @@ def _flag(flag: str, text: Optional[str], read=integer, least: Optional[int] = N
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads a word that starts with ``-`` after a flag
     taking one value as ``--flag=word`` does, unless the word is one of its own
-    option strings: argparse alone reads ``-2e9`` there as a flag."""
+    option strings: argparse alone reads ``-2e9`` there as a flag.  Flags are
+    spelled in full, so its option strings are the only words that name one."""
 
     def __init__(self, **kwargs):
         self.takes_value: dict[str, bool] = {}  # for each option string
-        super().__init__(**kwargs)
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)

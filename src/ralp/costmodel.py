@@ -33,6 +33,20 @@ class CostModelError(ValueError):
     pass
 
 
+def _check_workers(worker_count: int) -> None:
+    if worker_count < 1:
+        raise CostModelError("worker_count must be >= 1")
+
+
+def _check_split(model: ModelGraph, split_index: int) -> None:
+    """CostModelError unless the model can be split after layer
+    ``split_index``: after any layer but the last."""
+    if not 1 <= split_index < model.num_layers:
+        raise CostModelError(
+            f"split_index {split_index} out of range for {model.num_layers}-layer model"
+        )
+
+
 class StrategyKind(str, enum.Enum):
     BASELINE_PS = "baseline"
     RALP = "ralp"
@@ -77,8 +91,7 @@ class JobSpec:
     ps_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.worker_count < 1:
-            raise CostModelError("worker_count must be >= 1")
+        _check_workers(self.worker_count)
         kind = self.strategy.kind
         if kind is StrategyKind.RALP and self.ps_count != 1:
             raise CostModelError("split placement runs exactly one PS worker")
@@ -87,11 +100,7 @@ class JobSpec:
         if kind is StrategyKind.BASELINE_PS and self.ps_count < 1:
             raise CostModelError("baseline needs at least one parameter server")
         if kind is StrategyKind.RALP:
-            split = self.strategy.split_index
-            if not 1 <= split < self.model.num_layers:
-                raise CostModelError(
-                    f"split_index {split} out of range for {self.model.num_layers}-layer model"
-                )
+            _check_split(self.model, self.strategy.split_index)
 
 
 @dataclass(frozen=True)
@@ -107,40 +116,30 @@ class StrategyVolumes:
             raise CostModelError("breakdown does not sum to total")
 
 
+def _parameter_sync(total: int) -> StrategyVolumes:
+    """The volumes of a strategy whose ``total`` bytes are all parameters."""
+    return StrategyVolumes(total_bytes_per_step=total, parameter_sync_bytes=total,
+                           activation_bytes=0)
+
+
 def volume_baseline(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     """Each worker pushes gradients of size S and pulls parameters of size S."""
-    if worker_count < 1:
-        raise CostModelError("worker_count must be >= 1")
-    total = 2 * model.total_param_bytes * worker_count
-    return StrategyVolumes(
-        total_bytes_per_step=total,
-        parameter_sync_bytes=total,
-        activation_bytes=0,
-    )
+    _check_workers(worker_count)
+    return _parameter_sync(2 * model.total_param_bytes * worker_count)
 
 
 def volume_ring(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     """Ring allreduce exchanges 2*S*(W-1) bytes per step across W peers."""
-    if worker_count < 1:
-        raise CostModelError("worker_count must be >= 1")
-    total = 2 * model.total_param_bytes * (worker_count - 1)
-    return StrategyVolumes(
-        total_bytes_per_step=total,
-        parameter_sync_bytes=total,
-        activation_bytes=0,
-    )
+    _check_workers(worker_count)
+    return _parameter_sync(2 * model.total_param_bytes * (worker_count - 1))
 
 
 def volume_ralp(model: ModelGraph, split_index: int, worker_count: int) -> StrategyVolumes:
     """Split placement: activations cross the cut both ways, front-segment
     parameters sync both ways; back-segment parameters never touch the
     network."""
-    if worker_count < 1:
-        raise CostModelError("worker_count must be >= 1")
-    if not 1 <= split_index < model.num_layers:
-        raise CostModelError(
-            f"split_index {split_index} out of range for {model.num_layers}-layer model"
-        )
+    _check_workers(worker_count)
+    _check_split(model, split_index)
     act_per_worker = 2 * model.output_bytes[split_index - 1]
     param_per_worker = 2 * model.cumulative_param_bytes[split_index - 1]
     return StrategyVolumes(
@@ -177,8 +176,7 @@ def compute_load(
     worker batch; without one, all layer compute stays on the workers and
     the PS does aggregation only (not counted here).
     """
-    if worker_count < 1:
-        raise CostModelError("worker_count must be >= 1")
+    _check_workers(worker_count)
     n = model.num_layers
     if split_index is None:
         split_index = n

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 from .layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
@@ -110,11 +110,23 @@ def compute_skewness(
     return m3 / m2**1.5
 
 
-def gate_eligibility(skewness: float, config: ProfilerConfig) -> bool:
-    """True iff the model is skewed enough to partition (strict comparison)."""
+def _unjudged(cumulative_param_bytes: Sequence[int]) -> Optional[str]:
+    """Why the skewness gate cannot judge a model with these cumulative
+    parameter sizes, or None when it can."""
+    if len(cumulative_param_bytes) < 2:
+        return "it has fewer than 2 layers"
+    return None if cumulative_param_bytes[-1] else "it has no parameters"
+
+
+def _below(skewness: float, threshold: float) -> bool:
     if not math.isfinite(skewness):
         raise ProfilerError(f"non-finite skewness {skewness!r}")
-    return skewness < config.threshold
+    return skewness < threshold
+
+
+def gate_eligibility(skewness: float, config: ProfilerConfig) -> bool:
+    """True iff the model is skewed enough to partition (strict comparison)."""
+    return _below(skewness, config.threshold)
 
 
 @dataclass(frozen=True)
@@ -163,9 +175,9 @@ def find_split(
 class ProfileReport:
     """Per-layer sizes, skewness verdict, and the chosen split (if any).
 
-    ``eligible`` reflects the final partitioning decision: the skewness gate
-    passed *and* a feasible split exists.  ``split_index``/``split_cost_bytes``
-    are present exactly when ``eligible`` is true.
+    ``split_index``/``split_cost_bytes`` are present exactly when the
+    skewness gate passed *and* a feasible split exists; ``eligible``,
+    ``recommendation`` and ``no_split_reason`` are read from them.
     """
 
     model_name: str
@@ -177,10 +189,34 @@ class ProfileReport:
     skewness: float
     threshold: float
     mode: str
-    eligible: bool
     split_index: Optional[int]
     split_cost_bytes: Optional[int]
-    recommendation: str
+    # Taken and dropped, for callers written when ``eligible`` was a field,
+    # such as a ``dataclasses.replace`` that sets it.  Not a field, so neither
+    # stored nor compared; the property below replaces its default.
+    eligible: InitVar[Optional[bool]] = None
+
+    @property
+    def eligible(self) -> bool:
+        """The final partitioning decision."""
+        return self.split_index is not None
+
+    @property
+    def recommendation(self) -> str:
+        if self.split_index is None:
+            return "no partitioning; train on the standard parameter-server plan"
+        return f"partition after layer {self.split_index}; back segment runs in the PS machine"
+
+    @property
+    def no_split_reason(self) -> Optional[str]:
+        """Why the model is not partitioned, or None when it is."""
+        if self.split_index is not None:
+            return None
+        why = _unjudged(self.cumulative_param_bytes)
+        if why is None and not _below(self.skewness, self.threshold):
+            why = f"its skewness {self.skewness!r} is not below the threshold {self.threshold!r}"
+        return why or ("it has no split point: each boundary before its last layer "
+                       "is excluded or costs more than splitting after it")
 
     def to_dict(self) -> dict:
         return {
@@ -218,8 +254,7 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
     threshold or mode, only re-applies the gate."""
     memo = model.profile_memo
     mode = config.mode
-    degenerate = model.num_layers < 2 or model.total_param_count == 0
-    if degenerate:
+    if _unjudged(model.cumulative_param_bytes) is not None:
         skew = 0.0
         passed_gate = False
     else:
@@ -233,11 +268,6 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
         if "split" not in memo:
             memo["split"] = find_split(model.param_bytes, model.output_bytes, model.columns[1])
         split = memo["split"]
-    eligible = split is not None
-    if eligible:
-        recommendation = f"partition after layer {split.index}; back segment runs in the PS machine"
-    else:
-        recommendation = "no partitioning; train on the standard parameter-server plan"
 
     return ProfileReport(
         model_name=model.name,
@@ -249,8 +279,6 @@ def profile(model: ModelGraph, config: ProfilerConfig = ProfilerConfig()) -> Pro
         skewness=skew,
         threshold=config.threshold,
         mode=mode._value_,
-        eligible=eligible,
-        split_index=split.index if eligible else None,
-        split_cost_bytes=split.cost_bytes if eligible else None,
-        recommendation=recommendation,
+        split_index=split.index if split is not None else None,
+        split_cost_bytes=split.cost_bytes if split is not None else None,
     )

@@ -643,16 +643,27 @@ class _JobRun:
         self._seconds(nbytes, "link_bytes_per_sec")
         return _Task(self, after, 0.0, False, None, self.env.links(src, dst), nbytes)
 
+    def _gradients_to_host(self) -> list[_Task]:
+        """Each worker's pass over the whole model, then the copy of its
+        gradients to the host; the copies, in worker order."""
+        flops, nbytes = compute_load(self.model)[0], self.model.total_param_bytes
+        copies = []
+        for i in range(self.spec.worker_count):
+            compute = self._delay((), flops, "gpu_flops_per_sec", self.compute_acc, i)
+            copies.append(self._delay([compute], nbytes, "memcopy_bytes_per_sec",
+                                      self.memcopy_acc, i))
+        return copies
+
+    def _params_to_device(self, i: int, after, nbytes: int):
+        """Worker ``i``'s copy of ``nbytes`` of parameters to the device,
+        the last task of its step."""
+        self._delay(after, nbytes, "memcopy_bytes_per_sec", self.memcopy_acc, i, last=i)
+
     def _baseline_step(self) -> float:
         model, w = self.model, self.spec.worker_count
-        compute_flops = compute_load(model)[0]
-        model_bytes = model.total_param_bytes
         shard_bytes = _shard_bytes(model, self.spec.ps_count)
         pushes = [[] for _ in self.ps_machines]
-        for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), compute_flops, "gpu_flops_per_sec", self.compute_acc, i)
-            d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
-                              self.memcopy_acc, i)
+        for me, d2h in zip(self.worker_machines, self._gradients_to_host()):
             for s, ps_machine in enumerate(self.ps_machines):
                 pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s]))
         pulls = [[] for _ in self.worker_machines]
@@ -664,8 +675,7 @@ class _JobRun:
             for i, worker_machine in enumerate(self.worker_machines):
                 pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s]))
         for i, after in enumerate(pulls):
-            self._delay(after, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
-                        last=i)
+            self._params_to_device(i, after, model.total_param_bytes)
         return max(agg.seconds for agg in aggs)
 
     def _ralp_step(self) -> float:
@@ -691,24 +701,19 @@ class _JobRun:
         agg = self._delay(grads, model.total_param_count * w, "gpu_flops_per_sec")
         for i, me in enumerate(self.worker_machines):
             pull = self._flow([agg], ps_machine, me, params)
-            self._delay([pull], params, "memcopy_bytes_per_sec", self.memcopy_acc, i, last=i)
+            self._params_to_device(i, [pull], params)
         return back.seconds + agg.seconds  # every worker's back batch takes as long
 
     def _ring_step(self) -> float:
-        model, w = self.model, self.spec.worker_count
-        compute_flops = compute_load(model)[0]
-        model_bytes = model.total_param_bytes
+        w = self.spec.worker_count
+        model_bytes = self.model.total_param_bytes
         shares = _split_bytes(2 * model_bytes * (w - 1), w)
         sends = []
-        for i, me in enumerate(self.worker_machines):
-            compute = self._delay((), compute_flops, "gpu_flops_per_sec", self.compute_acc, i)
-            d2h = self._delay([compute], model_bytes, "memcopy_bytes_per_sec",
-                              self.memcopy_acc, i)
+        for i, (me, d2h) in enumerate(zip(self.worker_machines, self._gradients_to_host())):
             peer = self.worker_machines[(i + 1) % w]
             sends.append(self._flow([d2h], me, peer, shares[i]))
         for i in range(w):
-            self._delay(sends, model_bytes, "memcopy_bytes_per_sec", self.memcopy_acc, i,
-                        last=i)
+            self._params_to_device(i, sends, model_bytes)
         return 0.0
 
     def worker_done(self, i: int):
@@ -900,14 +905,8 @@ def _job_spec(model: ModelGraph, kv: dict[str, object]) -> JobSpec:
             report = profile(model, ProfilerConfig())
             split = report.split_index
             if split is None:
-                why = ("it has fewer than 2 layers" if model.num_layers < 2 else
-                       "it has no parameters" if not model.total_param_count else
-                       f"its skewness {report.skewness!r} is not below the threshold "
-                       f"{report.threshold!r}" if report.skewness >= report.threshold else
-                       "it has no split point: each boundary before its last layer "
-                       "is excluded or costs more than splitting after it")
-                raise ScenarioError(f"model {model.name} is not partitionable ({why}); "
-                                    "use strategy=baseline")
+                raise ScenarioError(f"model {model.name} is not partitionable "
+                                    f"({report.no_split_reason}); use strategy=baseline")
     elif split is not None:
         raise ScenarioError("split= applies only to strategy=ralp")
     ps_default = 0 if kind is StrategyKind.RING_ALLREDUCE else 1

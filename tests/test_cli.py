@@ -778,6 +778,18 @@ def test_a_number_is_an_integer_with_a_fraction_and_exponent(capsys, tmp_path, n
         _assert_named(code, out, err, tmp_path, name, template, spelling)
 
 
+@pytest.mark.parametrize("argv", ["profile lenet --thresh -2e9", "profile lenet --thresh=-2e9",
+                                  "simulate vgg11_16gpu_ralp.scn --st 2", "volumes lenet --work 8"])
+def test_a_flag_is_spelled_in_full(capsys, argv):
+    # A prefix of a flag names no flag, in either spelling, so its words are
+    # left over.
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_PARSE, "")
+    assert f"error: unrecognized arguments: {' '.join(argv.split()[2:])}\n" in captured.err
+
+
 def _run_site(capsys, tmp_path, name, template, spelling):
     """Run the command line ``template`` if ``name`` is ``argv``, else the
     command that reads file ``name`` holding ``template``, with ``spelling``

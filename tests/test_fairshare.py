@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairshare_reference import progressive_filling
-from ralp import fairshare
+from maxmin_certificate import max_min_violations
+from ralp import fairshare, simulator
+from ralp.catalog import catalog_lookup
+from ralp.costmodel import JobSpec, Strategy
 
 
 def solve(flows, caps):
@@ -162,6 +166,9 @@ class TestReferenceEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_generated_flow_sets_bit_identical(self, as_array, case):
         got, want = hex_rates(*case, as_array)
+        link_a, link_b, capacity = case
+        flows = [tuple(l for l in ends if l >= 0) for ends in zip(link_a, link_b)]
+        assert max_min_violations(flows, [float.fromhex(x) for x in got], capacity) == []
         assert got == want
 
     @INPUTS
@@ -218,6 +225,8 @@ class TestWarmStart:
         for batch in batches:
             apply_batch(state, present, batch)
             state.solve()
+            assert max_min_violations([f.links for f, _ in present],
+                                      [f.rate for f, _ in present], capacity) == []
             assert_matches_reference(state, present, capacity)
 
     @given(case=event_batches())
@@ -282,3 +291,47 @@ class TestRoundLog:
                     round_of[flow] = j
                     assert flow.rate.hex() == level.hex()
             assert set(round_of) == {flow for flow, ends in present if max(ends) >= 0}
+
+
+class TestMaxMinCertificate:
+    """The kernel's rates against the definition of max-min fairness,
+    which ``tests/maxmin_certificate.py`` checks without filling."""
+
+    @pytest.mark.parametrize("flows, rates, problem", [
+        ([(0,), (0,)], [6.0, 5.0], "link 0 carries 11.0 over its capacity 10.0"),
+        ([(0,), (0, 1)], [6.0, 4.0], "flow 1 at 4.0 has no bottleneck link"),
+        ([(0, 1)], [9.0], "flow 0 at 9.0 has no bottleneck link"),
+        ([(1,), (0, 2)], [math.inf, 10.0], "flow 0 has an infinite rate over a finite link"),
+        ([(2,)], [1e300], "flow 0 at 1e+300 has no bottleneck link"),
+        ([(0, 0)], [5.0 * (1 - 1e-7)], "flow 0 at 4.9999995 has no bottleneck link"),
+    ], ids=["overload", "higher-rate-on-its-link", "unsaturated", "infinite-on-finite",
+            "finite-on-unbounded", "both-ends-short"])
+    def test_a_violation_is_named(self, flows, rates, problem):
+        assert problem in max_min_violations(flows, rates, [10.0, 20.0, math.inf])
+
+    def test_every_solve_of_a_consolidation(self, monkeypatch):
+        # The warm-started flow sets of one benchmark consolidation op:
+        # two copies of a 15-worker, 15-PS vgg11 baseline job on 64x8.
+        solves = []
+
+        class Certified(fairshare.FairShare):
+            def __init__(self, capacity):
+                super().__init__(capacity)
+                self.capacity = list(capacity)
+
+            def solve(self):
+                super().solve()
+                flows = list(self.flows)
+                solves.append((len(flows), max_min_violations(
+                    [f.links for f in flows], [f.rate for f in flows], self.capacity)))
+
+        monkeypatch.setattr(fairshare, "FairShare", Certified)
+        cluster = dataclasses.replace(simulator.DEFAULT_CLUSTER, machines=64, gpus_per_machine=8)
+        spec = JobSpec(model=catalog_lookup("vgg11"), strategy=Strategy.baseline(),
+                       worker_count=15, ps_count=15)
+        placement = simulator.spread_placement(cluster, [(15, 15)])[0]
+        simulator.simulate_consolidation(
+            simulator.Scenario(cluster=cluster, jobs=(("vgg11", spec, placement),)), copies=2)
+        # The consolidated run's flow sets hold both copies' pushes.
+        assert max(n for n, _ in solves) > 15 * 15
+        assert [problems for _, problems in solves if problems] == []

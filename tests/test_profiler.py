@@ -288,6 +288,8 @@ class TestProfile:
         assert report.split_index is None
         assert report.split_cost_bytes is None
         assert "standard parameter-server" in report.recommendation
+        assert report.no_split_reason == (f"its skewness {report.skewness!r} is not below "
+                                          "the threshold -1.5")
 
     def test_uniform_synthetic_model_not_eligible(self):
         from conftest import make_layer
@@ -304,6 +306,22 @@ class TestProfile:
             report = profile(random_model(rng))
             assert (report.split_index is not None) == report.eligible
             assert (report.split_cost_bytes is not None) == report.eligible
+            assert (report.no_split_reason is None) == report.eligible
+            assert report.recommendation.startswith(
+                f"partition after layer {report.split_index};" if report.eligible else "no ")
+
+    def test_the_verdict_is_read_from_the_split(self):
+        report = profile(catalog_lookup("vgg11"))
+        names = {f.name for f in dataclasses.fields(report)}
+        assert names.isdisjoint({"eligible", "recommendation", "no_split_reason"})
+        # ``eligible`` is still taken by the constructor, and dropped.
+        moved = dataclasses.replace(report, eligible=False, split_index=report.split_index + 1)
+        assert moved.eligible and moved.no_split_reason is None
+        assert moved.recommendation.startswith(f"partition after layer {moved.split_index};")
+        unsplit = dataclasses.replace(report, eligible=True, split_index=None,
+                                      split_cost_bytes=None)
+        assert (unsplit.eligible, unsplit.to_dict()["eligible"]) == (False, False)
+        assert unsplit.no_split_reason.startswith("it has no split point")
 
     def test_deterministic(self):
         model = catalog_lookup("resnet-50")

@@ -605,6 +605,23 @@ class TestConsolidation:
         alone = real_run(Scenario(cluster=DEFAULT_CLUSTER, jobs=(job,), steps=2))
         assert report.isolated[3].to_json() == alone.to_json()
 
+    def test_copies_whose_ps_machines_differ_run_alone_apart(self, monkeypatch):
+        # Both copies put their workers on two machines of their own, but
+        # copy 1's PS shares a machine with its first worker: their
+        # placements differ only in where the PS runs.
+        cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=5, gpus_per_machine=2)
+        spec = JobSpec(model=catalog_lookup("vgg11"), strategy=Strategy.baseline(),
+                       worker_count=2, ps_count=1)
+        placements = [Placement(workers=((0, 0), (1, 0)), ps=((2, 0),)),
+                      Placement(workers=((3, 0), (4, 0)), ps=((3, 1),))]
+        monkeypatch.setattr(simulator, "spread_placement", lambda *_: placements)
+        scenario = Scenario(cluster=cluster, jobs=(("v", spec, placements[0]),), steps=1)
+        report = simulate_consolidation(scenario, copies=2)
+        for entry, placement in zip(report.entries, placements):
+            alone = simulate_run(Scenario(cluster=cluster, jobs=((entry.job, spec, placement),)))
+            assert entry.isolated_step_time == alone.jobs[0].avg_step_time
+        assert report.entries[0].isolated_step_time != report.entries[1].isolated_step_time
+
     def test_copies_must_fit(self):
         cluster = small_cluster(machines=2, gpus_per_machine=2)
         model = catalog_lookup("lenet")
