@@ -152,9 +152,7 @@ def _cmd_volumes(args) -> int:
                                            f"it does not take {', '.join(given)}")
         return _reproduce_table3()
     workers_arg = "8" if args.workers is None else args.workers
-    workers = [_flag("--workers", w) for w in workers_arg.split(",")]
-    if any(w < 1 for w in workers):
-        raise _CliError(EXIT_BAD_FLAG, "--workers values must be >= 1")
+    workers = [_flag("--workers", w, least=1) for w in workers_arg.split(",")]
     split = _flag("--split", args.split)
     if split is not None and not 1 <= split < model.num_layers:
         rule = (f"must be in 1..{model.num_layers - 1} for {model.name}" if model.num_layers > 1
@@ -232,23 +230,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    names = catalog_names()
+    models = [(name, catalog_lookup(name)) for name in catalog_names()]
     if args.json:
-        payload = []
-        for name in names:
-            model = catalog_lookup(name)
-            payload.append(
-                {
-                    "name": name,
-                    "layers": model.num_layers,
-                    "batch_size": model.batch_size,
-                    "total_param_bytes": model.total_param_bytes,
-                }
-            )
+        payload = [
+            {
+                "name": name,
+                "layers": model.num_layers,
+                "batch_size": model.batch_size,
+                "total_param_bytes": model.total_param_bytes,
+            }
+            for name, model in models
+        ]
         print(json.dumps(payload, indent=2))
     else:
-        for name in names:
-            model = catalog_lookup(name)
+        for name, model in models:
             print(
                 f"{name:16s} layers={model.num_layers:3d} batch={model.batch_size:3d} "
                 f"size={model.total_param_bytes / GIB:.2f}GB"

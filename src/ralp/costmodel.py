@@ -105,33 +105,33 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class StrategyVolumes:
-    total_bytes_per_step: int
+    """Bytes one training step moves over the network: parameter sync plus
+    activations.  The total is their sum."""
+
     parameter_sync_bytes: int
     activation_bytes: int
 
     def __post_init__(self) -> None:
-        if min(self.total_bytes_per_step, self.parameter_sync_bytes, self.activation_bytes) < 0:
+        if min(self.parameter_sync_bytes, self.activation_bytes) < 0:
             raise CostModelError("negative volume")
-        if self.parameter_sync_bytes + self.activation_bytes != self.total_bytes_per_step:
-            raise CostModelError("breakdown does not sum to total")
 
-
-def _parameter_sync(total: int) -> StrategyVolumes:
-    """The volumes of a strategy whose ``total`` bytes are all parameters."""
-    return StrategyVolumes(total_bytes_per_step=total, parameter_sync_bytes=total,
-                           activation_bytes=0)
+    @property
+    def total_bytes_per_step(self) -> int:
+        return self.parameter_sync_bytes + self.activation_bytes
 
 
 def volume_baseline(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     """Each worker pushes gradients of size S and pulls parameters of size S."""
     _check_workers(worker_count)
-    return _parameter_sync(2 * model.total_param_bytes * worker_count)
+    return StrategyVolumes(parameter_sync_bytes=2 * model.total_param_bytes * worker_count,
+                           activation_bytes=0)
 
 
 def volume_ring(model: ModelGraph, worker_count: int) -> StrategyVolumes:
     """Ring allreduce exchanges 2*S*(W-1) bytes per step across W peers."""
     _check_workers(worker_count)
-    return _parameter_sync(2 * model.total_param_bytes * (worker_count - 1))
+    return StrategyVolumes(parameter_sync_bytes=2 * model.total_param_bytes * (worker_count - 1),
+                           activation_bytes=0)
 
 
 def volume_ralp(model: ModelGraph, split_index: int, worker_count: int) -> StrategyVolumes:
@@ -140,12 +140,9 @@ def volume_ralp(model: ModelGraph, split_index: int, worker_count: int) -> Strat
     network."""
     _check_workers(worker_count)
     _check_split(model, split_index)
-    act_per_worker = 2 * model.output_bytes[split_index - 1]
-    param_per_worker = 2 * model.cumulative_param_bytes[split_index - 1]
     return StrategyVolumes(
-        total_bytes_per_step=worker_count * (act_per_worker + param_per_worker),
-        parameter_sync_bytes=worker_count * param_per_worker,
-        activation_bytes=worker_count * act_per_worker,
+        parameter_sync_bytes=worker_count * 2 * model.cumulative_param_bytes[split_index - 1],
+        activation_bytes=worker_count * 2 * model.output_bytes[split_index - 1],
     )
 
 
@@ -242,27 +239,21 @@ def gpu_assignments(total_gpus: int) -> dict[str, dict[str, int]]:
     }
 
 
+def _table_row(row: VolumeRow) -> tuple:
+    """One row of the volume table, in ``CSV_HEADER``'s order."""
+    v = row.volumes
+    return (row.model, row.strategy, row.worker_count,
+            v.total_bytes_per_step, v.parameter_sync_bytes, v.activation_bytes)
+
+
 def rows_to_csv(rows: Sequence[VolumeRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        v = row.volumes
-        writer.writerow((row.model, row.strategy, row.worker_count,
-                         v.total_bytes_per_step, v.parameter_sync_bytes, v.activation_bytes))
+    writer.writerows(map(_table_row, rows))
     return out.getvalue()
 
 
 def rows_to_json(rows: Sequence[VolumeRow]) -> str:
-    payload = [
-        {
-            "model": row.model,
-            "strategy": row.strategy,
-            "W": row.worker_count,
-            "total_bytes": row.volumes.total_bytes_per_step,
-            "param_bytes": row.volumes.parameter_sync_bytes,
-            "activation_bytes": row.volumes.activation_bytes,
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2)
+    columns = CSV_HEADER.split(",")
+    return json.dumps([dict(zip(columns, _table_row(row))) for row in rows], indent=2)

@@ -66,8 +66,8 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import fairshare
@@ -225,6 +225,13 @@ def spread_placement(
     return placements
 
 
+def _sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.  Since Python 3.12 the
+    built-in ``sum`` compensates float rounding, so report totals summed
+    with it would differ in the last digit between supported Pythons."""
+    return reduce(operator.add, values, 0.0)
+
+
 @dataclass(frozen=True)
 class StepBreakdown:
     """Per-worker category durations for one training step of one job.
@@ -254,11 +261,11 @@ class StepBreakdown:
 
     @cached_property
     def total_duration(self) -> float:
-        return sum(self.step_durations)
+        return _sum(self.step_durations)
 
     @cached_property
     def total_communication(self) -> float:
-        return sum(self.communication)
+        return _sum(self.communication)
 
     @property
     def avg_step_time(self) -> float:
@@ -269,14 +276,13 @@ class StepBreakdown:
         return max(self.step_durations)
 
     def to_dict(self) -> dict:
-        return {
-            "worker_computation": list(self.worker_computation),
-            "ps_computation": list(self.ps_computation),
-            "memcopy": list(self.memcopy),
-            "communication": list(self.communication),
-            "avg_step_time": self.avg_step_time,
-            "max_step_time": self.max_step_time,
-        }
+        record = {name: list(getattr(self, name)) for name in _BUCKETS}
+        record["avg_step_time"] = self.avg_step_time
+        record["max_step_time"] = self.max_step_time
+        return record
+
+
+_BUCKETS = tuple(f.name for f in fields(StepBreakdown))
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ class JobReport:
     @cached_property
     def avg_step_time(self) -> float:
         """Mean over steps of the slowest-worker step time."""
-        return sum(s.max_step_time for s in self.steps) / len(self.steps)
+        return _sum(s.max_step_time for s in self.steps) / len(self.steps)
 
     @property
     def images_per_sec(self) -> float:
@@ -299,8 +305,8 @@ class JobReport:
 
     @property
     def comm_fraction(self) -> float:
-        comm = sum(s.total_communication for s in self.steps)
-        total = sum(s.total_duration for s in self.steps)
+        comm = _sum(s.total_communication for s in self.steps)
+        total = _sum(s.total_duration for s in self.steps)
         return comm / total if total > 0 else 0.0
 
     def to_dict(self) -> dict:
@@ -338,14 +344,12 @@ class SimReport:
         """Per-worker per-step category table."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("job", "step", "worker", "worker_computation", "ps_computation",
-                         "memcopy", "communication", "step_duration"))
+        writer.writerow(("job", "step", "worker", *_BUCKETS, "step_duration"))
         for job in self.jobs:
             for i, step in enumerate(job.steps, 1):
-                for w in range(len(step.worker_computation)):
-                    writer.writerow((job.job, i, w, step.worker_computation[w],
-                                     step.ps_computation[w], step.memcopy[w],
-                                     step.communication[w], step.step_duration(w)))
+                columns = (*(getattr(step, name) for name in _BUCKETS), step.step_durations)
+                for w, row in enumerate(zip(*columns)):
+                    writer.writerow((job.job, i, w, *row))
         return out.getvalue()
 
 

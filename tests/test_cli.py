@@ -104,12 +104,19 @@ class TestProfileCommand:
         assert out == ""
         assert err.startswith(f"error: cannot read model descriptor {str(path)!r}: ")
 
-    def test_descriptor_syntax_error_reports_location(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("model x batch=1 input=4\noops\n",
+         "line 2, column 1: layer line needs <name> <kind> [key=value ...]"),
+        ("# only a comment\n", "line 1, column 1: empty descriptor (no 'model' header)"),
+        ("model m batch=1 input=4 elem_bytes=0\nf fc out=2\n",
+         "line 1, column 1: model m: bytes_per_element must be >= 1"),
+    ], ids=["layer-line", "no-header", "element-bytes"])
+    def test_descriptor_syntax_error_reports_location(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.model"
-        bad.write_text("model x batch=1 input=4\noops\n")
-        code, _, err = run_cli(capsys, "profile", str(bad))
-        assert code == EXIT_PARSE
-        assert "line 2" in err
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "profile", str(bad))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {bad}: {message}\n"
 
     @pytest.mark.parametrize("command", ["profile", "volumes"])
     def test_sizes_beyond_float_range_are_parse_errors(self, capsys, tmp_path, command):
@@ -252,6 +259,8 @@ class TestVolumesCommand:
         ("--gpus", "0", "--gpus must be >= 2, got 0"),
         ("--split", "0", "--split must be in 1..15 for vgg11, got 0"),
         ("--split", "99", "--split must be in 1..15 for vgg11, got 99"),
+        ("--workers", "0", "--workers must be >= 1, got 0"),
+        ("--workers", "8,0", "--workers must be >= 1, got 0"),
     ])
     def test_bad_flag_exits_before_printing(self, capsys, flag, value, message):
         code, out, err = run_cli(capsys, "volumes", "vgg11", f"{flag}={value}")
@@ -469,6 +478,15 @@ class TestSimulateCommand:
         ("job a model=lenet strategy=baseline workers=2 workers=3 ps=1", "duplicate key 'workers'"),
         ("job a model=lenet strategy=baseline workers=2 ps=1 split=3", "split= applies only"),
         ("job a model=lenet strategy=bogus workers=2 ps=1 split=3", "unknown strategy 'bogus'"),
+        ("cluster machines=0 gpus=4", "bad cluster spec: cluster needs at least one machine"),
+        ("cluster link=0", "bad cluster spec: cluster rate link_bytes_per_sec must be > 0"),
+        ("job a", "job line needs a name and key=value pairs"),
+        ("job a strategy=ring workers=2", "job 'a' needs model="),
+        ("job a model=lenet strategy=baseline workers=2 ps=0",
+         "job 'a': baseline needs at least one parameter server"),
+        ("place a", "place line needs a job name"),
+        ("place a worker 0 0", "expected: place <job> worker|ps <idx> <machine> <gpu>"),
+        ("steps", "expected: steps <n>"),
     ])
     def test_bad_scenario_line_names_its_line(self, capsys, tmp_path, line, message):
         scn = tmp_path / "bad.scn"
@@ -533,10 +551,13 @@ class TestSimulateCommand:
          EXIT_PARSE, 4, "job 'a': spread placement contradicts the slot placement on line 2"),
         ("job a model=lenet strategy=ring workers=2\nplace a spread\n# again\nplace a spread\n",
          EXIT_PARSE, 4, "job 'a': second spread placement (first on line 2)"),
+        ("job a model=lenet strategy=baseline workers=1 ps=1\nplace a worker 0 0 0\n"
+         "place a worker 0 1 0\nplace a ps 0 2 0\n",
+         EXIT_PARSE, 3, "job 'a': worker 0 is already placed"),
     ], ids=["undeclared-job", "machine-past-end", "negative-machine", "gpu-past-end",
             "double-booked", "workers-uncovered", "ps-uncovered", "ps-on-ring", "duplicate-job",
             "spread-job-past-full", "spread-extra-words", "slots-after-spread",
-            "spread-after-slots", "spread-twice"])
+            "spread-after-slots", "spread-twice", "worker-placed-twice"])
     def test_bad_placement_names_its_line(self, capsys, tmp_path, text, code, line, message):
         scn = tmp_path / "bad.scn"
         scn.write_text(text)

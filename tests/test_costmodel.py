@@ -11,6 +11,7 @@ from ralp.costmodel import (
     JobSpec,
     Strategy,
     StrategyKind,
+    StrategyVolumes,
     compare_strategies,
     compute_load,
     gpu_assignments,
@@ -146,6 +147,14 @@ class TestVolumeProperties:
         assert v2.parameter_sync_bytes == v1.parameter_sync_bytes
         assert volume_baseline(doubled, 8) == volume_baseline(model, 8)
 
+    def test_a_volume_is_its_two_parts(self):
+        names = [f.name for f in dataclasses.fields(StrategyVolumes)]
+        assert names == ["parameter_sync_bytes", "activation_bytes"]
+        assert StrategyVolumes(parameter_sync_bytes=5, activation_bytes=3).total_bytes_per_step == 8
+        for parts in ((-1, 0), (0, -1)):
+            with pytest.raises(CostModelError, match="^negative volume$"):
+                StrategyVolumes(*parts)
+
     def test_breakdown_sums_exactly(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -231,6 +240,9 @@ class TestCompareStrategies:
         payload = json.loads(rows_to_json(rows))
         assert len(payload) == len(rows)
         assert {entry["W"] for entry in payload} == {2, 4}
+        header, *table = rows_to_csv(rows).splitlines()
+        assert all(",".join(entry) == header == CSV_HEADER for entry in payload)
+        assert [",".join(map(str, entry.values())) for entry in payload] == table
 
     def test_gpu_assignments(self):
         table = gpu_assignments(16)

@@ -402,6 +402,15 @@ class TestDeterminismAndInvariants:
                     )
                     assert total == step.step_duration(w)
 
+    def test_report_totals_add_left_to_right(self):
+        # Ten additions of 0.1 from 0.0 round to 0.9999999999999999; the
+        # compensated built-in sum of Python 3.12 and later gives 1.0.
+        zeros, tenths = (0.0,) * 10, (0.1,) * 10
+        step = simulator.StepBreakdown(zeros, zeros, zeros, tenths)
+        assert step.total_duration == step.total_communication == 0.9999999999999999
+        job = simulator.JobReport("j", "ring", 10, 1, (step,) * 10, 0)
+        assert job.avg_step_time == 0.9999999999999999 / 10
+
     def test_buckets_that_exceed_the_span_raise(self, monkeypatch):
         # With every transfer on one machine, communication is shorter than
         # a memcopy, so charging each memcopy twice leaves a negative
@@ -755,6 +764,36 @@ class TestPlacementAndScenarios:
         placement = Placement(workers=((5, 0),), ps=((0, 0),))
         with pytest.raises(CapacityError, match="machine"):
             Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)
+
+    @staticmethod
+    def _lenet_job(name="j", workers=((0, 0),), ps=((1, 0),)):
+        spec = JobSpec(model=catalog_lookup("lenet"), strategy=Strategy.baseline(),
+                       worker_count=1, ps_count=1)
+        return name, spec, Placement(workers=workers, ps=ps)
+
+    MALFORMED = {
+        "no-steps": (lambda job: Scenario(small_cluster(), (job(),), steps=0),
+                     ScenarioError, "steps must be >= 1"),
+        "no-jobs": (lambda job: Scenario(small_cluster(), ()), ScenarioError, "scenario has no jobs"),
+        "duplicate-name": (lambda job: Scenario(small_cluster(),
+                                                (job(), job(workers=((2, 0),), ps=((3, 0),)))),
+                           ScenarioError, "duplicate job names"),
+        "workers-differ": (lambda job: Scenario(small_cluster(), (job(workers=((0, 0), (0, 1))),)),
+                           ScenarioError, "job j: placement covers 2 workers, spec wants 1"),
+        "ps-differ": (lambda job: Scenario(small_cluster(), (job(ps=()),)),
+                      ScenarioError, "job j: placement covers 0 PS processes, spec wants 1"),
+        "gpu-outside": (lambda job: Scenario(small_cluster(), (job(workers=((0, 2),)),)),
+                        CapacityError, "job j: gpu 2 outside machine"),
+        "no-copies": (lambda job: simulate_consolidation(Scenario(small_cluster(), (job(),)), 0),
+                      ScenarioError, "copies must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_a_malformed_scenario_names_its_fault(self, case):
+        build, error, message = self.MALFORMED[case]
+        with pytest.raises(error) as caught:
+            build(self._lenet_job)
+        assert str(caught.value) == message
 
     def test_parse_scenario_roundtrip(self):
         text = """
