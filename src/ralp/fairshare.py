@@ -5,8 +5,11 @@ departure, and large consolidated scenarios solve it tens of thousands of
 times.  It is progressive filling (Bertsekas & Gallager, *Data Networks*,
 §6.5.2) over per-link flow sets, on plain Python lists and floats.
 
-Each flow occupies up to two directed links (source uplink, destination
-downlink); a link id of -1 means "no constraint on that side".
+Each flow is a pair of link ids, its source's uplink and its
+destination's downlink; a flow with both ends on one link counts twice on
+it.  The simulator's flows always have two links (a transfer within one
+machine is a delay, not a flow), so the kernel updates both ends with
+straight-line code.
 
 ``FairShare`` keeps the flows in flight and the previous solve's round
 log across events, so a solve after a few arrivals and departures starts
@@ -18,7 +21,11 @@ rate, so a caller can treat each round as one rate class, and ``kept``
 says how many leading rounds the last solve left as they were.
 ``solve_rates`` is a cold solve of a fresh ``FairShare``: lists go in
 and a list comes out; a caller that passes numpy arrays gets a float64
-array back, and only that caller pays for importing numpy.
+array back, and only that caller pays for importing numpy.  It takes a
+link id of -1 as "no constraint on that side" and puts that side on one
+spare link of infinite capacity after the caller's links: its share is
+infinite, so it never sets a level and a flow with no other link gets an
+infinite rate, as a flow with no link would.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class FairShare:
     first solve refills from round 0 on the same path as any later one.
 
     ``log`` holds one entry per round of the last solve, and every flow in
-    flight with a link is in exactly one entry's flows, with the entry's
+    flight is in exactly one entry's flows, with the entry's
     level as its rate, bit for bit.  ``kept`` is the number of leading
     entries the last solve kept: the same entries, with the same flows.
     None of those flows has departed, since a departure refills from the
@@ -96,25 +103,35 @@ class FairShare:
         ]
         self.kept = 0  # leading entries of ``log`` the last solve left as they were
 
-    def add(self, flow: Flow, links: tuple[int, ...]) -> None:
-        """Add ``flow`` over ``links``, one id per constrained end."""
+    def add(self, flow: Flow, links: tuple[int, int]) -> None:
+        """Add ``flow`` over ``links``, the ids of its two ends: a
+        ``ValueError`` unless a pair, an ``IndexError`` unless both are
+        link ids, either before any state changes."""
+        a, b = links
+        flows_on = self._flows_on
+        if not (0 <= a < len(flows_on) and 0 <= b < len(flows_on)):
+            raise IndexError(f"flow links {links!r} are not among the "
+                             f"{len(flows_on)} links")
         flow.links = links
         flow.rate = math.inf
         flow.frozen_in = _UNFROZEN
         self.flows[flow] = None
-        flows_on, changes = self._flows_on, self.changes
-        for l in links:
-            flows_on[l][flow] = None
-            changes[l] = changes.get(l, 0) + 1
+        flows_on[a][flow] = None
+        flows_on[b][flow] = None
+        changes = self.changes
+        changes[a] = changes.get(a, 0) + 1
+        changes[b] = changes.get(b, 0) + 1
 
     def remove(self, flow: Flow) -> None:
         """Remove ``flow`` (``KeyError`` if it is not in flight): the next
         solve refills from the round that froze it, if not an earlier one."""
         del self.flows[flow]
+        a, b = flow.links
         flows_on, changes = self._flows_on, self.changes
-        for l in flow.links:
-            flows_on[l].pop(flow, None)  # listed once when both ends share a link
-            changes[l] = changes.get(l, 0) - 1
+        flows_on[a].pop(flow, None)
+        flows_on[b].pop(flow, None)  # already gone when both ends share a link
+        changes[a] = changes.get(a, 0) - 1
+        changes[b] = changes.get(b, 0) - 1
         if flow.frozen_in < self._cut:
             self._cut = flow.frozen_in
 
@@ -174,10 +191,13 @@ class FairShare:
                     f.frozen_in = r
                     f.rate = best
                     done.append(f)
-                    for end in f.links:
-                        left = rem[end] - best
-                        rem[end] = 0.0 if left < 0.0 else left
-                        cnt[end] -= 1
+                    a, b = f.links
+                    left = rem[a] - best
+                    rem[a] = 0.0 if left < 0.0 else left
+                    cnt[a] -= 1
+                    left = rem[b] - best  # after a's update when a == b
+                    rem[b] = 0.0 if left < 0.0 else left
+                    cnt[b] -= 1
             if not done:  # pragma: no cover - counts out of step with the flow sets
                 raise RuntimeError("fair-share round froze no flow")
             loaded = [l for l in loaded if cnt[l]]
@@ -197,19 +217,22 @@ class FairShare:
 def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):
     """Max-min fair rates for flows over directed links: a cold solve.
 
-    link_a/link_b: link ids per flow (-1 for unconstrained side);
-    capacity: bytes/sec per link, copied and never written.  Returns
-    bytes/sec per flow: a list, or a float64 array when the link ids are
-    arrays.
+    link_a/link_b: link ids per flow (-1 for unconstrained side, an
+    ``IndexError`` past the last link); capacity: bytes/sec per link,
+    copied and never written.  Returns bytes/sec per flow: a list, or a
+    float64 array when the link ids are arrays.
     """
     if len(link_a) != len(link_b):
         raise ValueError("link_a and link_b must have the same length")
     as_array = hasattr(link_a, "tolist")
     ends_a, ends_b = (link_a.tolist(), link_b.tolist()) if as_array else (link_a, link_b)
-    state = FairShare(capacity)
+    spare = len(capacity)  # the link that takes every unconstrained side
+    state = FairShare([*capacity, math.inf])
     flows = [Flow() for _ in ends_a]
     for flow, a, b in zip(flows, ends_a, ends_b):
-        state.add(flow, (a, b) if a >= 0 and b >= 0 else tuple(l for l in (a, b) if l >= 0))
+        if a >= spare or b >= spare:
+            raise IndexError(f"link id past the {spare} links")
+        state.add(flow, (a if a >= 0 else spare, b if b >= 0 else spare))
     state.solve()
     rates = [flow.rate for flow in flows]
     if as_array:

@@ -769,7 +769,9 @@ def simulate_run(scenario: Scenario) -> SimReport:
     step is an ancestor of some worker's last task, so its steps repeat
     the first: it simulates one step and reports it for every step.  Only
     simulated steps advance the clock, so a repeated mean step time that
-    passes the float range raises the clock's ScenarioError."""
+    passes the float range raises the clock's ScenarioError.  A step count
+    too large for a lone job's report to hold is a ScenarioError naming
+    the job."""
     env = _Env(scenario.cluster, [placement for _, _, placement in scenario.jobs])
     lone = len(scenario.jobs) == 1
     runs = []
@@ -786,7 +788,11 @@ def simulate_run(scenario: Scenario) -> SimReport:
     reports = []
     for run in runs:
         if lone:
-            run.records *= scenario.steps
+            try:
+                run.records *= scenario.steps
+            except (OverflowError, MemoryError):
+                raise ScenarioError(f"job {run.name!r}: {scenario.steps} steps are more than "
+                                    "a report can hold") from None
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant
             raise RuntimeError(f"job {run.name} finished {len(run.records)} of {scenario.steps} steps")
         report = JobReport(

@@ -447,6 +447,22 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {scn}: job 'a': the simulated clock passes the float "
                               "range after ")
 
+    @pytest.mark.parametrize("steps", [2 ** 63, 10 ** 20])
+    @pytest.mark.parametrize("where", ["flag", "line"])
+    def test_a_lone_job_with_more_steps_than_a_report_holds(self, capsys, tmp_path, steps, where):
+        # Counts from 2**63 up are past any list's length, so they fail
+        # before anything is allocated.
+        if where == "flag":
+            scn, argv = "vgg11_16gpu_ralp.scn", ("--steps", str(steps))
+        else:
+            scn, argv = tmp_path / "many.scn", ()
+            scn.write_text(f"steps {steps}\njob vgg11 model=vgg11 strategy=ralp workers=2\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn), *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.endswith(f": job 'vgg11': {steps} steps are more than a report can hold\n")
+        assert err.count("\n") == 1
+
     def test_non_ascii_job_name_under_an_ascii_locale(self, tmp_path):
         # Scenario, report and timeline files are UTF-8 whatever the
         # locale; the summary escapes what the locale cannot encode.

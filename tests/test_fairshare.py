@@ -66,6 +66,13 @@ class TestSolver:
         with pytest.raises(ValueError, match="same length"):
             fairshare.solve_rates([0, 1], [1], [1.0, 1.0])
 
+    @pytest.mark.parametrize("link_a, link_b", [([2], [0]), ([0], [2]), ([-1], [3])])
+    def test_a_link_id_past_the_capacities_raises(self, link_a, link_b):
+        # The spare link that takes unconstrained sides is the kernel's
+        # own: a caller's id 2 or 3 names none of its two links.
+        with pytest.raises(IndexError):
+            fairshare.solve_rates(link_a, link_b, [1.0, 2.0])
+
     def test_total_rate_never_exceeds_capacity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -184,13 +191,20 @@ class TestReferenceEquivalence:
         assert [x.hex() for x in capacity] == [x.hex() for x in before]
 
 
-def apply_batch(state, present, batch):
-    """Apply one of ``event_batches``' batches to ``state``; ``present``
-    lists the flows in it, with their ends, in arrival order."""
+def with_spare(capacity):
+    """``capacity`` and, after it, the spare link of infinite capacity
+    that takes every unconstrained side, as ``solve_rates`` adds it."""
+    return [*capacity, math.inf]
+
+
+def apply_batch(state, present, batch, spare):
+    """Apply one of ``event_batches``' batches to ``state``, whose link
+    ``spare`` takes each unconstrained side; ``present`` lists the flows in
+    it, with their ends, in arrival order."""
     for op in batch:
         if isinstance(op, tuple):
             flow = fairshare.Flow()
-            state.add(flow, tuple(l for l in op if l >= 0))
+            state.add(flow, tuple(spare if l < 0 else l for l in op))
             present.append((flow, op))
         elif present:
             flow, _ = present.pop(op % len(present))
@@ -220,13 +234,13 @@ class TestWarmStart:
     @settings(max_examples=300, deadline=None)
     def test_every_solve_matches_the_reference(self, case):
         capacity, batches = case
-        state = fairshare.FairShare(capacity)
+        state = fairshare.FairShare(with_spare(capacity))
         present = []
         for batch in batches:
-            apply_batch(state, present, batch)
+            apply_batch(state, present, batch, len(capacity))
             state.solve()
             assert max_min_violations([f.links for f, _ in present],
-                                      [f.rate for f, _ in present], capacity) == []
+                                      [f.rate for f, _ in present], with_spare(capacity)) == []
             assert_matches_reference(state, present, capacity)
 
     @given(case=event_batches())
@@ -238,10 +252,10 @@ class TestWarmStart:
         # Every batch is applied before the first solve, so that solve
         # takes each link's flow ends from the change log alone.
         capacity, batches = case
-        state = fairshare.FairShare(capacity)
+        state = fairshare.FairShare(with_spare(capacity))
         present = []
         for batch in batches:
-            apply_batch(state, present, batch)
+            apply_batch(state, present, batch, len(capacity))
         state.solve()
         assert_matches_reference(state, present, capacity)
 
@@ -250,17 +264,39 @@ class TestWarmStart:
         # again; a flow never added has no links.  Either leaves the state
         # as it was.
         capacity = [4.0, 6.0]
-        state = fairshare.FairShare(capacity)
+        state = fairshare.FairShare(with_spare(capacity))
         present = []
-        apply_batch(state, present, [(0, 1), (0, -1), 0])
+        apply_batch(state, present, [(0, 1), (0, -1), 0], 2)
         state.solve()
         gone, stranger = fairshare.Flow(), fairshare.Flow()
-        state.add(gone, (1,))
+        state.add(gone, (1, 2))
         state.remove(gone)
         for flow in (gone, stranger):
             with pytest.raises(KeyError):
                 state.remove(flow)
-        apply_batch(state, present, [(-1, 1)])
+        apply_batch(state, present, [(-1, 1)], 2)
+        state.solve()
+        assert_matches_reference(state, present, capacity)
+
+    @pytest.mark.parametrize("links, error", [
+        ((), ValueError), ((1,), ValueError), ((0, 1, 2), ValueError),
+        ((0, 3), IndexError), ((-1, 0), IndexError),
+    ], ids=["none", "one", "three", "past-the-links", "negative"])
+    def test_adding_a_flow_that_is_not_over_two_links_raises(self, links, error):
+        # Each flow is two link ids; anything else is refused before the
+        # flow joins the flows in flight, the change log or a link's flows.
+        capacity = [4.0, 6.0]
+        state = fairshare.FairShare(with_spare(capacity))
+        present = []
+        apply_batch(state, present, [(0, 1), (0, -1)], 2)
+        state.solve()
+        apply_batch(state, present, [(1, 1)], 2)
+        before = (list(state.flows), dict(state.changes),
+                  [list(on) for on in state._flows_on])
+        with pytest.raises(error):
+            state.add(fairshare.Flow(), links)
+        assert (list(state.flows), dict(state.changes),
+                [list(on) for on in state._flows_on]) == before
         state.solve()
         assert_matches_reference(state, present, capacity)
 
@@ -275,11 +311,11 @@ class TestRoundLog:
     @settings(max_examples=300, deadline=None)
     def test_rounds_hold_the_flows_in_flight_at_their_levels(self, case):
         capacity, batches = case
-        state = fairshare.FairShare(capacity)
+        state = fairshare.FairShare(with_spare(capacity))
         present = []
         for batch in batches:
             before = [(entry, list(entry[3])) for entry in state.log]
-            apply_batch(state, present, batch)
+            apply_batch(state, present, batch, len(capacity))
             state.solve()
             assert 0 <= state.kept < len(state.log)
             for (entry, froze), after in zip(before[:state.kept], state.log):
@@ -290,7 +326,9 @@ class TestRoundLog:
                     assert flow not in round_of
                     round_of[flow] = j
                     assert flow.rate.hex() == level.hex()
-            assert set(round_of) == {flow for flow, ends in present if max(ends) >= 0}
+            # An unconstrained side is on the spare link, so every flow is
+            # in a round: one with no other link in the terminal round.
+            assert set(round_of) == {flow for flow, _ in present}
 
 
 class TestMaxMinCertificate:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ralp import simulator
-from ralp.catalog import catalog_lookup
+from ralp.catalog import catalog_lookup, catalog_names
 from ralp.costmodel import JobSpec, Strategy, StrategyKind, compute_load, volumes_for
 from ralp.descriptor import parse_model
 from ralp.layers import COMPUTE_DEMAND_KINDS, LayerKind, ModelGraph
@@ -1112,6 +1112,27 @@ class TestPhysicalBounds:
                 assert span >= bound, one
                 tightest = max(tightest, bound / span)
         assert tightest > 0.96
+
+    def test_a_ralp_step_lasts_at_least_its_ps_back_batches(self):
+        # The PS runs the back segment once per worker batch, one batch at
+        # a time, and aggregates the W gradients only after the last batch
+        # has gone back to its worker, so a lone ralp job's step is at
+        # least W back batches and the aggregation.  Each catalog model at
+        # its planner split on DEFAULT_CLUSTER; resnet-50 at W = 8 comes
+        # within 3% of the bound, so it is not vacuous.
+        flops = DEFAULT_CLUSTER.gpu_flops_per_sec
+        tightest = 0.0
+        for name in catalog_names():
+            model = catalog_lookup(name)
+            split = profile(model).split_index
+            back = compute_load(model, split, worker_count=1)[1] / flops
+            for w in (2, 4, 8, 15):
+                one = one_job_scenario(model, Strategy.ralp(split), w, 1, DEFAULT_CLUSTER)
+                (job,) = simulate_run(one).jobs
+                bound = w * back + model.total_param_count * w / flops
+                assert job.avg_step_time >= bound - 4 * math.ulp(bound), (name, w)
+                tightest = max(tightest, bound / job.avg_step_time)
+        assert tightest > 0.97
 
 
 @functools.lru_cache(maxsize=None)
