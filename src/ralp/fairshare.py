@@ -9,7 +9,9 @@ Each flow is a pair of link ids, its source's uplink and its
 destination's downlink; a flow with both ends on one link counts twice on
 it.  The simulator's flows always have two links (a transfer within one
 machine is a delay, not a flow), so the kernel updates both ends with
-straight-line code.
+straight-line code, and each link's flow set holds, per flow, the id of
+its other end: a round freezes a flow on a link it saturates and charges
+only that other end.
 
 ``FairShare`` keeps the flows in flight and the previous solve's round
 log across events, so a solve after a few arrivals and departures starts
@@ -49,13 +51,37 @@ class FairShare:
     """Max-min fair rates for a set of flows that changes between solves.
 
     Progressive filling runs in rounds.  Each round takes the smallest
-    per-flow share (remainder / unfrozen flow ends) of any loaded link and
-    freezes, at that share, every unfrozen flow of every link whose share
-    equals it.  A frozen flow subtracts the share once from each of its
-    links (twice from one link when both ends are that link), clamping at
-    zero.  All subtractions of a round use the same share, so the order of
-    freezing changes no value.  Flows left when only unbounded shares
-    remain get an infinite rate.
+    per-flow share (remainder / unfrozen flow ends) of any loaded link, the
+    level, and freezes at it every unfrozen flow of every link whose share
+    equals it: the links the round saturates.  A flow frozen on saturated
+    link l subtracts the level once from the remainder of its other end
+    and takes one off that end's count (that end is l when both are); l
+    is settled once, after its flows, with a count of zero.  No remainder
+    is clamped.  All subtractions of a round use the same level,
+    so the order of freezing changes no value.  Flows left when only
+    unbounded shares remain get an infinite rate.
+
+    The rates are bit-identical to filling that subtracts from both ends
+    and clamps at zero, as ``tests/fairshare_reference.py`` does, because
+    the remainders the two leave apart are never read:
+
+    (a) Nothing reads a saturated link's remainder again.  Once l gains
+        flows, ``_kept_rounds`` returns at or before l's saturation round,
+        since there rem / (c + d) <= rem / c = level; a departure from l
+        sets the cut at or before that round, since every flow of l froze
+        by then.  Either way the refill starts from a logged round in
+        which l's remainder is still exact.
+    (b) A remainder goes below zero only as its link's last end freezes.
+        With at least 2 unfrozen ends left, rem >= (cnt - 1) * level, as
+        the link's share was at least the level when the round began: far
+        above any rounding error.  A link with count 0 is not loaded, and
+        (a) covers it from then on; when its last ends froze without
+        saturating it, they used up its remainder to within rounding, so
+        rem / (c + d) <= level held in that round as well.
+
+    So in a logged round a link's remainder means something where its
+    unfrozen count is positive, and it is never negative there, or where
+    the link has had no flow ends yet; anywhere else it is stale.
 
     Each solve logs, per round, its level and each link's remainder and
     unfrozen count at the start of the round.  Round j of the last solve
@@ -91,7 +117,8 @@ class FairShare:
     def __init__(self, capacity: Sequence[float]):
         # The flows in flight, in arrival order.
         self.flows: dict[Flow, None] = {}
-        self._flows_on: list[dict[Flow, None]] = [{} for _ in capacity]
+        # Per link, its flows in arrival order, each with its other end's id.
+        self._flows_on: list[dict[Flow, int]] = [{} for _ in capacity]
         # The change log, cleared in place: the event loop holds it.
         self.changes: dict[int, int] = {}
         self._cut = _UNFROZEN  # earliest round in which a departed flow froze
@@ -116,8 +143,8 @@ class FairShare:
         flow.rate = math.inf
         flow.frozen_in = _UNFROZEN
         self.flows[flow] = None
-        flows_on[a][flow] = None
-        flows_on[b][flow] = None
+        flows_on[a][flow] = b
+        flows_on[b][flow] = a
         changes = self.changes
         changes[a] = changes.get(a, 0) + 1
         changes[b] = changes.get(b, 0) + 1
@@ -182,22 +209,19 @@ class FairShare:
                 break
             done: list[Flow] = []
             log.append((best, rem[:], cnt[:], done))
-            for l, share in zip(loaded, shares):
-                if share != best:
-                    continue
-                for f in flows_on[l]:
-                    if f.frozen_in <= r:
-                        continue
-                    f.frozen_in = r
-                    f.rate = best
-                    done.append(f)
-                    a, b = f.links
-                    left = rem[a] - best
-                    rem[a] = 0.0 if left < 0.0 else left
-                    cnt[a] -= 1
-                    left = rem[b] - best  # after a's update when a == b
-                    rem[b] = 0.0 if left < 0.0 else left
-                    cnt[b] -= 1
+            shares.append(best)  # a sentinel: the search ends past the last link
+            i = shares.index(best)
+            while i < len(loaded):
+                l = loaded[i]
+                for f, m in flows_on[l].items():
+                    if f.frozen_in > r:
+                        f.frozen_in = r
+                        f.rate = best
+                        done.append(f)
+                        rem[m] -= best
+                        cnt[m] -= 1
+                cnt[l] = 0
+                i = shares.index(best, i + 1)
             if not done:  # pragma: no cover - counts out of step with the flow sets
                 raise RuntimeError("fair-share round froze no flow")
             loaded = [l for l in loaded if cnt[l]]
@@ -218,9 +242,9 @@ def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence
     """Max-min fair rates for flows over directed links: a cold solve.
 
     link_a/link_b: link ids per flow (-1 for unconstrained side, an
-    ``IndexError`` past the last link); capacity: bytes/sec per link,
-    copied and never written.  Returns bytes/sec per flow: a list, or a
-    float64 array when the link ids are arrays.
+    ``IndexError`` below -1 or past the last link); capacity: bytes/sec
+    per link, copied and never written.  Returns bytes/sec per flow: a
+    list, or a float64 array when the link ids are arrays.
     """
     if len(link_a) != len(link_b):
         raise ValueError("link_a and link_b must have the same length")
@@ -230,8 +254,8 @@ def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence
     state = FairShare([*capacity, math.inf])
     flows = [Flow() for _ in ends_a]
     for flow, a, b in zip(flows, ends_a, ends_b):
-        if a >= spare or b >= spare:
-            raise IndexError(f"link id past the {spare} links")
+        if not (-1 <= a < spare and -1 <= b < spare):
+            raise IndexError(f"link ids {a}, {b} are neither -1 nor among the {spare} links")
         state.add(flow, (a if a >= 0 else spare, b if b >= 0 else spare))
     state.solve()
     rates = [flow.rate for flow in flows]

@@ -2,9 +2,11 @@
 
 Progressive filling (Bertsekas & Gallager, *Data Networks*, §6.5.2) on
 plain Python lists and floats, with no numpy.  It scans every flow in
-every round, where ``ralp.fairshare.solve_rates`` visits only the flows of
-the bottleneck links, but both do the same floating-point operations on
-each link, so ``solve_rates`` must match it bit for bit.
+every round, and each flow it freezes subtracts the level from both of its
+links, clamping at zero.  ``ralp.fairshare`` charges only a frozen flow's
+other end and clamps nothing, yet ``solve_rates`` must match this
+reference bit for bit (the ``FairShare`` docstring says why).  The clamp
+stays here on purpose, so this oracle does not rest on that argument.
 """
 
 from __future__ import annotations

@@ -39,3 +39,26 @@ def test_summary_of_fixed_pairs(better, bound, base, head, want):
     assert got.base == pytest.approx(want.base) and got.head == pytest.approx(want.head)
     assert (got.change, got.wins, got.inside_bound, got.gain) == \
         (pytest.approx(want.change), want.wins, want.inside_bound, want.gain)
+
+
+DIGEST = ["559e  514 scenarios, 12 consolidation ops", "127b  520 plan items"]
+
+
+@pytest.mark.parametrize("base, head, verdict", [
+    (DIGEST, list(DIGEST), "  digests match"),
+    (DIGEST, [DIGEST[0], "0000  520 plan items"], "  digests DIFFER"),
+    (DIGEST, DIGEST[:1], "  digests DIFFER"),
+    ([], DIGEST, "  digests not compared: a tree has no tools/report_digest.py"),
+], ids=["match", "differ", "line-missing", "no-script"])
+def test_digests_of_both_trees_are_printed_and_compared(base, head, verdict):
+    lines = ab.compare_digests(base, head)
+    assert lines == [f"  base digest {line}" for line in base] + \
+        [f"  head digest {line}" for line in head] + [verdict]
+
+
+def test_one_pair_exits_2_before_any_checkout(capsys):
+    with pytest.raises(SystemExit) as exit:
+        ab.main(["472b5c5", "472b5c5", "--workload", "consolidation",
+                 "--pairs", "1", "--seconds", "8"])
+    assert exit.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err

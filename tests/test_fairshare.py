@@ -73,6 +73,14 @@ class TestSolver:
         with pytest.raises(IndexError):
             fairshare.solve_rates(link_a, link_b, [1.0, 2.0])
 
+    @pytest.mark.parametrize("link_a, link_b", [([-2], [0]), ([0], [-2]), ([-7], [-1])])
+    def test_a_link_id_below_minus_one_raises(self, link_a, link_b):
+        # -1, on either side, is the one negative id (see
+        # test_bottleneck_then_refill); -2 used to take the spare link as
+        # well, where ``FairShare.add`` refuses every negative id.
+        with pytest.raises(IndexError):
+            fairshare.solve_rates(link_a, link_b, [1.0, 2.0])
+
     def test_total_rate_never_exceeds_capacity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -308,6 +316,9 @@ class TestRoundLog:
     @given(case=event_batches())
     # A departure from round 1 keeps round 0 (the flow on link 0).
     @example(case=([1.0, 4.0], [[(0, -1), (-1, 1), (-1, 1)], [1]]))
+    # Link 1's remainder ends below zero as its last end freezes, and a
+    # flow then arrives on link 1.
+    @example(case=([2.1, 2.1, 1.0], [[(0, 1), (0, 1), (0, 1), (2, -1)], [(-1, 1)]]))
     @settings(max_examples=300, deadline=None)
     def test_rounds_hold_the_flows_in_flight_at_their_levels(self, case):
         capacity, batches = case
@@ -321,7 +332,10 @@ class TestRoundLog:
             for (entry, froze), after in zip(before[:state.kept], state.log):
                 assert after is entry and after[3] == froze
             round_of = {}
-            for j, (level, _, _, froze) in enumerate(state.log):
+            for j, (level, rem, cnt, froze) in enumerate(state.log):
+                # The freeze loop does not clamp: a remainder may go below
+                # zero only as its link's last end freezes.
+                assert [l for l, c in enumerate(cnt) if c > 0 and rem[l] < 0] == []
                 for flow in froze:
                     assert flow not in round_of
                     round_of[flow] = j
@@ -329,6 +343,27 @@ class TestRoundLog:
             # An unconstrained side is on the spare link, so every flow is
             # in a round: one with no other link in the terminal round.
             assert set(round_of) == {flow for flow, _ in present}
+
+    def test_a_remainder_below_zero_is_never_read(self):
+        # Three flows over links 0 and 1 (2.1 each) saturate both at
+        # 2.1 / 3.  Link 0 freezes them and charges link 1, whose
+        # remainder ends one ulp below zero as its last end freezes; link
+        # 0's own remainder stays 2.1.  Link 2 adds a second round, whose
+        # log holds both.  A flow then arrives on link 1: the next solve
+        # must refill from round 0, where link 1's remainder is exact.
+        capacity = [2.1, 2.1, 1.0]
+        state = fairshare.FairShare(with_spare(capacity))
+        present = []
+        apply_batch(state, present, [(0, 1), (0, 1), (0, 1), (2, -1)], len(capacity))
+        state.solve()
+        _, rem, cnt, _ = state.log[1]
+        assert (cnt[0], rem[0], cnt[1]) == (0, 2.1, 0) and rem[1] < 0.0
+        apply_batch(state, present, [(-1, 1)], len(capacity))
+        state.solve()
+        assert state.kept == 0
+        assert max_min_violations([f.links for f, _ in present],
+                                  [f.rate for f, _ in present], with_spare(capacity)) == []
+        assert_matches_reference(state, present, capacity)
 
 
 class TestMaxMinCertificate:

@@ -4,10 +4,16 @@
     python3 tools/ab.py BASE HEAD --workload W --pairs N --seconds S [--seed K]
 
 Run from a checkout; BASE and HEAD are any revisions its git resolves
-(commit them first: the working tree is not compared).  Both are checked
-out with ``git worktree add`` into one new temporary directory, as ``base``
-and ``head``: two paths of the same length, since the benchmark's peak
-resident memory moves with the length of the checkout's path.  Pair i runs
+(commit them first: the working tree is not compared).  ``BASE BASE``
+runs a revision against itself, which shows the noise floor: a
+difference an A/A run shows is no gain.  Both sides are checked out with
+``git worktree add`` into one new temporary directory, as ``base`` and
+``head``: two paths of the same length, since the benchmark's peak
+resident memory moves with the length of the checkout's path.
+
+First it runs each tree's ``tools/report_digest.py`` and prints its lines
+and whether the two trees' lines match, so that a claim of byte-identical
+reports comes from the same run as the timings.  Then pair i runs
 ``perfbench/run.py --workload W --seed K+i --seconds S`` in each tree,
 BASE first in even pairs and HEAD first in odd ones.
 
@@ -77,6 +83,16 @@ def summarize(better: str, bound: float, base: list[float], head: list[float]) -
     )
 
 
+def compare_digests(base: list[str], head: list[str]) -> list[str]:
+    """The lines to print for each tree's ``tools/report_digest.py``
+    output lines (none for a tree without the script), and the verdict."""
+    lines = [f"  {side} digest {line}" for side, got in (("base", base), ("head", head))
+             for line in got]
+    if not (base and head):
+        return lines + ["  digests not compared: a tree has no tools/report_digest.py"]
+    return lines + [f"  digests {'match' if base == head else 'DIFFER'}"]
+
+
 def _git(*args: str) -> None:
     subprocess.run(["git", "-C", str(ROOT), *args], check=True)
 
@@ -90,6 +106,18 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"error: {tree.name}, seed {seed}: perfbench/run.py exited "
                          f"{done.returncode}\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _digest(tree: Path) -> list[str]:
+    """The lines ``tools/report_digest.py`` prints in ``tree``, if it has one."""
+    if not (tree / "tools" / "report_digest.py").exists():
+        return []
+    done = subprocess.run([sys.executable, "tools/report_digest.py"], cwd=tree,
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"error: {tree.name}: tools/report_digest.py exited "
+                         f"{done.returncode}\n{done.stderr}")
+    return done.stdout.splitlines()
 
 
 def _print(workload: str, seeds: range, seconds: float, spec: dict, runs: dict) -> None:
@@ -132,6 +160,8 @@ def main(argv=None) -> int:
             _git("worktree", "add", "--detach", "--quiet", str(trees[side]), rev)
             added.append(trees[side])
         spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        print(f"base {args.base}, head {args.head}")
+        print("\n".join(compare_digests(_digest(trees["base"]), _digest(trees["head"]))))
         seeds = range(args.seed, args.seed + args.pairs)
         runs = {"base": [], "head": []}
         for i, seed in enumerate(seeds):
