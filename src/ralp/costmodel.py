@@ -163,28 +163,23 @@ def volumes_for(job: JobSpec) -> StrategyVolumes:
     return _volumes(job.model, job.strategy.kind, job.strategy.split_index, job.worker_count)
 
 
-def compute_load(
-    model: ModelGraph, split_index: Optional[int] = None, worker_count: int = 1
-) -> tuple[int, int]:
-    """(worker_flops_per_step, ps_flops_per_step) for one training step.
+def compute_load(model: ModelGraph, split_index: Optional[int] = None) -> tuple[int, int]:
+    """(worker_flops_per_step, ps_flops_per_worker_batch).
 
     Forward plus backward, with backward costed at twice the forward pass.
     With a split, the PS worker runs the back segment once per arriving
-    worker batch; without one, all layer compute stays on the workers and
-    the PS does aggregation only (not counted here).
+    worker batch, so a step costs it the second value once per worker;
+    without one, all layer compute stays on the workers and the PS does
+    aggregation only (not counted here).
     """
-    _check_workers(worker_count)
     n = model.num_layers
     if split_index is None:
         split_index = n
     if not 1 <= split_index <= n:
         raise CostModelError(f"split_index {split_index} out of range for {n}-layer model")
-    prefix = model.flops_prefix
-    front_fwd = prefix[split_index]
-    back_fwd = prefix[n] - front_fwd
-    worker_flops = 3 * front_fwd * model.batch_size
-    ps_flops = 3 * back_fwd * model.batch_size * worker_count
-    return worker_flops, ps_flops
+    front_fwd = model.flops_prefix[split_index]
+    back_fwd = model.flops_prefix[n] - front_fwd
+    return 3 * front_fwd * model.batch_size, 3 * back_fwd * model.batch_size
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
@@ -145,6 +146,9 @@ class Scenario:
             raise ScenarioError("steps must be >= 1")
         if not self.jobs:
             raise ScenarioError("scenario has no jobs")
+        if self.steps > sys.maxsize:  # past any list's length: no report holds them
+            raise ScenarioError(f"job {self.jobs[0][0]!r}: {self.steps} steps are more than "
+                                "a report can hold")
         names = [name for name, _, _ in self.jobs]
         if len(set(names)) != len(names):
             raise ScenarioError("duplicate job names")
@@ -685,7 +689,7 @@ class _JobRun:
     def _ralp_step(self) -> float:
         model, w = self.model, self.spec.worker_count
         split, ps_machine = self.spec.strategy.split_index, self.ps_machines[0]
-        worker_flops, ps_flops = compute_load(model, split, worker_count=1)
+        worker_flops, ps_flops = compute_load(model, split)
         front_fwd_flops = worker_flops / 3
         cut, params = model.output_bytes[split - 1], model.cumulative_param_bytes[split - 1]
         grads = []
@@ -770,8 +774,9 @@ def simulate_run(scenario: Scenario) -> SimReport:
     the first: it simulates one step and reports it for every step.  Only
     simulated steps advance the clock, so a repeated mean step time that
     passes the float range raises the clock's ScenarioError.  A step count
-    too large for a lone job's report to hold is a ScenarioError naming
-    the job."""
+    that no list can hold fails when the Scenario is built, before any
+    event; one that a lone job's report has no memory for is a
+    ScenarioError naming the job."""
     env = _Env(scenario.cluster, [placement for _, _, placement in scenario.jobs])
     lone = len(scenario.jobs) == 1
     runs = []
@@ -790,7 +795,7 @@ def simulate_run(scenario: Scenario) -> SimReport:
         if lone:
             try:
                 run.records *= scenario.steps
-            except (OverflowError, MemoryError):
+            except MemoryError:
                 raise ScenarioError(f"job {run.name!r}: {scenario.steps} steps are more than "
                                     "a report can hold") from None
         if len(run.records) != scenario.steps:  # pragma: no cover - engine invariant

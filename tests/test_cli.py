@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ralp
+from ralp import simulator
 from ralp.cli import (
     EXIT_BAD_FLAG,
     EXIT_CAPACITY,
@@ -449,18 +450,24 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("steps", [2 ** 63, 10 ** 20])
     @pytest.mark.parametrize("where", ["flag", "line"])
-    def test_a_lone_job_with_more_steps_than_a_report_holds(self, capsys, tmp_path, steps, where):
-        # Counts from 2**63 up are past any list's length, so they fail
-        # before anything is allocated.
-        if where == "flag":
-            scn, argv = "vgg11_16gpu_ralp.scn", ("--steps", str(steps))
-        else:
-            scn, argv = tmp_path / "many.scn", ()
-            scn.write_text(f"steps {steps}\njob vgg11 model=vgg11 strategy=ralp workers=2\n")
+    def test_more_steps_than_a_report_holds_fail_before_the_event_loop(
+            self, capsys, tmp_path, monkeypatch, steps, where):
+        # Counts from 2**63 up are past any list's length.  Two jobs
+        # simulate every step, so an event loop started on such a count
+        # would run until stopped: the count fails before it starts.
+        def started(env):
+            raise AssertionError("the event loop started")
+
+        monkeypatch.setattr(simulator._Env, "run", started)
+        argv = ("--steps", str(steps)) if where == "flag" else ()
+        scn = tmp_path / "many.scn"
+        scn.write_text(("" if argv else f"steps {steps}\n")
+                       + "job a model=lenet strategy=ring workers=2\n"
+                       + "job b model=lenet strategy=ring workers=2\n")
         code, out, err = run_cli(capsys, "simulate", str(scn), *argv)
         assert code == EXIT_PARSE
         assert out == ""
-        assert err.endswith(f": job 'vgg11': {steps} steps are more than a report can hold\n")
+        assert err.endswith(f": job 'a': {steps} steps are more than a report can hold\n")
         assert err.count("\n") == 1
 
     def test_non_ascii_job_name_under_an_ascii_locale(self, tmp_path):

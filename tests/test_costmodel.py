@@ -173,7 +173,7 @@ class TestComputeLoad:
         layers = list(model.layers)
         layers[1] = layers[1]._replace(compute_flops_per_sample=2 * 4096 * 1000)
         model = dataclasses.replace(model, layers=tuple(layers))
-        worker, ps = compute_load(model, split_index=1, worker_count=1)
+        worker, ps = compute_load(model, split_index=1)
         assert ps == 3 * (2 * 4096 * 1000)
         assert worker == 0
 
@@ -194,15 +194,9 @@ class TestComputeLoad:
             with pytest.raises(CostModelError, match=f"split_index {split} out of range"):
                 compute_load(model, split)
 
-    def test_ps_load_scales_with_workers(self):
-        model = catalog_lookup("vgg11")
-        _, ps1 = compute_load(model, 13, worker_count=1)
-        _, ps8 = compute_load(model, 13, worker_count=8)
-        assert ps8 == 8 * ps1
-
     def test_vgg11_front_dominates_back_compute(self):
         model = catalog_lookup("vgg11")
-        worker, ps = compute_load(model, 13, worker_count=1)
+        worker, ps = compute_load(model, 13)
         assert worker >= 4 * ps
 
 

@@ -1125,7 +1125,7 @@ class TestPhysicalBounds:
         for name in catalog_names():
             model = catalog_lookup(name)
             split = profile(model).split_index
-            back = compute_load(model, split, worker_count=1)[1] / flops
+            back = compute_load(model, split)[1] / flops
             for w in (2, 4, 8, 15):
                 one = one_job_scenario(model, Strategy.ralp(split), w, 1, DEFAULT_CLUSTER)
                 (job,) = simulate_run(one).jobs
@@ -1293,6 +1293,6 @@ class TestPlannerAgainstSimulator:
 
     def test_vgg19_planner_split_waits_on_its_ps(self):
         model = catalog_lookup("vgg19")
-        back = compute_load(model, 11, worker_count=1)[1] / DEFAULT_CLUSTER.gpu_flops_per_sec
+        back = compute_load(model, 11)[1] / DEFAULT_CLUSTER.gpu_flops_per_sec
         job = self.run(model, Strategy.ralp(11), 15, 1)
         assert (round(back, 3), round(15 * back, 1), round(job.avg_step_time, 2)) == (0.405, 6.1, 6.73)
