@@ -450,11 +450,13 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("steps", [2 ** 63, 10 ** 20])
     @pytest.mark.parametrize("where", ["flag", "line"])
+    @pytest.mark.parametrize("names", [("a",), ("a", "b")], ids=["lone", "two"])
     def test_more_steps_than_a_report_holds_fail_before_the_event_loop(
-            self, capsys, tmp_path, monkeypatch, steps, where):
+            self, capsys, tmp_path, monkeypatch, steps, where, names):
         # Counts from 2**63 up are past any list's length.  Two jobs
         # simulate every step, so an event loop started on such a count
-        # would run until stopped: the count fails before it starts.
+        # would run until stopped: the count fails before it starts, and
+        # a lone job's message and exit code are the same.
         def started(env):
             raise AssertionError("the event loop started")
 
@@ -462,13 +464,26 @@ class TestSimulateCommand:
         argv = ("--steps", str(steps)) if where == "flag" else ()
         scn = tmp_path / "many.scn"
         scn.write_text(("" if argv else f"steps {steps}\n")
-                       + "job a model=lenet strategy=ring workers=2\n"
-                       + "job b model=lenet strategy=ring workers=2\n")
+                       + "".join(f"job {name} model=lenet strategy=ring workers=2\n"
+                                 for name in names))
         code, out, err = run_cli(capsys, "simulate", str(scn), *argv)
         assert code == EXIT_PARSE
         assert out == ""
         assert err.endswith(f": job 'a': {steps} steps are more than a report can hold\n")
         assert err.count("\n") == 1
+
+    def test_the_step_count_is_checked_before_the_clock(self, capsys, tmp_path):
+        # The shared-flow clock case above, with a step count no report
+        # can hold: the count fails first, when the scenario is built.
+        scn = tmp_path / "late.scn"
+        scn.write_text("steps 99999999999999999999\n"
+                       "cluster machines=16 gpus=1 link=2.1258133759999999e-299\n"
+                       "job a model=vgg11 strategy=baseline workers=8 ps=1\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err == (f"error: {scn}: job 'a': 99999999999999999999 steps are more than "
+                       "a report can hold\n")
 
     def test_non_ascii_job_name_under_an_ascii_locale(self, tmp_path):
         # Scenario, report and timeline files are UTF-8 whatever the

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ralp.catalog import catalog_lookup
+from ralp.catalog import catalog_lookup, catalog_names
 from ralp.costmodel import (
     CSV_HEADER,
     CostModelError,
@@ -187,6 +187,16 @@ class TestComputeLoad:
         worker, ps = compute_load(model)
         assert worker == 3 * model.flops_prefix[-1] * model.batch_size
         assert ps == 0
+
+    def test_a_split_moves_compute_without_adding_any(self):
+        # The PS value is one worker batch's back segment: with the
+        # front, it is the whole model's compute for that batch.
+        for name in catalog_names():
+            model = catalog_lookup(name)
+            total, _ = compute_load(model)
+            for split in range(1, model.num_layers + 1):
+                worker, ps = compute_load(model, split)
+                assert worker + ps == total
 
     def test_split_out_of_range(self):
         model = catalog_lookup("lenet")

@@ -3,6 +3,7 @@ import functools
 import gc
 import hashlib
 import math
+import sys
 import tracemalloc
 from importlib import resources
 
@@ -775,6 +776,11 @@ class TestPlacementAndScenarios:
         "no-steps": (lambda job: Scenario(small_cluster(), (job(),), steps=0),
                      ScenarioError, "steps must be >= 1"),
         "no-jobs": (lambda job: Scenario(small_cluster(), ()), ScenarioError, "scenario has no jobs"),
+        "too-many-steps": (lambda job: Scenario(small_cluster(),
+                                                (job(), job("k", workers=((2, 0),), ps=((3, 0),))),
+                                                steps=sys.maxsize + 1),
+                           ScenarioError,
+                           f"job 'j': {sys.maxsize + 1} steps are more than a report can hold"),
         "duplicate-name": (lambda job: Scenario(small_cluster(),
                                                 (job(), job(workers=((2, 0),), ps=((3, 0),)))),
                            ScenarioError, "duplicate job names"),
@@ -794,6 +800,10 @@ class TestPlacementAndScenarios:
         with pytest.raises(error) as caught:
             build(self._lenet_job)
         assert str(caught.value) == message
+
+    def test_the_longest_list_is_a_valid_step_count(self):
+        scenario = Scenario(small_cluster(), (self._lenet_job(),), steps=sys.maxsize)
+        assert scenario.steps == sys.maxsize
 
     def test_parse_scenario_roundtrip(self):
         text = """
