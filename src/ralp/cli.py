@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -114,10 +115,16 @@ def _cmd_profile(args) -> int:
     """``profile`` prints the whole report; ``split`` (``brief``) leaves
     out the per-layer table and the skewness mode."""
     model = _load_model(args.model)
-    try:
-        config = ProfilerConfig(_flag("--threshold", args.threshold, number), args.mode)
-    except ProfilerError as exc:
-        raise _CliError(EXIT_BAD_FLAG, str(exc)) from None
+    threshold = _flag("--threshold", args.threshold, number)
+    # A non-negative threshold warns: one stderr line, under any warning filter.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            config = ProfilerConfig(threshold, args.mode)
+        except ProfilerError as exc:
+            raise _CliError(EXIT_BAD_FLAG, str(exc)) from None
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     report = profile(model, config)
     payload = report.to_dict()
     if args.brief:

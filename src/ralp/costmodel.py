@@ -53,12 +53,6 @@ class StrategyKind(str, enum.Enum):
     RING_ALLREDUCE = "ring"
 
 
-# Module constants for the per-row tests: reading a member through its
-# enum class takes about ten times as long as reading a module global.
-_RALP = StrategyKind.RALP
-_RING = StrategyKind.RING_ALLREDUCE
-
-
 @dataclass(frozen=True)
 class Strategy:
     kind: StrategyKind
@@ -152,9 +146,9 @@ def _volumes(
     """Volumes of one strategy.  A split plan without a split (the model is
     not partitionable) degenerates to the baseline, which is what the
     runtime would fall back to."""
-    if kind is _RING:
+    if kind is StrategyKind.RING_ALLREDUCE:
         return volume_ring(model, worker_count)
-    if kind is _RALP and split_index is not None:
+    if kind is StrategyKind.RALP and split_index is not None:
         return volume_ralp(model, split_index, worker_count)
     return volume_baseline(model, worker_count)
 

@@ -69,7 +69,7 @@ import operator
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from . import fairshare
 from .catalog import UnknownModelError
@@ -172,50 +172,40 @@ class Scenario:
 
 def spread_placement(
     cluster: ClusterSpec,
-    replica_counts: Sequence[tuple[int, int]],
+    replica_counts: Iterable[tuple[int, int]],
     taken: Optional[Iterable[tuple[int, int]]] = None,
 ) -> list[Placement]:
     """Assign slots so each job's replicas land on distinct machines first.
 
-    replica_counts: (worker_count, ps_count) per job.  Workers are placed
-    before PS processes; each replica goes to the least-loaded machine
-    with a free slot (ties to the lowest machine index), counting the
-    ``taken`` slots as load.  A machine no slot is taken on has the least
-    load, so the lowest such machine comes first; the others wait in a
-    heap by (load, index).  A claim costs O(log machines touched), not
-    O(machines).
+    replica_counts: (worker_count, ps_count) per job, read one job at a
+    time.  Workers are placed before PS processes; each replica goes to the
+    least-loaded machine with a free slot (ties to the lowest machine
+    index), counting the ``taken`` slots as load.  A machine no slot is
+    taken on has the least load, so untouched machines come lowest first
+    from a lazy stream; each touched machine waits in one heap as (load,
+    index, first GPU that may be free).  A claim costs O(log machines
+    touched), and nothing is held per machine of the cluster.
     """
     machines, gpus = cluster.machines, cluster.gpus_per_machine
-    occupied = set(taken or ())
-    taken_on: dict[int, int] = {}
-    for machine, _ in occupied:
+    taken = set(taken or ())
+    load: dict[int, int] = {}
+    for machine, _ in taken:
         if 0 <= machine < machines:
-            taken_on[machine] = taken_on.get(machine, 0) + 1
-    touched = [(n, m) for m, n in taken_on.items()]
+            load[machine] = load.get(machine, 0) + 1
+    touched = [(n, m, 0) for m, n in load.items()]
     heapq.heapify(touched)
-    next_gpu: dict[int, int] = {}
-    fresh = 0  # every machine below it is in the heap
+    untouched = itertools.filterfalse(load.__contains__, range(machines))
 
     def claim() -> tuple[int, int]:
-        nonlocal fresh
-        while fresh in taken_on:
-            fresh += 1
-        if fresh < machines:
-            m, fresh = fresh, fresh + 1
-            next_gpu[m] = 1
-            heapq.heappush(touched, (1, m))
+        for m in untouched:
+            heapq.heappush(touched, (1, m, 1))
             return m, 0
         while touched:
-            n, m = touched[0]
-            g = next_gpu.get(m, 0)
-            while g < gpus:
-                slot = (m, g)
-                g += 1
-                if slot not in occupied:
-                    occupied.add(slot)
-                    next_gpu[m] = g
-                    heapq.heapreplace(touched, (n + 1, m))
-                    return slot
+            n, m, first = touched[0]
+            for g in range(first, gpus):
+                if (m, g) not in taken:
+                    heapq.heapreplace(touched, (n + 1, m, g + 1))
+                    return m, g
             heapq.heappop(touched)  # no free slot left on m
         raise CapacityError(
             f"cluster is full: {cluster.total_gpus} slots cannot host the requested replicas"
@@ -510,8 +500,7 @@ class _Env:
                 del rounds[kept:]
                 for _, _, _, group in log[kept:]:
                     if group:
-                        rounds.append((group, min(group, key=_remaining) if len(group) > 1
-                                       else group[0]))
+                        rounds.append((group, min(group, key=_remaining)))
 
             now = self.now
             next_heap = heap[0][0] if heap else inf
@@ -542,8 +531,7 @@ class _Env:
                     if end == t_next:
                         rate = lead.rate
                         done += [f for f in group if now + f.remaining / rate == t_next]
-                if len(done) > 1:
-                    done.sort(key=_started)
+                done.sort(key=_started)
 
             dt = t_next - now
             if dt > 0 and flows:
@@ -838,19 +826,18 @@ def simulate_consolidation(scenario: Scenario, copies: int) -> ConsolidationRepo
     which of its replicas share one."""
     if copies < 1:
         raise ScenarioError("copies must be >= 1")
-    base_jobs = list(scenario.jobs)
-    specs = []
-    names = []
-    for c in range(copies):
-        for name, spec, _ in base_jobs:
-            names.append(f"{name}/{c}" if copies > 1 else name)
-            specs.append(spec)
+    base_jobs = scenario.jobs
+    # Spread reads the copies one at a time, so a count past the cluster's
+    # capacity fails when the cluster fills, before any per-copy list.
     placements = spread_placement(
-        scenario.cluster, [(s.worker_count, s.ps_count) for s in specs]
+        scenario.cluster,
+        ((spec.worker_count, spec.ps_count) for _ in range(copies) for _, spec, _ in base_jobs),
     )
+    named = ((f"{name}/{c}" if copies > 1 else name, spec)
+             for c in range(copies) for name, spec, _ in base_jobs)
     consolidated = Scenario(
         cluster=scenario.cluster,
-        jobs=tuple(zip(names, specs, placements)),
+        jobs=tuple((name, spec, placement) for (name, spec), placement in zip(named, placements)),
         steps=scenario.steps,
     )
     consolidated_report = simulate_run(consolidated)

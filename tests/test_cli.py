@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import ralp
 from ralp import simulator
+from ralp.catalog import catalog_lookup
 from ralp.cli import (
     EXIT_BAD_FLAG,
     EXIT_CAPACITY,
@@ -23,6 +25,7 @@ from ralp.cli import (
     EXIT_UNKNOWN_CATALOG,
     main,
 )
+from ralp.profiler import ProfilerConfig, profile
 from conftest import JUNK_INTEGERS, JUNK_WORDS, MUTATION_OPS, mutate
 
 GIB = 1 << 30
@@ -165,6 +168,23 @@ class TestProfileCommand:
         assert code == EXIT_BAD_FLAG
         assert out == ""
         assert err == f"error: bad --threshold value {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["profile", "split"])
+    def test_a_non_negative_threshold_warns_in_one_stderr_line(self, capsys, command):
+        # Even where warnings are errors, the command prints the warning as
+        # one line of its own and the report it would print without it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, "lenet", "--threshold", "0.5")
+        assert code == EXIT_OK
+        assert err == ("warning: threshold 0.5 is non-negative; the eligibility gate "
+                       "expects a negative cutoff\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            payload = profile(catalog_lookup("lenet"), ProfilerConfig(0.5)).to_dict()
+        if command == "split":
+            del payload["layers"], payload["mode"]
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "profile", "resnet-50")

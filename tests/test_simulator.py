@@ -640,6 +640,19 @@ class TestConsolidation:
         scenario = Scenario(cluster=cluster, jobs=(("j", spec, placement),), steps=1)
         with pytest.raises(CapacityError):
             simulate_consolidation(scenario, copies=2)
+        # A count far past the cluster's slots fails as soon as spread fills
+        # the cluster, before the copies get names or specs: a million copies
+        # of one 2-worker job cost what the 16 that fit do.
+        ring = parse_scenario("job r model=lenet strategy=ring workers=2\n", catalog_lookup)
+        assert ring.cluster == DEFAULT_CLUSTER
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^cluster is full"):
+                simulate_consolidation(ring, copies=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestZeroTimeSteps:
@@ -719,6 +732,22 @@ class TestPlacementAndScenarios:
                 assert spread_placement(cluster, counts, taken) == want
                 outcomes["placed"] += 1
         assert min(outcomes.values()) > 100
+
+    def test_spreading_does_not_grow_with_the_cluster(self):
+        # Spread holds only the machines it has touched: on a million machines
+        # it places what it places on 256, in what a few machines cost.  A
+        # heap of every machine would peak near 100 MB here.
+        counts, taken = [(15, 15)] * 8, {(3, 0), (70, 2)}
+        want = spread_placement(small_cluster(machines=256, gpus_per_machine=8), counts, taken)
+        huge = small_cluster(machines=10**6, gpus_per_machine=8)
+        tracemalloc.start()
+        try:
+            got = spread_placement(huge, counts, taken)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
 
     def test_a_huge_cluster_runs_like_the_machines_its_jobs_use(self, monkeypatch):
         # The kernel has links only for the machines the placements use, so
