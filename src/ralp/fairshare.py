@@ -38,6 +38,21 @@ from typing import Sequence
 
 # The round of a flow that no round has frozen yet.
 _UNFROZEN = 1 << 62
+# A refill sets links aside only when it is expected to be long: the last
+# solve ran more than _LONG_ROUNDS rounds from the round it refills from,
+# and at least _LONG_LINKS links are loaded.  In shorter fills the split
+# costs more than the scans it saves; the simulator's scenarios on the
+# default cluster have 16 links at most.
+_LONG_ROUNDS = 3
+_LONG_LINKS = 32
+# A link is set aside when its share is more than _ASIDE times the level,
+# so the floor is above twice that level: a fill's level reaches a floor
+# once per doubling at most.
+_ASIDE = 2.0
+# Set-aside links come back when the level reaches their least share, less
+# this relative margin, which covers the rounding of their shares while
+# they wait (see ``FairShare``).
+_MARGIN = 1e-6
 
 
 class Flow:
@@ -97,6 +112,27 @@ class FairShare:
     logs the working remainders and counts uncopied: no round changes them
     after it, and the next solve drops the entry, or deletes it before
     refilling from it, before it changes them.
+
+    A long refill scans only the links near the level.  When the last
+    solve ran more than three rounds from the round a solve refills from,
+    and at least 32 links are loaded, the refill's first round sets aside
+    every loaded link whose share is more than twice its level, and the
+    rounds scan only the others.  A flow frozen on a scanned link still
+    charges its other end, set aside or not, so a set-aside link costs
+    nothing until it comes back.  Its share stays above every level below
+    the floor (the least share among the set-aside links, less a relative
+    margin of 1e-6), so it cannot saturate in a round it skips.  A round whose level
+    reaches the floor, or that finds no link left to scan, takes every
+    set-aside link back, in link order, and starts again, setting links
+    aside afresh.  So no rate, round or log entry changes, and saturated
+    links are still settled in ascending order.  Why the share stays
+    above: within one fill, a loaded link's share never falls in exact
+    arithmetic, since a flow frozen elsewhere at level L <= rem / c leaves
+    (rem - L) / (c - 1) >= rem / c.  In floats, k charges to a link set
+    aside with n unfrozen ends can put its share below that by a relative
+    (k * n + 2) * 2**-53 at most, since its remainder stays at least 1/n
+    of what it was; that is under the margin while k * n < 9e9, so on any
+    link with fewer than 90,000 flow ends.
 
     The flow-end counts come from one change log, ``changes``: the flow
     ends added minus removed per link since the last solve.  A new
@@ -170,6 +206,7 @@ class FairShare:
         if self._cut < limit:
             limit = self._cut
         keep = self._kept_rounds(limit, changes) if limit else 0
+        long = len(log) - keep > _LONG_ROUNDS  # the old log holds its terminal round too
         _, rem, cnt, _ = log[keep]
         for j in range(keep, len(log)):
             for f in log[j][3]:
@@ -180,7 +217,7 @@ class FairShare:
             cnt[l] += d
         changes.clear()
         self._cut = _UNFROZEN
-        self._fill(keep, rem, cnt)
+        self._fill(keep, rem, cnt, long)
 
     def _kept_rounds(self, limit: int, changes: dict[int, int]) -> int:
         """How many of the first ``limit`` logged rounds run unchanged with
@@ -196,17 +233,38 @@ class FairShare:
                 cnt[l] += d
         return limit
 
-    def _fill(self, r: int, rem: list[float], cnt: list[int]) -> None:
+    def _fill(self, r: int, rem: list[float], cnt: list[int], long: bool) -> None:
         """Progressive filling from round ``r``, whose start state is
         ``rem`` and ``cnt``, logging each round; the terminal round logs
-        ``rem`` and ``cnt`` themselves."""
-        flows_on, log = self._flows_on, self.log
+        ``rem`` and ``cnt`` themselves.  A ``long`` fill over enough loaded
+        links sets far links aside."""
+        flows_on, log, inf = self._flows_on, self.log, math.inf
         loaded = list(compress(range(len(cnt)), cnt))
-        while loaded:
+        aside: Sequence[int] = ()
+        # No set-aside link can be at a level below ``floor``; -inf has the
+        # next round set links aside.
+        floor = -inf if long and len(loaded) >= _LONG_LINKS else inf
+        while loaded or aside:
             shares = [rem[l] / cnt[l] for l in loaded]
-            best = min(shares)
-            if best == math.inf:
-                break
+            best = min(shares) if shares else inf
+            if best >= floor:
+                if aside:
+                    # The level nears a set-aside link, or no link is left
+                    # to scan: take them all back and start the round again.
+                    loaded = sorted(loaded + [l for l in aside if cnt[l]])
+                    aside = ()
+                    floor = -inf
+                    continue
+                if best == inf:
+                    break
+                far = _ASIDE * best
+                aside = [l for l, s in zip(loaded, shares) if s > far]
+                if aside:
+                    floor = min([s for s in shares if s > far]) * (1 - _MARGIN)
+                    loaded = [l for l, s in zip(loaded, shares) if s <= far]
+                    shares = [s for s in shares if s <= far]
+                else:
+                    floor = inf
             done: list[Flow] = []
             log.append((best, rem[:], cnt[:], done))
             shares.append(best)  # a sentinel: the search ends past the last link
@@ -229,12 +287,12 @@ class FairShare:
         # Flows left when only unbounded shares remain (if any) get an
         # infinite rate.
         done = []
-        log.append((math.inf, rem, cnt, done))
+        log.append((inf, rem, cnt, done))
         for l in loaded:
             for f in flows_on[l]:
                 if f.frozen_in > r:
                     f.frozen_in = r
-                    f.rate = math.inf
+                    f.rate = inf
                     done.append(f)
 
 

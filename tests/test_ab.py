@@ -56,6 +56,23 @@ def test_digests_of_both_trees_are_printed_and_compared(base, head, verdict):
         [f"  head digest {line}" for line in head] + [verdict]
 
 
+@pytest.mark.parametrize("pairs", [2, 3, 10])
+def test_each_side_runs_first_and_in_each_tree_in_every_other_pair(pairs):
+    # Two trees of one commit can differ by a steady offset: a schedule
+    # that kept each side in one tree would read that offset as a change.
+    got = ab.schedule(pairs)
+    assert len(got) == pairs
+    for i, order in enumerate(got):
+        assert [tree for _, tree in order] == ["a", "b"]
+        assert sorted(side for side, _ in order) == ["base", "head"]
+        assert order[0][0] == ("base" if i % 2 == 0 else "head")
+    for before, after in zip(got, got[1:]):
+        assert [side for side, _ in before] == [side for side, _ in after][::-1]
+    held = [(side, tree) for order in got[:pairs - pairs % 2] for side, tree in order]
+    assert sorted(held) == sorted([("base", "a"), ("base", "b"), ("head", "a"), ("head", "b")]
+                                  * (pairs // 2))
+
+
 def test_one_pair_exits_2_before_any_checkout(capsys):
     with pytest.raises(SystemExit) as exit:
         ab.main(["472b5c5", "472b5c5", "--workload", "consolidation",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def event_batches(draw):
     return draw(capacity), draw(batches)
 
 
+@st.composite
+def long_event_batches(draw):
+    """As ``event_batches``, over 32 to 40 links and with a first batch of
+    40 to 80 arrivals, so that later solves refill many rounds over many
+    loaded links: the refills that set far links aside."""
+    capacity, flow = capacities_and_flows(draw(st.integers(32, 40)))
+    first = draw(st.lists(flow, min_size=40, max_size=80))
+    batches = st.lists(st.lists(st.one_of(flow, st.integers(0, 1000)), min_size=1, max_size=8),
+                       min_size=1, max_size=6)
+    return draw(capacity), [first, *draw(batches)]
+
+
 class TestReferenceEquivalence:
     @INPUTS
     def test_seeded_cases_bit_identical(self, as_array):
@@ -224,10 +237,71 @@ def assert_matches_reference(state, present, capacity):
     assert [f.rate.hex() for f, _ in present] == [x.hex() for x in want]
 
 
+def sets_links_aside(rounds_before, state):
+    """Whether the solve that left ``state`` set links aside: it refilled
+    a long log over enough loaded links, and a link's share at the
+    refill's first round was more than twice that round's level."""
+    level, rem, cnt, _ = state.log[state.kept]
+    loaded = [l for l, c in enumerate(cnt) if c]
+    return (rounds_before - state.kept > fairshare._LONG_ROUNDS
+            and len(loaded) >= fairshare._LONG_LINKS and level != math.inf
+            and any(rem[l] / cnt[l] > fairshare._ASIDE * level for l in loaded))
+
+
+def check_every_solve(capacity, batches):
+    """Drive two ``FairShare``s through ``batches`` (see ``event_batches``)
+    and check them as ``TestWarmStart`` says; return how many solves set
+    links aside."""
+    # ``state`` is solved after every batch; ``once`` gets every batch
+    # before its only solve, which takes each link's flow ends from the
+    # change log alone.
+    state, once = (fairshare.FairShare(with_spare(capacity)) for _ in range(2))
+    present, pending = [], []
+    aside = 0
+    for batch in batches:
+        before = [(entry, list(entry[3])) for entry in state.log]
+        apply_batch(state, present, batch, len(capacity))
+        apply_batch(once, pending, batch, len(capacity))
+        state.solve()
+        aside += sets_links_aside(len(before), state)
+        assert max_min_violations([f.links for f, _ in present],
+                                  [f.rate for f, _ in present], with_spare(capacity)) == []
+        assert_matches_reference(state, present, capacity)
+        assert 0 <= state.kept < len(state.log)
+        for (entry, froze), after in zip(before[:state.kept], state.log):
+            assert after is entry and after[3] == froze
+        round_of = {}
+        for j, (level, rem, cnt, froze) in enumerate(state.log):
+            # The freeze loop does not clamp: a remainder may go below
+            # zero only as its link's last end freezes.
+            assert [l for l, c in enumerate(cnt) if c > 0 and rem[l] < 0] == []
+            for flow in froze:
+                assert flow not in round_of
+                round_of[flow] = j
+                assert flow.rate.hex() == level.hex()
+        # An unconstrained side is on the spare link, so every flow is
+        # in a round: one with no other link in the terminal round.
+        assert set(round_of) == {flow for flow, _ in present}
+        # The warm solve logs the rounds of a cold solve of the same
+        # flows: the same levels, each freezing the same flows in the
+        # same order.
+        cold, twin = fairshare.FairShare(with_spare(capacity)), {}
+        for flow, _ in present:
+            twin[flow] = fairshare.Flow()
+            cold.add(twin[flow], flow.links)
+        cold.solve()
+        assert [(level.hex(), [twin[f] for f in froze]) for level, _, _, froze in state.log] == \
+            [(level.hex(), froze) for level, _, _, froze in cold.log]
+    once.solve()
+    assert_matches_reference(once, pending, capacity)
+    return aside
+
+
 class TestWarmStart:
     """A FairShare solved after every batch of arrivals and departures
     must give each present flow the rate a cold solve of the same flows
-    gives, bit for bit, and log its rounds as ``TestRoundLog`` says."""
+    gives, bit for bit, log the rounds that cold solve logs, and log them
+    as ``TestRoundLog`` says."""
 
     @given(case=event_batches())
     # An arrival on link 1 keeps round 0 (10 / 3 > 0.5) and refills from
@@ -253,37 +327,32 @@ class TestWarmStart:
     @example(case=([0.7, 0.2, 0.1], [[(1, 0), (0, -1)], [(2, 0)]]))
     @settings(max_examples=300, deadline=None)
     def test_every_solve_matches_the_reference(self, case):
-        # ``state`` is solved after every batch; ``once`` gets every batch
-        # before its only solve, which takes each link's flow ends from the
-        # change log alone.
-        capacity, batches = case
-        state, once = (fairshare.FairShare(with_spare(capacity)) for _ in range(2))
-        present, pending = [], []
-        for batch in batches:
-            before = [(entry, list(entry[3])) for entry in state.log]
-            apply_batch(state, present, batch, len(capacity))
-            apply_batch(once, pending, batch, len(capacity))
-            state.solve()
-            assert max_min_violations([f.links for f, _ in present],
-                                      [f.rate for f, _ in present], with_spare(capacity)) == []
-            assert_matches_reference(state, present, capacity)
-            assert 0 <= state.kept < len(state.log)
-            for (entry, froze), after in zip(before[:state.kept], state.log):
-                assert after is entry and after[3] == froze
-            round_of = {}
-            for j, (level, rem, cnt, froze) in enumerate(state.log):
-                # The freeze loop does not clamp: a remainder may go below
-                # zero only as its link's last end freezes.
-                assert [l for l, c in enumerate(cnt) if c > 0 and rem[l] < 0] == []
-                for flow in froze:
-                    assert flow not in round_of
-                    round_of[flow] = j
-                    assert flow.rate.hex() == level.hex()
-            # An unconstrained side is on the spare link, so every flow is
-            # in a round: one with no other link in the terminal round.
-            assert set(round_of) == {flow for flow, _ in present}
-        once.solve()
-        assert_matches_reference(once, pending, capacity)
+        check_every_solve(*case)
+
+    @given(case=long_event_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_long_refills_match_the_reference(self, case):
+        check_every_solve(*case)
+
+    def test_seeded_long_refills_set_links_aside(self):
+        # Fixed draws of ``long_event_batches``' shape, so that every run
+        # refills with links aside, whatever hypothesis draws.
+        rng = random.Random(34)
+        aside = solves = 0
+        for _ in range(20):
+            n_links = rng.randint(32, 40)
+            capacity = [rng.choice((rng.uniform(0.5, 500.0), rng.randint(1, 30) / 10, math.inf))
+                        for _ in range(n_links)]
+
+            def flow():
+                return rng.randrange(n_links), rng.randrange(-1, n_links)
+
+            batches = [[flow() for _ in range(rng.randint(40, 80))]]
+            batches += [[flow() if rng.random() < 0.5 else rng.randrange(1000)
+                         for _ in range(rng.randint(1, 8))] for _ in range(6)]
+            aside += check_every_solve(capacity, batches)
+            solves += len(batches)
+        assert aside >= solves // 4
 
     def test_removing_a_flow_not_in_flight_raises(self):
         # A second removal would take the flow's ends off its links' counts
@@ -325,6 +394,62 @@ class TestWarmStart:
                 [list(on) for on in state._flows_on]) == before
         state.solve()
         assert_matches_reference(state, present, capacity)
+
+
+def refill_from_round_0(capacity, flows):
+    """Solve ``flows`` over ``capacity``, preceded by a probe link of
+    capacity 2**-10 with one flow, whose round comes first; then remove
+    the probe's flow and solve again, which refills every round of a long
+    log from round 0.  Both solves are checked as ``TestWarmStart`` says;
+    return how many set links aside."""
+    capacity = [2.0 ** -10, *capacity]
+    flows = [tuple(l + 1 if l >= 0 else l for l in ends) for ends in flows]
+    return check_every_solve(capacity, [[(0, -1), *flows], [0]])
+
+
+def fillers(first):
+    """The capacities and flows of 32 links of capacity 100, numbered from
+    ``first``, each with one unconstrained flow: enough loaded links for a
+    refill to set links aside, all far above its first level."""
+    return [100.0] * 32, [(first + i, -1) for i in range(32)]
+
+
+class TestSetAside:
+    """Hand-built refills in which ``FairShare._fill`` sets links aside."""
+
+    def test_a_set_aside_share_that_falls_to_a_level_comes_back_in_time(self):
+        # Link 0 (10 flows at 1/64) is the first level; links 1 and 2 are
+        # scanned, link 3 (six flows) is set aside at 0.61 / 6.  Round 0
+        # leaves one flow on link 1 at ``level``, three ulps below
+        # 0.61 / 6, and one on link 2 at ``tie``.  Link 1's round charges
+        # link 3 with ``level``, and its share falls to ``tie``, one ulp
+        # below where it was set aside: so links 2 and 3 saturate together
+        # in the next round, as in a cold solve.  A floor without the
+        # margin would keep link 3 aside in that round, and log it in a
+        # round of its own at the same level.
+        level = float.fromhex("0x1.a06d3a06d3a04p-4")
+        tie = float.fromhex("0x1.a06d3a06d3a06p-4")
+        assert (0.61 - level) / 5 == tie < 0.61 / 6
+        caps, spread = fillers(4)
+        capacity = [10 / 64, level + 5 / 64, tie + 5 / 64, 0.61, *caps]
+        flows = [(0, 1)] * 5 + [(0, 2)] * 5 + [(3, 1), (2, -1)] + [(3, -1)] * 5 + spread
+        assert refill_from_round_0(capacity, flows) == 1
+
+    def test_every_scanned_link_empties_in_one_round(self):
+        # Links 0 and 1 share the first level, 1, and saturate in round
+        # 0, which leaves no link to scan: every link set aside comes
+        # back, link 2 at 99 ahead of the other fillers at 100.
+        caps, spread = fillers(2)
+        assert refill_from_round_0([1.0, 2.0, *caps],
+                                   [(0, 2), (1, -1), (1, -1), *spread]) == 1
+
+    def test_set_aside_links_reach_the_terminal_round(self):
+        # Links 0-2 are scanned, at levels 1, 1.5 and 2; every link set
+        # aside has an infinite capacity, so the floor is infinite: they
+        # come back only when no finite share is left, and their flows get
+        # an infinite rate in the terminal round.
+        flows = [(0, -1), (1, -1), (2, -1)] + [(3 + i, 3 + (i + 1) % 32) for i in range(32)]
+        assert refill_from_round_0([1.0, 1.5, 2.0, *[math.inf] * 32], flows) == 1
 
 
 class TestRoundLog:

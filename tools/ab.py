@@ -3,19 +3,23 @@
 
     python3 tools/ab.py BASE HEAD --workload W --pairs N --seconds S [--seed K]
 
-Run from a checkout; BASE and HEAD are any revisions its git resolves
-(commit them first: the working tree is not compared).  ``BASE BASE``
+Run from a checkout; BASE and HEAD are any revisions its git resolves,
+each resolved to its commit first (commit them first: the working tree
+is not compared).  ``BASE BASE``
 runs a revision against itself, which shows the noise floor: a
-difference an A/A run shows is no gain.  Both sides are checked out with
-``git worktree add`` into one new temporary directory, as ``base`` and
-``head``: two paths of the same length, since the benchmark's peak
-resident memory moves with the length of the checkout's path.
+difference an A/A run shows is no gain.  The two sides run in two trees,
+made with ``git worktree add`` in one new temporary directory as ``a``
+and ``b``: two paths of the same length, since the benchmark's peak
+resident memory moves with the length of the checkout's path.  Even so,
+two trees of one commit can differ by a steady offset, so the trees swap
+revisions between pairs (``schedule``): each revision runs in both trees
+equally often over an even number of pairs, and the offset cancels.
 
-First it runs each tree's ``tools/report_digest.py`` and prints its lines
-and whether the two trees' lines match, so that a claim of byte-identical
+First it runs each side's ``tools/report_digest.py`` and prints its lines
+and whether the two sides' lines match, so that a claim of byte-identical
 reports comes from the same run as the timings.  Then pair i runs
-``perfbench/run.py --workload W --seed K+i --seconds S`` in each tree,
-BASE first in even pairs and HEAD first in odd ones.
+``perfbench/run.py --workload W --seed K+i --seconds S`` on each side:
+tree ``a`` runs first and holds BASE in even pairs and HEAD in odd ones.
 
 For each end-to-end metric of BASE's ``BENCHMARK.json`` it prints each
 side's quartiles (the middle one is the median), the change of the median,
@@ -23,7 +27,7 @@ the pairs HEAD wins (ties count for neither side), and the verdict: whether
 HEAD's median is inside the metric's bound, and whether it shows a gain,
 that is HEAD wins at least nine pairs in ten and its median is better by
 more than the distance between BASE's quartiles.  Then it removes both
-worktrees.  Standard library only.
+trees.  Standard library only.
 """
 
 from __future__ import annotations
@@ -93,8 +97,17 @@ def compare_digests(base: list[str], head: list[str]) -> list[str]:
     return lines + [f"  digests {'match' if base == head else 'DIFFER'}"]
 
 
-def _git(*args: str) -> None:
-    subprocess.run(["git", "-C", str(ROOT), *args], check=True)
+def schedule(pairs: int) -> list[tuple[tuple[str, str], ...]]:
+    """Per pair, the (side, tree) runs in the order they run: tree ``a``
+    first, holding BASE in even pairs and HEAD in odd ones, so that each
+    side runs first, and in each tree, in every other pair."""
+    return [(("base", "a"), ("head", "b")) if i % 2 == 0 else (("head", "a"), ("base", "b"))
+            for i in range(pairs)]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -152,26 +165,34 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
 
+    # A commit, not a name: ``HEAD`` in a tree would name the tree's own.
+    revs = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+            for side, rev in (("base", args.base), ("head", args.head))}
     tmp = Path(tempfile.mkdtemp(prefix="ralp-ab-"))
-    trees = {"base": tmp / "base", "head": tmp / "head"}
-    added = []
+    trees = {"a": tmp / "a", "b": tmp / "b"}
+    holds = {}  # tree -> the side checked out in it
     try:
-        for side, rev in (("base", args.base), ("head", args.head)):
-            _git("worktree", "add", "--detach", "--quiet", str(trees[side]), rev)
-            added.append(trees[side])
-        spec = json.loads((trees["base"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        print(f"base {args.base}, head {args.head}")
-        print("\n".join(compare_digests(_digest(trees["base"]), _digest(trees["head"]))))
+        for side, tree in schedule(1)[0]:
+            _git("worktree", "add", "--detach", "--quiet", str(trees[tree]), revs[side])
+            holds[tree] = side
+        spec = json.loads((trees["a"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        print(f"base {args.base} ({revs['base'][:10]}), head {args.head} ({revs['head'][:10]})")
+        print("\n".join(compare_digests(_digest(trees["a"]), _digest(trees["b"]))))
         seeds = range(args.seed, args.seed + args.pairs)
         runs = {"base": [], "head": []}
-        for i, seed in enumerate(seeds):
-            for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                print(f"# pair {i + 1} of {args.pairs}: {side}, seed {seed}", file=sys.stderr)
-                runs[side].append(_run(trees[side], args.workload, seed, args.seconds))
+        for i, (seed, order) in enumerate(zip(seeds, schedule(args.pairs))):
+            for side, tree in order:
+                if holds[tree] != side:
+                    subprocess.run(["git", "-C", str(trees[tree]), "checkout", "--detach",
+                                    "--quiet", revs[side]], check=True)
+                    holds[tree] = side
+                print(f"# pair {i + 1} of {args.pairs}: {side} in {tree}, seed {seed}",
+                      file=sys.stderr)
+                runs[side].append(_run(trees[tree], args.workload, seed, args.seconds))
         _print(args.workload, seeds, args.seconds, spec, runs)
     finally:
-        for tree in added:
-            _git("worktree", "remove", "--force", str(tree))
+        for tree in holds:
+            _git("worktree", "remove", "--force", str(trees[tree]))
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
