@@ -58,10 +58,12 @@ PARAMETERIZED_KINDS = frozenset({CONVOLUTION, FULLY_CONNECTED, BLOCK})
 # Kinds the split planner must not cut between (compute-heavy layers).
 COMPUTE_DEMAND_KINDS = frozenset({CONVOLUTION, BLOCK})
 
-# Bound on a model's byte and flop totals.  The profiler and the simulator
-# turn them into floats and scale them by a few layer and worker counts;
-# the bound leaves those factors 2**64 of room below the float range, but
-# not powers: the literal skewness scales sizes below 1 before cubing them.
+# Bound on a model's byte and flop totals.  The simulator turns them into
+# floats and scales them by a few layer and worker counts; the bound
+# leaves those factors 2**64 of room below the float range.  The
+# profiler neither turns sizes into floats nor cubes them: its moments are
+# exact integers, and the bound keeps its skewness, which grows as the
+# square root of the ratio of two sizes, far inside the float range.
 FLOAT_TOTAL_LIMIT = 2**960
 
 

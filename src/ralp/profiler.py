@@ -59,55 +59,68 @@ class ProfilerConfig:
             )
 
 
+def _integers(sizes: Sequence[float]) -> list[int]:
+    """The sizes as ints in the same proportions.  When one is not an int,
+    each is read as the exact ratio of its float, and all are scaled by the
+    largest denominator, a power of two that the others divide; the
+    sequence is then read a second time, so it must not be an iterator."""
+    try:
+        return list(map(operator.index, sizes))
+    except TypeError:
+        ratios = [float(x).as_integer_ratio() for x in sizes]
+    scale = max(d for _, d in ratios)
+    return [a * (scale // d) for a, d in ratios]
+
+
 def compute_skewness(
     params: Sequence[float], mode: SkewnessMode = SkewnessMode.INDEX_WEIGHTED
 ) -> float:
     """Skewness factor of the per-layer parameter distribution.
 
-    Every sum is a ``math.fsum``, so it is exactly rounded and the result
-    does not depend on summation order.  Returns 0.0 when the second moment
-    vanishes: in index_weighted mode when all the mass sits on one layer,
-    in literal_values mode when every layer has the same size.
+    Both modes are the moments of a value column under a weight column:
+    index_weighted weighs the layer indices by the sizes, literal_values
+    weighs each size by 1.  Skewness does not change with scale, so sizes
+    that are not integers are first scaled to integers in the same
+    proportions.  The moments are then exact integer power sums, and the
+    result is rounded only by one true division and one square root, so it
+    is within 1 ulp of the exact value.  It is 0.0 exactly when the second
+    moment vanishes: in index_weighted mode when all the mass sits on one
+    layer, in literal_values mode when every layer has the same size.
+    A skewness past the float range, which takes sizes whose ratio passes
+    2**2048, raises OverflowError; a model's totals stay below 2**960.
     """
     try:
-        p = list(map(float, params))
-    except (TypeError, ValueError):
-        raise ProfilerError("parameter sizes must be numbers") from None
+        p = _integers(params)
+    except (TypeError, ValueError, OverflowError):
+        raise ProfilerError("parameter sizes must be finite numbers") from None
     n = len(p)
     if n < 2:
         raise ProfilerError("skewness needs at least 2 layers")
     if min(p) < 0:
         raise ProfilerError("negative parameter sizes")
-    total = math.fsum(p)
-    if total == 0.0:
+    if not any(p):
         raise ProfilerError("all layers carry zero parameters")
 
-    mode = SkewnessMode(mode)
-    # The second moment of these two distributions is exactly zero, but the
-    # float mean can miss by an ulp and leave m3 / m2**1.5 at +-1.
-    if mode is SkewnessMode.LITERAL_VALUES:
-        if min(p) == max(p):
-            return 0.0
-        # Scaled exactly below 1 (skewness is scale-free), sizes cube in range.
-        scale = 2.0 ** -math.frexp(max(p))[1]
-        mean = total * scale / n
-        dev = [x * scale - mean for x in p]
-        sq = [d * d for d in dev]
-        m2 = math.fsum(sq) / n
-        m3 = math.fsum(map(operator.mul, sq, dev)) / n
+    if SkewnessMode(mode) is SkewnessMode.INDEX_WEIGHTED:
+        values, weights = range(n), p  # indices from 0: moments are shift-free
     else:
-        if n - p.count(0.0) == 1:
-            return 0.0
-        # Moments of the layer index under the weights p / total.
-        idx = range(1, n + 1)
-        mu = math.fsum(map(operator.mul, p, idx)) / total
-        dev = [i - mu for i in idx]
-        psq = [x * d * d for x, d in zip(p, dev)]
-        m2 = math.fsum(psq) / total
-        m3 = math.fsum(map(operator.mul, psq, dev)) / total
-    if m2 == 0.0:
-        return 0.0
-    return m3 / m2**1.5
+        values, weights = p, [1] * n
+    wv = list(map(operator.mul, weights, values))
+    wv2 = list(map(operator.mul, wv, values))
+    s0, s1, s2 = sum(weights), sum(wv), sum(wv2)
+    s3 = sum(map(operator.mul, wv2, values))
+    # s0**2 and s0**3 times the central moments m2 and m3.
+    m2 = s0 * s2 - s1 * s1
+    m3 = s0 * (s0 * s3 - 3 * s1 * s2) + 2 * s1**3
+    # The skewness is m3 / m2**1.5, and 0 wherever m2 is (m3 is 0 there).
+    # Its square m3**2 / m2**3 is taken times 4**e, which brings it near 1
+    # so that it neither underflows nor overflows, and the root gives back
+    # 2**e exactly.
+    num, den = m3 * m3, m2**3 or 1
+    e = (den.bit_length() - num.bit_length()) // 2
+    square = (num << 2 * e) / den if e >= 0 else num / (den << -2 * e)
+    skew = math.ldexp(math.sqrt(square), -e)
+    return -skew if m3 < 0 else skew
 
 
 def _unjudged(cumulative_param_bytes: Sequence[int]) -> Optional[str]:

@@ -32,6 +32,11 @@ GIB = 1 << 30
 DATA = Path(__file__).parent / "data"
 
 
+# Two blocks whose parameters are 10**280 apart.
+CONCENTRATED_BLOCKS = ("model two batch=1 input=8x8x1\nb1 block params=1 out=4 flops=100\n"
+                       f"b2 block params={10**280} out=4 flops=100\n")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -132,6 +137,21 @@ class TestProfileCommand:
         assert out == ""
         assert err == (f"error: {huge}: line 2, column 1: model huge: parameter bytes reach "
                        "2**960, too large for float arithmetic\n")
+
+    @pytest.mark.parametrize("command", ["profile", "volumes"])
+    def test_layers_10_to_the_280_apart(self, capsys, tmp_path, command):
+        # From a ratio of about 10**216, the float moments' m2**1.5
+        # underflowed to a zero divisor.  Two layers r apart have the index
+        # skewness (1 - r) / sqrt(r); both blocks make the cut excluded.
+        path = tmp_path / "two.model"
+        path.write_text(CONCENTRATED_BLOCKS)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, err) == (EXIT_OK, "")
+        if command == "profile":
+            assert '  "skewness": -1e+140,' in out.splitlines()
+            assert json.loads(out)["split_index"] is None
+        else:
+            assert out.splitlines()[1].startswith("two,baseline,8,")
 
     def test_literal_skewness_of_sizes_that_cube_past_the_float_range(self, capsys, tmp_path):
         # 2**345 parameter bytes is below the 2**960 bound on totals, but
@@ -383,11 +403,15 @@ class TestSimulateCommand:
          "it has no split point: each boundary before its last layer is excluded or costs "
          "more than splitting after it"),
         ("f1 fc out=512\nf2 fc out=2\n",
-         "its skewness 5.519735183902606 is not below the threshold -0.5"),
+         "its skewness 5.519735183902608 is not below the threshold -0.5"),
         ("f fc out=3\n", "it has fewer than 2 layers"),
         ("b1 block params=0 out=4 flops=100\nb2 block params=0 out=4 flops=100\n",
          "it has no parameters"),
-    ], ids=["no-split-point", "skewness", "one-layer", "no-parameters"])
+        # Skewness -1e140 passes the gate; the one boundary is block-block.
+        (CONCENTRATED_BLOCKS.split("\n", 1)[1],
+         "it has no split point: each boundary before its last layer is excluded or costs "
+         "more than splitting after it"),
+    ], ids=["no-split-point", "skewness", "one-layer", "no-parameters", "concentrated"])
     def test_auto_split_names_why_the_model_is_not_partitionable(self, capsys, tmp_path,
                                                                  layers, why):
         (tmp_path / "x.model").write_text("model x batch=1 input=8x8x1\n" + layers)
@@ -397,6 +421,16 @@ class TestSimulateCommand:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == (f"error: {scn}: line 2: job 'a': model x is not partitionable ({why}); "
                        "use strategy=baseline\n")
+
+    def test_auto_split_of_layers_10_to_the_280_apart(self, capsys, tmp_path):
+        # An activation between the blocks gives the gate's -1e140 a cut.
+        head, b1, b2 = CONCENTRATED_BLOCKS.splitlines()
+        (tmp_path / "x.model").write_text(f"{head}\n{b1}\na1 act\n{b2}\n")
+        scn = tmp_path / "e.scn"
+        scn.write_text("steps 1\njob a model=x.model strategy=ralp split=auto workers=2\n")
+        code, out, err = run_cli(capsys, "simulate", str(scn))
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("a: strategy=ralp workers=2 ")
 
     def test_infinite_cluster_rates_name_the_cluster_line(self, capsys, tmp_path):
         scn = tmp_path / "e.scn"
@@ -490,6 +524,16 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.endswith(f": job 'a': {steps} steps are more than a report can hold\n")
+        assert err.count("\n") == 1
+
+    def test_a_lone_job_whose_records_fit_no_list(self, capsys):
+        # 2**62 fits sys.maxsize, so the count passes the scenario's check,
+        # but no list holds 2**62 records; CPython refuses before allocating.
+        code, out, err = run_cli(capsys, "simulate", "vgg11_16gpu_ralp.scn",
+                                 "--steps", "4611686018427387904")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.endswith(": job 'vgg11': 4611686018427387904 steps are more than a report "
+                            "can hold\n")
         assert err.count("\n") == 1
 
     def test_the_step_count_is_checked_before_the_clock(self, capsys, tmp_path):
@@ -745,7 +789,9 @@ class TestCatalogCommand:
 class TestPlanDigest:
     """sha256 of every planning command's output on the whole catalog,
     recorded before the layer sums were cached and before the descriptor
-    parser stopped tokenizing with a regex.  Any byte that moves in any
+    parser stopped tokenizing with a regex, and again when the skewness
+    came to be computed from exact integer moments (the last digits of 13
+    of the 16 profile reports' skewness moved).  Any byte that moves in any
     report changes it."""
 
     def test_catalog_reports(self, capsys):
@@ -760,7 +806,7 @@ class TestPlanDigest:
             assert (code, err) == (EXIT_OK, ""), argv
             digest.update(f"{' '.join(argv)}\n{out}".encode())
         assert len(runs) == 35
-        assert digest.hexdigest() == "34d3b01b0d3333dd3060db2de1cfc4d24060e5bc4cc5daf12d09cfb541fe0b9c"
+        assert digest.hexdigest() == "33edee063c1204c8bbc08224963423bfd3cbdb229a6062c0411964e6025ce0f5"
 
 
 _PACKAGE = Path(str(resources.files("ralp")))

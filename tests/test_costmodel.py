@@ -255,6 +255,16 @@ class TestCompareStrategies:
         assert table["baseline"] == {"workers": 8, "ps": 8, "gpus": 16}
         assert table["ring"]["workers"] == 16
 
+    # The CLI refuses these inputs before it calls the cost model (an empty
+    # --workers list, --gpus 1), so only the API reaches these checks.
+    def test_no_worker_counts_is_rejected(self):
+        with pytest.raises(CostModelError, match="^worker_counts must be nonempty$"):
+            compare_strategies(catalog_lookup("lenet"), [])
+
+    def test_gpu_assignments_needs_two_devices(self):
+        with pytest.raises(CostModelError, match="^need at least 2 devices$"):
+            gpu_assignments(1)
+
 
 class TestJobSpec:
     def test_ralp_requires_one_ps(self):

@@ -3,6 +3,8 @@ import math
 import random
 import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ralp.profiler
-from ralp.catalog import catalog_lookup
+from ralp.catalog import catalog_lookup, catalog_names
 from ralp.costmodel import compare_strategies
 from ralp.descriptor import parse_model
 from ralp.layers import LayerKind
@@ -32,6 +34,32 @@ FC = LayerKind.FULLY_CONNECTED
 BLOCK = LayerKind.BLOCK
 
 
+def exact_skewness(params, mode):
+    """The skewness nearest the exact one, from Fraction central moments:
+    the mean first, then each deviation from it."""
+    sizes = [Fraction(x) for x in params]
+    if mode is SkewnessMode.INDEX_WEIGHTED:
+        values, weights = range(1, len(sizes) + 1), sizes
+    else:
+        values, weights = sizes, [1] * len(sizes)
+    total = sum(weights)
+    mean = sum(w * v for w, v in zip(weights, values)) / total
+    dev = [v - mean for v in values]
+    m2 = sum(w * d**2 for w, d in zip(weights, dev)) / total
+    m3 = sum(w * d**3 for w, d in zip(weights, dev)) / total
+    if m2 == 0:
+        return 0.0
+    square = m3**2 / m2**3
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = (Decimal(square.numerator) / square.denominator).sqrt()
+    return float(-root if m3 < 0 else root)
+
+
+def assert_within_an_ulp(got, want):
+    assert abs(got - want) <= math.ulp(want), (got, want)
+
+
 class TestSkewness:
     def test_uniform_mass_is_symmetric(self):
         for mode in SkewnessMode:
@@ -39,8 +67,7 @@ class TestSkewness:
 
     def test_degenerate_distributions_read_exactly_zero(self):
         # Equal sizes (literal_values) and all the mass on one layer
-        # (index_weighted) have no second moment at any scale, though the
-        # float mean can miss it by an ulp.
+        # (index_weighted) have no second moment at any scale.
         rng = random.Random(0)
         for _ in range(500):
             n = rng.randint(2, 64)
@@ -84,29 +111,48 @@ class TestSkewness:
             compute_skewness(params)
 
     @pytest.mark.parametrize("mode", list(SkewnessMode))
-    def test_matches_numpy_moments(self, mode):
-        # The moments as numpy computes them; math.fsum rounds each sum
-        # exactly, so the two agree to a few ulps of the moments, not bit
-        # for bit (a near-zero skewness is a difference of such sums).
-        def numpy_skewness(params):
-            p = np.asarray(params, dtype=np.float64)
-            if mode is SkewnessMode.LITERAL_VALUES:
-                dev = p - p.mean()
-                m2, m3 = np.mean(dev**2), np.mean(dev**3)
-            else:
-                w = p / p.sum()
-                dev = np.arange(1, p.size + 1) - np.dot(w, np.arange(1, p.size + 1))
-                m2, m3 = np.dot(w, dev**2), np.dot(w, dev**3)
-            return float(m3 / m2**1.5)
-
+    def test_within_an_ulp_of_exact_moments(self, mode):
+        # compute_skewness rounds only a true division of exact integers and
+        # a square root, so it is at most 1 ulp from the nearest float.
         rng = np.random.default_rng(31)
         models = [[l.param_count for l in catalog_lookup(name).layers]
                   for name in ("alexnet", "googlenet", "resnet-50", "vgg19")]
         models += [rng.integers(0, 10**8, size=int(rng.integers(2, 400))).tolist()
                    for _ in range(50)]
         for params in models:
-            want = numpy_skewness(params)
-            assert math.isclose(compute_skewness(params, mode), want, rel_tol=1e-12, abs_tol=1e-12)
+            assert_within_an_ulp(compute_skewness(params, mode), exact_skewness(params, mode))
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    def test_catalog_within_an_ulp_of_exact_moments(self, mode):
+        for name in catalog_names():
+            params = catalog_lookup(name).param_bytes
+            assert_within_an_ulp(compute_skewness(params, mode), exact_skewness(params, mode))
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    @pytest.mark.parametrize("exponent", [100, 150, 200, 216, 250, 280, 288])
+    def test_extreme_concentrations_within_an_ulp(self, mode, exponent):
+        # Size ratios of 10**100 and more: a float mean of such sizes loses
+        # the small layers, and from about 10**216 a float m2**1.5 underflows
+        # to a zero divisor.  Some skewnesses here are near 1e140, and some,
+        # such as index_weighted [big, big, 1, 5], below 1e-154, whose
+        # square is below the float range.
+        big = 10**exponent
+        for params in ([1, big], [big, 1], [1, big, 1], [3, 0, big, 7, 2], [1, 1, big],
+                       [big, big, 1, 5], [big] + [1] * 7, [big, 1, big // 3 + 1]):
+            assert_within_an_ulp(compute_skewness(params, mode), exact_skewness(params, mode))
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    @pytest.mark.parametrize("size", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_sizes_rejected(self, mode, size):
+        with pytest.raises(ProfilerError, match="^parameter sizes must be finite numbers$"):
+            compute_skewness([1, size], mode)
+
+    @pytest.mark.parametrize("mode", list(SkewnessMode))
+    def test_sizes_of_every_numeric_type_are_read_as_their_value(self, mode):
+        # Ints stay exact; anything else is read as its float, as exactly.
+        params = [3, True, 2.5, np.int64(7), np.float32(0.75), np.True_, "4", " 1e1 ", 2**70]
+        want = exact_skewness([3, 1, 2.5, 7, 0.75, 1, 4, 10, 2**70], mode)
+        assert_within_an_ulp(compute_skewness(params, mode), want)
 
     @given(
         params=st.lists(st.integers(min_value=0, max_value=10**9), min_size=2, max_size=64).filter(
@@ -116,7 +162,7 @@ class TestSkewness:
     )
     @settings(max_examples=100, deadline=None)
     def test_literal_mode_is_bit_identical_under_permutation(self, params, seed):
-        # Exactly rounded sums of the same terms do not depend on their order.
+        # Exact integer sums of the same terms do not depend on their order.
         shuffled = np.random.default_rng(seed).permutation(params).tolist()
         assert compute_skewness(shuffled, SkewnessMode.LITERAL_VALUES) == compute_skewness(
             params, SkewnessMode.LITERAL_VALUES

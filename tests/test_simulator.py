@@ -834,6 +834,21 @@ class TestPlacementAndScenarios:
         scenario = Scenario(small_cluster(), (self._lenet_job(),), steps=sys.maxsize)
         assert scenario.steps == sys.maxsize
 
+    def test_a_lone_job_whose_records_fit_no_list(self):
+        # 2**62 is a valid step count, but 2**62 records pass what a list
+        # can address: CPython refuses the repeat before allocating.  The
+        # lone job runs its one step and then fails as a malformed count.
+        scenario = Scenario(small_cluster(), (self._lenet_job(),), steps=2**62)
+        with pytest.raises(ScenarioError) as caught:
+            simulate_run(scenario)
+        assert str(caught.value) == f"job 'j': {2**62} steps are more than a report can hold"
+
+    def test_a_report_names_only_its_own_jobs(self):
+        report = simulate_run(Scenario(small_cluster(), (self._lenet_job(),)))
+        assert report.job("j") is report.jobs[0]
+        with pytest.raises(KeyError):
+            report.job("missing")
+
     def test_parse_scenario_roundtrip(self):
         text = """
         # tiny scenario
