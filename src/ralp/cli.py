@@ -32,7 +32,6 @@ from .costmodel import (
 from .descriptor import DescriptorError, file_error, integer, number, parse_model
 from .layers import ModelGraph
 from .profiler import ProfilerConfig, ProfilerError, profile
-from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -197,6 +196,9 @@ def _bundled_scenario(name: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    # Only this command loads the engine; the planning commands start without it.
+    from .simulator import CapacityError, ScenarioError, parse_scenario, simulate_run
+
     steps = _flag("--steps", args.steps, least=1)
     path = Path(args.scenario)
     if not path.is_file() and path.name == args.scenario:
@@ -228,9 +230,12 @@ def _cmd_simulate(args) -> int:
                 raise _CliError(EXIT_BAD_FLAG, f"{flag}: cannot write {dest!r}: "
                                                f"{file_error(exc)}") from exc
     for job in report.jobs:
+        # From 1e11 s up, six decimals would print more than a float's 17
+        # significant digits: such a time prints in exponent form instead.
+        step_time = format(job.avg_step_time, ".6f" if job.avg_step_time < 1e11 else ".6e")
         print(
             f"{job.job}: strategy={job.strategy} workers={job.worker_count} "
-            f"step_time={job.avg_step_time:.6f}s images_per_sec={job.images_per_sec:.1f} "
+            f"step_time={step_time}s images_per_sec={job.images_per_sec:.1f} "
             f"comm_fraction={job.comm_fraction:.3f} wire_bytes={job.bytes_on_wire_per_step}"
         )
     return EXIT_OK

@@ -87,7 +87,7 @@ def compute_skewness(
     moment vanishes: in index_weighted mode when all the mass sits on one
     layer, in literal_values mode when every layer has the same size.
     A skewness past the float range, which takes sizes whose ratio passes
-    2**2048, raises OverflowError; a model's totals stay below 2**960.
+    2**2048, raises ProfilerError; a model's totals stay below 2**960.
     """
     try:
         p = _integers(params)
@@ -119,7 +119,11 @@ def compute_skewness(
     num, den = m3 * m3, m2**3 or 1
     e = (den.bit_length() - num.bit_length()) // 2
     square = (num << 2 * e) / den if e >= 0 else num / (den << -2 * e)
-    skew = math.ldexp(math.sqrt(square), -e)
+    try:
+        skew = math.ldexp(math.sqrt(square), -e)
+    except OverflowError:
+        raise ProfilerError("the skewness is past the float range: the layer sizes "
+                            "are too far apart") from None
     return -skew if m3 < 0 else skew
 
 

@@ -41,6 +41,17 @@ def test_summary_of_fixed_pairs(better, bound, base, head, want):
         (pytest.approx(want.change), want.wins, want.inside_bound, want.gain)
 
 
+def test_four_pairs_show_no_gain():
+    # HEAD ahead in every pair, by far more than BASE's spread: no gain from
+    # 4 pairs, and every verdict of such a run says why.
+    s = ab.summarize("lower", 0.25, [10.0, 10.1, 9.9, 10.0], [7.0, 7.1, 6.9, 7.0])
+    assert (s.wins, s.inside_bound, s.gain) == (4, True, False)
+    assert ab.verdict(s, 0.25, 4) == "inside its 25% bound; fewer than 10 pairs: no evidence"
+    ten = ab.summarize("lower", 0.25, [10.0, 10.1, 9.9, 10.0] * 2 + [10.0, 10.1],
+                       [7.0, 7.1, 6.9, 7.0] * 2 + [7.0, 7.1])
+    assert ab.verdict(ten, 0.25, 10) == "inside its 25% bound, gain"
+
+
 DIGEST = ["559e  514 scenarios, 12 consolidation ops", "127b  520 plan items"]
 
 

@@ -59,6 +59,48 @@ def test_importing_the_cli_loads_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
+ENGINE_PROBE = """
+import contextlib, io, sys
+import ralp, ralp.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {commands!r}:
+        assert ralp.cli.main(argv) == 0, argv
+{api}
+print(sorted(m for m in sys.modules if m in ("ralp.simulator", "ralp.fairshare")))
+"""
+
+PLANNER_API = """
+text = (ralp.catalog._CATALOG_DIR / "vgg11.model").read_text()
+model = ralp.parse_model(text)
+ralp.profile(model, ralp.ProfilerConfig())
+ralp.compare_strategies(model, [2, 8])
+"""
+
+
+@pytest.mark.parametrize("commands, api, loaded", [
+    ([["profile", "lenet"], ["split", "vgg11"], ["volumes", "vgg11", "--workers", "8"],
+      ["catalog"]], PLANNER_API, []),
+    ([["simulate", "vgg11_16gpu_baseline.scn"]], "", ["ralp.fairshare", "ralp.simulator"]),
+], ids=["planning", "simulate"])
+def test_only_the_simulate_command_loads_the_engine(commands, api, loaded):
+    probe = ENGINE_PROBE.format(commands=commands, api=api)
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == str(loaded)
+
+
+def test_a_star_import_binds_each_export_to_its_modules_object():
+    # In a fresh process, so that the package resolves every name on first use.
+    probe = ("import importlib, ralp\nnames = {}\nexec('from ralp import *', names)\n"
+             "print(len(ralp.__all__), [name for name in ralp.__all__ if names[name] is not\n"
+             "    getattr(importlib.import_module('ralp.' + ralp._EXPORTS[name]), name)])")
+    result = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "35 []"
+    with pytest.raises(AttributeError, match="^module 'ralp' has no attribute 'simulator_run'$"):
+        ralp.simulator_run
+
+
 @pytest.mark.parametrize("argv", [["catalog"], ["catalog", "--json"], ["profile", "lenet"],
                                   ["profile", "inception-v3"]])
 def test_a_closed_stdout_ends_the_command_quietly(argv):
@@ -488,6 +530,22 @@ class TestSimulateCommand:
                               "range after ")
         assert err.endswith(" s\n") and err.count("\n") == 1
 
+    def test_an_ordinary_step_time_prints_six_decimals(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "vgg11_16gpu_baseline.scn")
+        assert (code, out) == (EXIT_OK, "vgg11: strategy=baseline workers=8 step_time=3.435854s "
+                               "images_per_sec=149.0 comm_fraction=0.847 wire_bytes=8503253504\n")
+
+    @pytest.mark.parametrize("seconds, shown", [(99999999999.99998, "99999999999.999985"),
+                                                (1e11, "1.000000e+11")])
+    def test_step_times_from_1e11_s_print_in_exponent_form(self, capsys, monkeypatch,
+                                                            seconds, shown):
+        # Six decimals of 1e11 s would be 18 significant digits, more than a
+        # float holds.
+        monkeypatch.setattr(simulator.JobReport, "avg_step_time", property(lambda job: seconds))
+        code, out, _ = run_cli(capsys, "simulate", "vgg11_16gpu_baseline.scn")
+        assert code == EXIT_OK
+        assert f" step_time={shown}s " in out
+
     def test_a_lone_job_whose_repeated_steps_pass_the_float_range(self, capsys, tmp_path):
         # A step takes about 7e307 s: two fit the float range, three do not.
         scn = tmp_path / "late.scn"
@@ -495,7 +553,7 @@ class TestSimulateCommand:
                        "job a model=vgg11 strategy=baseline workers=2 ps=1\n")
         code, out, _ = run_cli(capsys, "simulate", str(scn), "--steps", "2")
         assert code == EXIT_OK
-        assert out.startswith("a: strategy=baseline workers=2 step_time=695751501215238")
+        assert out.startswith("a: strategy=baseline workers=2 step_time=6.957515e+307s ")
         code, out, err = run_cli(capsys, "simulate", str(scn), "--steps", "3")
         assert code == EXIT_PARSE
         assert out == ""

@@ -147,6 +147,13 @@ class TestSkewness:
         with pytest.raises(ProfilerError, match="^parameter sizes must be finite numbers$"):
             compute_skewness([1, size], mode)
 
+    @pytest.mark.parametrize("params", [[1, 10**700], [10**700, 1]], ids=["left", "right"])
+    def test_a_skewness_past_the_float_range_is_rejected(self, params):
+        # About +-1e350: its size ratio passes 2**2048.  Literal-value
+        # skewnesses of n sizes stay below n, so only index_weighted gets here.
+        with pytest.raises(ProfilerError, match="^the skewness is past the float range"):
+            compute_skewness(params)
+
     @pytest.mark.parametrize("mode", list(SkewnessMode))
     def test_sizes_of_every_numeric_type_are_read_as_their_value(self, mode):
         # Ints stay exact; anything else is read as its float, as exactly.

@@ -1048,6 +1048,50 @@ class TestSolveCounts:
         assert counts[1] > counts[0] > 0
 
 
+class TestWorkAtFixedDensity:
+    """The kernel's work on N vgg11 baseline 15+15 jobs, spread over 4N
+    machines of 8 GPUs for one step: 94% of the slots, at any N.  The
+    counts are exact, so a kernel change that moves one says so here."""
+
+    @staticmethod
+    def counts(monkeypatch, jobs):
+        solve = simulator.fairshare.FairShare.solve
+        totals = dict.fromkeys(("solves", "rounds", "freezes", "moved", "in_flight"), 0)
+        rates = {}  # per kernel, each flow's rate after its last solve
+
+        def counted(share):
+            solve(share)
+            before = rates.setdefault(share, {})
+            written = share.log[share.kept:]
+            totals["solves"] += 1
+            totals["rounds"] += len(written)
+            totals["freezes"] += sum(len(flows) for *_, flows in written)
+            totals["moved"] += sum(before.get(f) != f.rate for f in share.flows)
+            totals["in_flight"] += len(share.flows)
+            rates[share] = {f: f.rate for f in share.flows}
+
+        monkeypatch.setattr(simulator.fairshare.FairShare, "solve", counted)
+        cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=4 * jobs, gpus_per_machine=8)
+        spec = JobSpec(model=catalog_lookup("vgg11"), strategy=Strategy.baseline(),
+                       worker_count=15, ps_count=15)
+        placements = spread_placement(cluster, [(15, 15)] * jobs)
+        simulate_run(Scenario(cluster=cluster, steps=1, jobs=tuple(
+            (f"vgg11/{i}", spec, placement) for i, placement in enumerate(placements))))
+        return totals
+
+    @pytest.mark.parametrize("jobs, solves, rounds, freezes, moved, in_flight", [
+        (2, 175, 909, 13_353, 10_083, 25_128),
+        (4, 506, 3_170, 67_748, 47_569, 161_177),
+        (8, 789, 7_735, 182_994, 119_302, 477_766),
+    ])
+    def test_counts(self, monkeypatch, jobs, solves, rounds, freezes, moved, in_flight):
+        # "moved": the flows in flight after a solve that are new or whose
+        # rate changed; "in_flight" is summed over the solves.
+        assert self.counts(monkeypatch, jobs) == {
+            "solves": solves, "rounds": rounds, "freezes": freezes, "moved": moved,
+            "in_flight": in_flight}
+
+
 def _report_bytes(report) -> bytes:
     return report.to_json().encode()
 

@@ -25,9 +25,11 @@ For each end-to-end metric of BASE's ``BENCHMARK.json`` it prints each
 side's quartiles (the middle one is the median), the change of the median,
 the pairs HEAD wins (ties count for neither side), and the verdict: whether
 HEAD's median is inside the metric's bound, and whether it shows a gain,
-that is HEAD wins at least nine pairs in ten and its median is better by
-more than the distance between BASE's quartiles.  Then it removes both
-trees.  Standard library only.
+that is HEAD wins at least nine pairs in ten, over at least ten pairs, and
+its median is better by more than the distance between BASE's quartiles.
+A run of fewer pairs shows no gain, and says so beside every verdict: an
+A/A run of 4 pairs has read a 29% change.  Then it removes both trees.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # the fewest pairs a gain can be read from
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,16 @@ def summarize(better: str, bound: float, base: list[float], head: list[float]) -
         change=change,
         wins=wins,
         inside_bound=-sign * change <= bound,
-        gain=10 * wins >= 9 * len(base) and sign * (h[1] - b[1]) > b[2] - b[0],
+        gain=(len(base) >= MIN_PAIRS and 10 * wins >= 9 * len(base)
+              and sign * (h[1] - b[1]) > b[2] - b[0]),
     )
+
+
+def verdict(s: Summary, bound: float, pairs: int) -> str:
+    """The verdict column for summary ``s`` of ``pairs`` pairs."""
+    few = f"; fewer than {MIN_PAIRS} pairs: no evidence" if pairs < MIN_PAIRS else ""
+    return (f"{'inside' if s.inside_bound else 'OUTSIDE'} its {bound:.0%} bound"
+            f"{', gain' if s.gain else ''}{few}")
 
 
 def compare_digests(base: list[str], head: list[str]) -> list[str]:
@@ -146,11 +157,9 @@ def _print(workload: str, seeds: range, seconds: float, spec: dict, runs: dict) 
         name = metric["name"]
         got = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         s = summarize(metric["better"], metric["bound"], got["base"], got["head"])
-        verdict = (f"{'inside' if s.inside_bound else 'OUTSIDE'} its "
-                   f"{metric['bound']:.0%} bound{', gain' if s.gain else ''}")
         print(f"  {name:<12} {' / '.join(f'{v:.4g}' for v in s.base):>30} "
               f"{' / '.join(f'{v:.4g}' for v in s.head):>30} {s.change:>+8.2%} "
-              f"{s.wins:>3}/{pairs:<2}  {verdict}")
+              f"{s.wins:>3}/{pairs:<2}  {verdict(s, metric['bound'], pairs)}")
 
 
 def main(argv=None) -> int:
