@@ -23,11 +23,7 @@ rate, so a caller can treat each round as one rate class, and ``kept``
 says how many leading rounds the last solve left as they were.
 ``solve_rates`` is a cold solve of a fresh ``FairShare``: lists go in
 and a list comes out; a caller that passes numpy arrays gets a float64
-array back, and only that caller pays for importing numpy.  It takes a
-link id of -1 as "no constraint on that side" and puts that side on one
-spare link of infinite capacity after the caller's links: its share is
-infinite, so it never sets a level and a flow with no other link gets an
-infinite rate, as a flow with no link would.
+array back, and only that caller pays for importing numpy.
 """
 
 from __future__ import annotations
@@ -73,8 +69,10 @@ class FairShare:
     and takes one off that end's count (that end is l when both are); l
     is settled once, after its flows, with a count of zero.  No remainder
     is clamped.  All subtractions of a round use the same level,
-    so the order of freezing changes no value.  Flows left when only
-    unbounded shares remain get an infinite rate.
+    so the order of freezing changes no value.  A round whose level is
+    infinite is no different: every loaded link's share is then infinite,
+    so the round saturates them all and gives their flows an infinite
+    rate.
 
     The rates are bit-identical to filling that subtracts from both ends
     and clamps at zero, as ``tests/fairshare_reference.py`` does, because
@@ -93,6 +91,13 @@ class FairShare:
         (a) covers it from then on; when its last ends froze without
         saturating it, they used up its remainder to within rounding, so
         rem / (c + d) <= level held in that round as well.
+    (c) A round at an infinite level leaves NaN (inf - inf) only on links
+        it saturates, whose count is then 0: a flow it freezes charges its
+        other end while that end is still unfrozen, so on a loaded link,
+        whose share is the infinite level.  (a) covers those links:
+        rem / (c + d) <= inf holds in that round's snapshot, taken before
+        it charged anything, so ``_kept_rounds`` never keeps the round
+        once a link grows.
 
     So in a logged round a link's remainder means something where its
     unfrozen count is positive, and it is never negative there, or where
@@ -109,9 +114,10 @@ class FairShare:
     froze untouched, and refills from the first round that may differ.  A
     solve that can keep no round (a departed flow froze in round 0, or the
     log holds only the terminal round) skips that scan.  The terminal round
-    logs the working remainders and counts uncopied: no round changes them
-    after it, and the next solve drops the entry, or deletes it before
-    refilling from it, before it changes them.
+    freezes no flow: it logs the working remainders and counts uncopied,
+    at an infinite level.  No round changes them after it, and the next
+    solve drops the entry, or deletes it before refilling from it, before
+    it changes them.
 
     A long refill scans only the links near the level.  When the last
     solve ran more than three rounds from the round a solve refills from,
@@ -140,8 +146,8 @@ class FairShare:
     first solve refills from round 0 on the same path as any later one.
 
     ``log`` holds one entry per round of the last solve, and every flow in
-    flight is in exactly one entry's flows, with the entry's
-    level as its rate, bit for bit.  ``kept`` is the number of leading
+    flight is in exactly one entry's flows, never the terminal round's,
+    with the entry's level as its rate, bit for bit.  ``kept`` is the number of leading
     entries the last solve kept: the same entries, with the same flows.
     None of those flows has departed, since a departure refills from the
     round that froze its flow, and none of their rates moved.  So a caller
@@ -160,7 +166,8 @@ class FairShare:
         self._cut = _UNFROZEN  # earliest round in which a departed flow froze
         # One entry per round of the last solve: its level, each link's
         # remainder and unfrozen flow ends at its start, and the flows it
-        # froze.  The last round is the one whose level is infinite.
+        # froze.  The last entry, the terminal round, only logs the state
+        # the rounds left: its level is infinite and it freezes no flow.
         self.log: list[tuple[float, list[float], list[int], list[Flow]]] = [
             (math.inf, [float(c) for c in capacity], [0] * len(capacity), [])
         ]
@@ -255,8 +262,6 @@ class FairShare:
                     aside = ()
                     floor = -inf
                     continue
-                if best == inf:
-                    break
                 far = _ASIDE * best
                 aside = [l for l, s in zip(loaded, shares) if s > far]
                 if aside:
@@ -284,37 +289,25 @@ class FairShare:
                 raise RuntimeError("fair-share round froze no flow")
             loaded = [l for l in loaded if cnt[l]]
             r += 1
-        # Flows left when only unbounded shares remain (if any) get an
-        # infinite rate.
-        done = []
-        log.append((inf, rem, cnt, done))
-        for l in loaded:
-            for f in flows_on[l]:
-                if f.frozen_in > r:
-                    f.frozen_in = r
-                    f.rate = inf
-                    done.append(f)
+        log.append((inf, rem, cnt, []))
 
 
 def solve_rates(link_a: Sequence[int], link_b: Sequence[int], capacity: Sequence[float]):
     """Max-min fair rates for flows over directed links: a cold solve.
 
-    link_a/link_b: link ids per flow (-1 for unconstrained side, an
-    ``IndexError`` below -1 or past the last link); capacity: bytes/sec
-    per link, copied and never written.  Returns bytes/sec per flow: a
-    list, or a float64 array when the link ids are arrays.
+    link_a/link_b: the ids of each flow's two links (an ``IndexError``
+    unless both are among the links); capacity: bytes/sec per link, copied
+    and never written.  Returns bytes/sec per flow: a list, or a float64
+    array when the link ids are arrays.
     """
     if len(link_a) != len(link_b):
         raise ValueError("link_a and link_b must have the same length")
     as_array = hasattr(link_a, "tolist")
     ends_a, ends_b = (link_a.tolist(), link_b.tolist()) if as_array else (link_a, link_b)
-    spare = len(capacity)  # the link that takes every unconstrained side
-    state = FairShare([*capacity, math.inf])
+    state = FairShare(capacity)
     flows = [Flow() for _ in ends_a]
     for flow, a, b in zip(flows, ends_a, ends_b):
-        if not (-1 <= a < spare and -1 <= b < spare):
-            raise IndexError(f"link ids {a}, {b} are neither -1 nor among the {spare} links")
-        state.add(flow, (a if a >= 0 else spare, b if b >= 0 else spare))
+        state.add(flow, (a, b))
     state.solve()
     rates = [flow.rate for flow in flows]
     if as_array:

@@ -1,19 +1,43 @@
-"""Shared builders for synthetic models and scenarios, and the input
-mutator that the fuzz and the parse-outcome digest share."""
+"""Shared builders for synthetic models and scenarios, the input mutator
+that the fuzz and the parse-outcome digest share, and a fixture that
+certifies every fair-share solve a test makes."""
 
 from __future__ import annotations
 
 import random
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from maxmin_certificate import certified
 from ralp.layers import LayerKind, LayerSpec, ModelGraph
 
 # Every run of one commit tests the same examples, locally and in CI: no
 # random seed, and no database replaying examples found by earlier runs.
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture
+def certified_solves(monkeypatch):
+    """Check every solve of every ``FairShare`` the test makes against the
+    max-min certificate, at its 1e-9 relative tolerance, and fail the test
+    at the first solve that does not pass.  Returns the number of flows in
+    flight at each solve so far."""
+    from ralp import fairshare
+
+    sizes = []
+
+    def report(flows, problems):
+        if problems:
+            pytest.fail(f"solve {len(sizes)} of {len(flows)} flows is not max-min fair: "
+                        f"{problems[:3]}")
+        sizes.append(len(flows))
+
+    monkeypatch.setattr(fairshare, "FairShare", certified(fairshare.FairShare, report))
+    return sizes
+
 
 # Kind pools for random chains: weighted kinds get random parameter counts.
 _WEIGHTED = (LayerKind.CONVOLUTION, LayerKind.FULLY_CONNECTED, LayerKind.BLOCK)

@@ -4,9 +4,12 @@ Progressive filling (Bertsekas & Gallager, *Data Networks*, §6.5.2) on
 plain Python lists and floats, with no numpy.  It scans every flow in
 every round, and each flow it freezes subtracts the level from both of its
 links, clamping at zero.  ``ralp.fairshare`` charges only a frozen flow's
-other end and clamps nothing, yet ``solve_rates`` must match this
-reference bit for bit (the ``FairShare`` docstring says why).  The clamp
-stays here on purpose, so this oracle does not rest on that argument.
+other end and clamps nothing, yet its rates must match this reference bit
+for bit (the ``FairShare`` docstring says why).  The clamp stays here on
+purpose, so this oracle does not rest on that argument.  A link id of -1
+here is an unconstrained side; the kernel has no such id, so the tests
+put each such side on a spare link of infinite capacity after the others
+(``with_spare`` in ``tests/test_fairshare.py``).
 """
 
 from __future__ import annotations

@@ -32,3 +32,22 @@ def max_min_violations(flows, rates, capacity, rel=1e-9) -> list[str]:
                      for l in links):
             problems.append(f"flow {f} at {rate!r} has no bottleneck link")
     return problems
+
+
+def certified(kernel, report):
+    """A subclass of ``kernel`` (``ralp.fairshare.FairShare``) that calls
+    ``report(flows, problems)`` after every solve, with the flows in flight
+    and what ``max_min_violations`` finds in their rates."""
+
+    class Certified(kernel):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            self.capacity = list(capacity)
+
+        def solve(self):
+            super().solve()
+            flows = list(self.flows)
+            report(flows, max_min_violations([f.links for f in flows],
+                                             [f.rate for f in flows], self.capacity))
+
+    return Certified

@@ -1048,6 +1048,7 @@ class TestSolveCounts:
         assert counts[1] > counts[0] > 0
 
 
+@pytest.mark.usefixtures("certified_solves")
 class TestWorkAtFixedDensity:
     """The kernel's work on N vgg11 baseline 15+15 jobs, spread over 4N
     machines of 8 GPUs for one step: 94% of the slots, at any N.  The
@@ -1103,6 +1104,7 @@ def _consolidation_bytes(report) -> bytes:
     return "\n".join(parts).encode()
 
 
+@pytest.mark.usefixtures("certified_solves")
 class TestEngineDigest:
     """sha256 digests of whole reports.  They were recorded before the
     fair-share kernel kept state across events and before consolidation
