@@ -9,8 +9,9 @@ a job's next step starts when its slowest worker finishes the current one.
 The event loop keeps one fairshare.FairShare per run: a flow joins it when
 it starts and leaves when it finishes, and each solve between events
 replays the previous solve's rounds that the change leaves alone.  Every
-flow a round froze runs at the round's level, so the loop times and
-advances flows one round at a time (see _Env).
+flow a round froze runs at the round's level, so the loop times flows
+one round at a time, and takes a round's bytes off its flows only when
+the round is dropped (see _Env).
 
 A job's step is a small task graph, built once per job by one function
 per strategy, re-armed each step, and run by one event loop for all
@@ -425,16 +426,23 @@ class _Env:
     use, numbered in order of first use, so its size does not grow with
     the cluster.
 
-    The loop times and advances flows one round of the last solve at a
-    time: every flow a round froze runs at the round's level, so each
-    event takes the same bytes, rate × dt, off each of them.  Rounding is
-    monotone, so the round's lead, the flow with the fewest bytes left
-    when the round was made, stays the first of its flows to finish.  The
-    next flow finish is the earliest lead's, and only rounds whose lead
-    ends then are searched for flows that end at that instant.  A solve
-    leaves its first ``FairShare.kept`` rounds as they were, and a
-    departure refills from its flow's round, so no kept round holds a
-    departed flow: the loop keeps their leads and picks only the others.
+    Every flow a round of the last solve froze runs at the round's level,
+    so each round is one clock.  The round table holds, per round, its
+    flows, their rate and ``since``, the instant at which their
+    ``remaining`` holds; ``ends`` holds when its lead, the flow with the
+    fewest bytes left at ``since``, finishes, computed once, as the round
+    is made.  Rounding is monotone, so no flow of the round ends before
+    its lead.  The next flow finish is the earliest end, and only rounds
+    that end then are searched for flows that end at that instant.  A
+    round's flows are brought to the clock, with one ``remaining -= rate
+    × (now − since)`` each, only when the round is dropped.  A solve
+    leaves its first ``FairShare.kept`` rounds as they were, with the same
+    flows at the same rates, so their entries stay true; the others are
+    brought to the clock and dropped.  A departure refills from its flow's
+    round, so an instant that finishes flows brings the rounds from the
+    first that holds one of them to that instant, and drops them, before
+    any task starts again: a finished flow whose task restarts then is
+    never charged for its last round.
 
     An instant removes its finished flows from the kernel, completes its
     due delays, zero-second ones started meanwhile too, then its finished
@@ -491,57 +499,55 @@ class _Env:
         heap, finish, heappop = self._heap, self._finish, heapq.heappop
         share, inf, ulp = self._share, math.inf, math.ulp
         flows, changes, log = share.flows, share.changes, share.log
-        # Per round of the last solve that froze flows: its flows and its lead.
-        rounds: list[tuple[list[_Task], _Task]] = []
+        # The round table: (flows, rate, since) per round of the last solve
+        # that froze flows, and when each round's lead finishes.
+        rounds: list[tuple[list[_Task], float, float]] = []
+        ends: list[float] = []
         while heap or flows:
+            now = self.now
             if flows and changes:
                 share.solve()
                 kept = share.kept
-                del rounds[kept:]
+                _bring(rounds, kept, now)
+                del rounds[kept:], ends[kept:]
                 for _, _, _, group in log[kept:]:
                     if group:
-                        rounds.append((group, min(group, key=_remaining)))
+                        lead = min(group, key=_remaining)
+                        rate = lead.rate
+                        # remaining / inf == 0.0: an infinite-rate flow ends
+                        # now.  A flow at rate 0 is an engine fault.
+                        try:
+                            ends.append(now + lead.remaining / rate)
+                        except ZeroDivisionError:
+                            raise RuntimeError(
+                                "simulation deadlock: pending work cannot progress") from None
+                        rounds.append((group, rate, now))
 
-            now = self.now
             next_heap = heap[0][0] if heap else inf
-            next_flow = inf
-            if flows:
-                # remaining / inf == 0.0: an infinite-rate flow ends now.
-                # A flow at rate 0 is an engine fault.
-                try:
-                    ends = [now + lead.remaining / lead.rate for _, lead in rounds]
-                except ZeroDivisionError:
-                    raise RuntimeError(
-                        "simulation deadlock: pending work cannot progress") from None
-                next_flow = min(ends)
-
+            next_flow = min(ends) if ends else inf
             t_next = next_flow if next_flow < next_heap else next_heap
             if t_next == inf:
                 # The heap's head, or every flow, ends past the float range.
                 late = heap[0][2] if heap else next(iter(flows))
                 raise ScenarioError(f"job {late.job.name!r}: the simulated clock passes the "
                                     f"float range after {now!r} s")
+            self.now = t_next
 
             done = ()
             if next_flow == t_next:
                 # Flows of one round with different bytes left can end at
-                # one instant after rounding.
+                # one instant after rounding.  The next solve refills from
+                # the first round that holds one, so the rounds from there
+                # are brought to this instant and dropped before any task
+                # starts again.
+                first = ends.index(t_next)
                 done = []
-                for (group, lead), end in zip(rounds, ends):
+                for (group, rate, since), end in zip(rounds[first:], ends[first:]):
                     if end == t_next:
-                        rate = lead.rate
-                        done += [f for f in group if now + f.remaining / rate == t_next]
+                        done += [f for f in group if since + f.remaining / rate == t_next]
                 done.sort(key=_started)
-
-            dt = t_next - now
-            if dt > 0 and flows:
-                for group, lead in rounds:
-                    step = lead.rate * dt
-                    for flow in group:
-                        flow.remaining -= step
-            self.now = t_next
-
-            if done:
+                _bring(rounds, first, t_next)
+                del rounds[first:], ends[first:]
                 tick = ulp(t_next)
                 for flow in done:
                     # Delivered bytes match nbytes up to rounding: of the
@@ -562,6 +568,18 @@ class _Env:
                 finish(flow)
             while heap and heap[0][0] == t_next:
                 finish(heappop(heap)[2])
+
+
+def _bring(rounds, first: int, now: float):
+    """Bring the flows of ``rounds[first:]`` to ``now``: each round takes
+    the same bytes, rate × the time since its ``since``, off each of its
+    flows.  A round made at ``now`` is left alone, so an infinite rate
+    never meets a zero time."""
+    for group, rate, since in rounds[first:]:
+        if now > since:
+            step = rate * (now - since)
+            for flow in group:
+                flow.remaining -= step
 
 
 # -- per-job runtime -------------------------------------------------------

@@ -14,7 +14,8 @@ second covers every item of the ``plan`` universe (the catalog models,
 then every generated chain): the layers ``parse_model`` makes, the profile
 report in each skewness mode and the strategy rows at the workload's
 worker counts.  Two commits that print the same digests give
-byte-identical output on all of them.
+byte-identical output on all of them; ``tools/report_deviation.py``
+compares the same items, float by float, when they do not.
 """
 
 from __future__ import annotations
@@ -27,39 +28,59 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def load(root: Path):
+    """``ralp`` from ``root``'s ``src/`` and ``workloads`` from its
+    ``perfbench/``."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import ralp
     import workloads
-    from ralp.costmodel import rows_to_json
 
-    digest = hashlib.sha256()
-    keys = workloads.scenario_keys()
-    for key in keys:
+    return ralp, workloads
+
+
+def simulator_items(workloads):
+    """(name, text) of every report the first digest covers, in order."""
+    for key in workloads.scenario_keys():
         op = workloads.Op(key, {"text": workloads.scenario_source(key)})
         _, report = workloads.run_scenario(op)
-        digest.update(report.to_json().encode())
-    pairs = workloads.consolidation_pairs()
-    for model, copies in pairs:
+        yield f"scenario {key}", report.to_json()
+    for model, copies in workloads.consolidation_pairs():
         report = workloads.run_consolidation(workloads.consolidation_op(model, copies))
-        digest.update(report.consolidated.to_json().encode())
-        for alone in report.isolated:
-            digest.update(alone.to_json().encode())
+        name = f"consolidation {model}:x{copies}"
+        yield f"{name} consolidated", report.consolidated.to_json()
+        for i, alone in enumerate(report.isolated):
+            yield f"{name} isolated {i}", alone.to_json()
         entries = [[e.job, e.isolated_step_time, e.consolidated_step_time] for e in report.entries]
-        digest.update(json.dumps(entries).encode())
-    print(f"{digest.hexdigest()}  {len(keys)} scenarios, {len(pairs)} consolidation ops")
+        yield f"{name} entries", json.dumps(entries)
 
-    digest = hashlib.sha256()
-    keys = workloads.plan_keys()
-    for key in keys:
+
+def plan_items(ralp, workloads):
+    """(name, text) of every planning pass the second digest covers, in
+    order: the layers are a ``repr``, the rest JSON."""
+    from ralp.costmodel import rows_to_json
+
+    for key in workloads.plan_keys():
         model = ralp.parse_model(workloads.plan_text(key))
-        digest.update(repr((model.name, model.batch_size, model.bytes_per_element,
-                            model.layers)).encode())
+        yield f"plan {key} layers", repr((model.name, model.batch_size, model.bytes_per_element,
+                                          model.layers))
         for mode in ralp.SkewnessMode:
-            digest.update(ralp.profile(model, ralp.ProfilerConfig(mode=mode)).to_json().encode())
-        rows = ralp.compare_strategies(model, workloads.WORKER_COUNTS)
-        digest.update(rows_to_json(rows).encode())
-    print(f"{digest.hexdigest()}  {len(keys)} plan items")
+            yield (f"plan {key} profile {mode.value}",
+                   ralp.profile(model, ralp.ProfilerConfig(mode=mode)).to_json())
+        yield f"plan {key} rows", rows_to_json(ralp.compare_strategies(model, workloads.WORKER_COUNTS))
+
+
+def _digest(items) -> str:
+    digest = hashlib.sha256()
+    for _, text in items:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    ralp, workloads = load(ROOT)
+    print(f"{_digest(simulator_items(workloads))}  {len(workloads.scenario_keys())} scenarios, "
+          f"{len(workloads.consolidation_pairs())} consolidation ops")
+    print(f"{_digest(plan_items(ralp, workloads))}  {len(workloads.plan_keys())} plan items")
     return 0
 
 
