@@ -21,12 +21,14 @@ either a delay (compute, memcopy or PS work, or a transfer that needs no
 network) or a flow of bytes between two machines, and it starts once all
 its predecessors have finished.  A transfer within one machine is a
 delay at the intra-machine rate, and an empty transfer is a zero-second
-delay.  A delay or flow that a cluster rate would make endless is
-rejected when the graph is built, and a run whose clock would pass the
-float range stops with a ScenarioError naming the job.  Only simulated
-steps advance the clock, so a lone job whose repeated steps' mean step
-time passes the float range raises that error too.  So does a run in
-which a job's steps take no time, whose throughput would be undefined.
+delay.  A baseline PS shard that holds no parameter moves no byte and
+does no work, so it builds no task.  A delay or flow that a cluster
+rate would make endless is rejected when the graph is built, and a run
+whose clock would pass the float range stops with a ScenarioError
+naming the job.  Only simulated steps advance the clock, so a lone job
+whose repeated steps' mean step time passes the float range raises that
+error too.  So does a run in which a job's steps take no time, whose
+throughput would be undefined.
 The split strategy's back-segment batches are serial tasks: the PS runs
 them one at a time, in the order they become ready, each from the later
 of the clock and the end of the one before, so only that order sees the
@@ -376,7 +378,8 @@ def _shard_bytes(model: ModelGraph, ps_count: int) -> list[int]:
     """Parameter bytes per PS shard.  PS frameworks place whole variables,
     so shards are formed by assigning weighted layers round-robin.  Under
     parameter skew one shard ends up carrying most of the model, which is
-    what makes the baseline's PS link the bottleneck."""
+    what makes the baseline's PS link the bottleneck.  With more shards
+    than weighted layers the last ones hold 0 bytes, and build no task."""
     shards = [0] * ps_count
     weighted = [nbytes for nbytes in model.param_bytes if nbytes > 0]
     for pos, nbytes in enumerate(weighted):
@@ -674,20 +677,23 @@ class _JobRun:
         self._delay(after, nbytes, "memcopy_bytes_per_sec", self.memcopy_acc, i, last=i)
 
     def _baseline_step(self) -> float:
+        """Workers push each shard to its PS, which aggregates it, and pull
+        it back.  An empty shard builds no task, but a model with no
+        parameters keeps shard 0: each worker's last copy still waits for
+        every worker's gradient copy."""
         model, w = self.model, self.spec.worker_count
         shard_bytes = _shard_bytes(model, self.spec.ps_count)
-        pushes = [[] for _ in self.ps_machines]
-        for me, d2h in zip(self.worker_machines, self._gradients_to_host()):
-            for s, ps_machine in enumerate(self.ps_machines):
-                pushes[s].append(self._flow([d2h], me, ps_machine, shard_bytes[s]))
+        shards = ([(m, n) for m, n in zip(self.ps_machines, shard_bytes) if n]
+                  or [(self.ps_machines[0], 0)])
+        copies = list(zip(self.worker_machines, self._gradients_to_host()))
         pulls = [[] for _ in self.worker_machines]
         aggs = []
-        for s, ps_machine in enumerate(self.ps_machines):
-            agg = self._delay(pushes[s], (shard_bytes[s] // model.bytes_per_element) * w,
-                              "gpu_flops_per_sec")
+        for ps_machine, nbytes in shards:
+            pushes = [self._flow([d2h], me, ps_machine, nbytes) for me, d2h in copies]
+            agg = self._delay(pushes, (nbytes // model.bytes_per_element) * w, "gpu_flops_per_sec")
             aggs.append(agg)
-            for i, worker_machine in enumerate(self.worker_machines):
-                pulls[i].append(self._flow([agg], ps_machine, worker_machine, shard_bytes[s]))
+            for pulled, me in zip(pulls, self.worker_machines):
+                pulled.append(self._flow([agg], ps_machine, me, nbytes))
         for i, after in enumerate(pulls):
             self._params_to_device(i, after, model.total_param_bytes)
         return max(agg.seconds for agg in aggs)

@@ -1009,6 +1009,79 @@ class TestStepGraphReuse:
         assert after <= before
 
 
+def _built_tasks(scenario: Scenario) -> list:
+    """Every task of the lone job's step graph, built as a run builds it
+    and walked from its roots."""
+    ((name, spec, placement),) = scenario.jobs
+    run = simulator._JobRun(simulator._Env(scenario.cluster, [placement]), name, spec,
+                            placement, 1)
+    seen, stack = {}, list(run.roots)
+    while stack:
+        task = stack.pop()
+        if id(task) not in seen:
+            seen[id(task)] = task
+            stack.extend(task.succ)
+    run.release()
+    return list(seen.values())
+
+
+class TestEmptyShards:
+    """A baseline PS that holds no variable gets no push, does no
+    aggregation and sends no pull: its shard builds no task."""
+
+    WORKERS = 4
+
+    def vgg11_job(self, ps):
+        # Workers on machines 0-3; PS 0-5 share machine 4's downlink, the
+        # bottleneck, and PS 6-14 are alone on machines 5-13, of which the
+        # 11-PS job leaves 10-13 idle.  So a shard on another PS than its
+        # own moves the bottleneck.
+        model = catalog_lookup("vgg11")
+        cluster = dataclasses.replace(DEFAULT_CLUSTER, machines=14, gpus_per_machine=6)
+        slots = [(4, s) for s in range(6)] + [(s - 1, 0) for s in range(6, 15)]
+        spec = JobSpec(model=model, strategy=Strategy.baseline(), worker_count=self.WORKERS,
+                       ps_count=ps)
+        placement = Placement(workers=tuple((m, 0) for m in range(self.WORKERS)),
+                              ps=tuple(slots[:ps]))
+        return Scenario(cluster=cluster, jobs=(("vgg11", spec, placement),), steps=2)
+
+    def test_four_empty_shards_change_no_report(self):
+        # vgg11 has 11 weighted layers, so PS 11-14 hold nothing.
+        assert simulator._shard_bytes(catalog_lookup("vgg11"), 15)[11:] == [0] * 4
+        assert simulate_run(self.vgg11_job(15)) == simulate_run(self.vgg11_job(11))
+
+    def test_only_shards_with_bytes_build_tasks(self):
+        scenario = self.vgg11_job(15)
+        assert any(simulator._shard_bytes(scenario.jobs[0][1].model, 15))
+        tasks = _built_tasks(scenario)
+        assert [t for t in tasks if t.links is None and t.seconds == 0] == []
+        # Per worker a pass, two copies, and per shard with bytes a push
+        # and a pull; per such shard one aggregation.
+        w = self.WORKERS
+        assert len(tasks) == 3 * w + 11 * (2 * w + 1)
+
+    def test_a_model_without_parameters_keeps_one_empty_shard(self):
+        # Every rate and flop count is a power of two, so the step time is
+        # exact: 3 passes of 2**30 flops for each of 2**2 samples at 2**32
+        # flops/s.  Every copy and transfer is empty.
+        model = paramless_model(flops=2**30, batch=2**2)
+        cluster = small_cluster(machines=6, gpu_flops_per_sec=2.0**32,
+                                memcopy_bytes_per_sec=2.0**33, link_bytes_per_sec=2.0**30,
+                                intra_machine_bytes_per_sec=2.0**36)
+        scenario = one_job_scenario(model, Strategy.baseline(), 3, 3, cluster)
+        assert simulator._shard_bytes(model, 3) == [0, 0, 0]
+        tasks = _built_tasks(scenario)
+        # One aggregation waits for every worker's push, and each worker's
+        # last copy for its one pull.
+        assert len(tasks) == 3 * 3 + (2 * 3 + 1)
+        assert sum(t.preds == 3 for t in tasks) == 1
+        assert [t.preds for t in tasks if t.last is not None] == [1, 1, 1]
+        (step,) = simulate_run(scenario).job("job").steps
+        assert step.step_durations == (3.0, 3.0, 3.0)
+        assert step.worker_computation == (3.0, 3.0, 3.0)
+        assert step.ps_computation == step.memcopy == step.communication == (0.0, 0.0, 0.0)
+
+
 class TestSolveCounts:
     """The event loop solves the fair-share kernel only when a flow
     started or finished since the last solve, and only with flows in
